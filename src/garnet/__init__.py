@@ -4,11 +4,10 @@ from .arrows import (ArrowAmbient, ArrowObj, FinSetAmbient, PresheafAmbient,
                      Square, compose_squares, identity_square)
 from .awfs import (Coalgebra, Factorization, GeneratedAWFS, LiftingStructure,
                    Trace, algebra_to_structure, compose_structures,
-                   factorization_to_json, factorize, find_filler,
-                   find_lifting_structures, has_rlp, left_factor_coalgebra,
-                   quillen_factorize, replay, retract_lift, solve_lifting,
-                   structure_to_algebra, trace_from_json, trace_to_json,
-                   verify_trace)
+                   factorization_to_json, find_filler,
+                   find_lifting_structures, has_rlp, quillen_factorize,
+                   replay, solve_lifting, structure_to_algebra,
+                   trace_from_json, trace_to_json, verify_trace)
 from .density import (ArrowDiagram, density_closed_form_subobject,
                       subobject_classifier_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
@@ -31,9 +30,9 @@ __all__ = [
     "MissingGeneratorWitness", "NoIsoFound", "NotARetract", "NotDiscrete",
     "Presheaf", "PresheafAmbient", "PresheafMap", "Square", "Trace",
     "algebra_to_structure", "compose_squares", "compose_structures",
-    "density_closed_form_subobject", "factorization_to_json", "factorize",
-    "find_filler", "find_lifting_structures", "has_rlp", "identity_square",
-    "left_factor_coalgebra", "quillen_factorize", "replay", "retract_lift",
-    "solve_lifting", "structure_to_algebra", "subobject_classifier_diagram",
-    "trace_from_json", "trace_to_json", "verify_trace",
+    "density_closed_form_subobject", "factorization_to_json", "find_filler",
+    "find_lifting_structures", "has_rlp", "identity_square",
+    "quillen_factorize", "replay", "solve_lifting", "structure_to_algebra",
+    "subobject_classifier_diagram", "trace_from_json", "trace_to_json",
+    "verify_trace",
 ]

@@ -1,16 +1,25 @@
-"""Arrow categories over a pluggable ambient.
+"""Arrow categories over a pluggable ambient, and the ambient protocol.
 
-An AmbientHandle bundles the operations every construction downstream
-needs: composition, colimits with mediators, hom enumeration, and the
-mono/iso tests.  Three ambients are provided: finite sets, finite
-presheaves, and the arrow category over any ambient (so the arrow category
-over an ambient is itself an ambient, which is what the free-monad layer
-iterates on).
+An ambient is an object with the methods below; they are what the generic
+constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
+
+- ``dom``, ``cod``, ``identity``, ``compose``, ``inverse``;
+- ``is_mono``, ``is_iso``, ``is_identity``;
+- ``hom`` (all maps between two objects, in a fixed order);
+- ``pushout``, ``coproduct``, ``coequalizer``, ``sequential_colimit`` and
+  ``pullback``, each returning a result with a ``mediate`` method;
+- ``obj_size``, ``obj_to_json``, ``mor_to_json`` and, on the two base
+  ambients, ``mor_from_json``.
+
+Three ambients are provided: finite sets, finite presheaves, and the arrow
+category over any ambient (so the arrow category over an ambient is itself
+an ambient, which is what the free-monad layer iterates on).  Chain
+colimits are written once, over the protocol, in ``chain_colimit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import finset, presheaf as psh
@@ -48,26 +57,14 @@ class FinSetAmbient:
     def is_mono(self, m):
         return m.is_injective
 
-    def is_epi(self, m):
-        return m.is_surjective
-
     def is_iso(self, m):
         return m.is_bijective
 
     def is_identity(self, m):
         return m.is_identity
 
-    def initial(self):
-        return finset.EMPTY
-
-    def from_initial(self, x):
-        return finset.FinFunction(finset.EMPTY, x, ())
-
     def hom(self, a, b, cap=None):
         return finset.enumerate_functions(a, b, cap=cap)
-
-    def isos(self, a, b, cap=None):
-        return finset.enumerate_bijections(a, b, cap=cap)
 
     def pushout(self, f, g, tags=("i0", "i1")):
         return finset.pushout(f, g, tags=tags)
@@ -92,6 +89,9 @@ class FinSetAmbient:
 
     def mor_to_json(self, m):
         return finset.function_to_json(m)
+
+    def mor_from_json(self, data):
+        return finset.function_from_json(data)
 
 
 class PresheafAmbient:
@@ -127,29 +127,14 @@ class PresheafAmbient:
     def is_mono(self, m):
         return m.is_mono
 
-    def is_epi(self, m):
-        return m.is_epi
-
     def is_iso(self, m):
         return m.is_iso
 
     def is_identity(self, m):
         return m.is_identity
 
-    def initial(self):
-        return psh.initial_presheaf(self.base)
-
-    def from_initial(self, x):
-        empty = self.initial()
-        return psh.PresheafMap(empty, x, {
-            c: finset.FinFunction(empty.at(c), x.at(c), ())
-            for c in self.base.objects})
-
     def hom(self, a, b, cap=None):
         return psh.enumerate_maps(a, b, cap=cap)
-
-    def isos(self, a, b, cap=None):
-        return [m for m in self.hom(a, b, cap=cap) if m.is_iso]
 
     def pushout(self, f, g, tags=("i0", "i1")):
         return psh.presheaf_pushout(f, g, tags=tags)
@@ -174,6 +159,9 @@ class PresheafAmbient:
 
     def mor_to_json(self, m):
         return psh.presheaf_map_to_json(m)
+
+    def mor_from_json(self, data):
+        return psh.presheaf_map_from_json(data, base=self.base)
 
 
 @dataclass(frozen=True)
@@ -249,76 +237,72 @@ def compose_arrows(lower: ArrowObj, upper: ArrowObj) -> ArrowObj:
     return ArrowObj(amb, amb.compose(lower.mor, upper.mor))
 
 
-class _ArrPushoutResult:
-    def __init__(self, obj, left, right, dom_po, cod_po):
-        self.obj: ArrowObj = obj
-        self.left: Square = left
-        self.right: Square = right
-        self._dom_po = dom_po
-        self._cod_po = cod_po
+@dataclass(frozen=True)
+class ChainColimitResult:
+    """The colimit of a finite chain, identified with its first stable stage."""
+    obj: object
+    legs: tuple
+    stable_from: int
+    ambient: object = field(repr=False)
 
-    def mediate(self, q: Square, r: Square) -> Square:
-        return Square(self.obj, q.target,
-                      self._dom_po.mediate(q.top, r.top),
-                      self._cod_po.mediate(q.bottom, r.bottom))
-
-
-class _ArrCoproductResult:
-    def __init__(self, obj, injections, dom_cp, cod_cp):
-        self.obj: ArrowObj = obj
-        self.injections: tuple[Square, ...] = injections
-        self._dom_cp = dom_cp
-        self._cod_cp = cod_cp
-
-    def mediate(self, legs: Sequence[Square], cod: ArrowObj | None = None):
-        target = legs[0].target if legs else cod
-        assert target is not None
-        top = self._dom_cp.mediate([leg.top for leg in legs],
-                                   cod=target.dom)
-        bottom = self._cod_cp.mediate([leg.bottom for leg in legs],
-                                      cod=target.cod)
-        return Square(self.obj, target, top, bottom)
-
-
-class _ArrCoequalizerResult:
-    def __init__(self, obj, proj, dom_ce, cod_ce):
-        self.obj: ArrowObj = obj
-        self.proj: Square = proj
-        self._dom_ce = dom_ce
-        self._cod_ce = cod_ce
-
-    def mediate(self, h: Square) -> Square:
-        return Square(self.obj, h.target,
-                      self._dom_ce.mediate(h.top),
-                      self._cod_ce.mediate(h.bottom))
-
-
-class _ArrChainColimitResult:
-    def __init__(self, obj, legs, stable_from):
-        self.obj: ArrowObj = obj
-        self.legs: tuple[Square, ...] = legs
-        self.stable_from = stable_from
-
-    def mediate(self, cocone: Sequence[Square]) -> Square:
+    def mediate(self, cocone: Sequence):
+        if len(cocone) != len(self.legs):
+            raise DomainMismatch("a cocone needs one leg per chain object")
         h = cocone[self.stable_from]
         for i, leg in enumerate(self.legs):
-            if cocone[i] != compose_squares(h, leg):
-                raise DomainMismatch(f"cocone leg {i} does not factor")
+            if cocone[i] != self.ambient.compose(h, leg):
+                raise DomainMismatch(f"cocone leg {i} does not factor through "
+                                     f"the stable stage")
         return h
 
 
-class _ArrPullbackResult:
-    def __init__(self, obj, left, right, dom_pb, cod_pb):
-        self.obj: ArrowObj = obj
-        self.left: Square = left
-        self.right: Square = right
-        self._dom_pb = dom_pb
-        self._cod_pb = cod_pb
+def chain_colimit(amb, maps: Sequence, start=None) -> ChainColimitResult:
+    """Colimit of a finite chain X0 -> X1 -> ... -> Xn in the ambient amb.
 
-    def mediate(self, p: Square, q: Square) -> Square:
-        return Square(p.source, self.obj,
-                      self._dom_pb.mediate(p.top, q.top),
-                      self._cod_pb.mediate(p.bottom, q.bottom))
+    The result is identified with the first stage after which every map is
+    an isomorphism, so labels are stable under extending a converged chain.
+    """
+    if not maps:
+        if start is None:
+            raise DomainMismatch("empty chain needs an explicit object")
+        return ChainColimitResult(start, (amb.identity(start),), 0, amb)
+    objects = [amb.dom(maps[0])] + [amb.cod(m) for m in maps]
+    for i in range(len(maps) - 1):
+        if amb.cod(maps[i]) != amb.dom(maps[i + 1]):
+            raise DomainMismatch(f"chain breaks between step {i} and {i + 1}")
+    if start is not None and start != objects[0]:
+        raise DomainMismatch("start object disagrees with the first map")
+    k = len(maps)
+    while k > 0 and amb.is_iso(maps[k - 1]):
+        k -= 1
+    legs = []
+    # forward composites into stage k, then inverses of the stable tail
+    for i in range(len(objects)):
+        if i <= k:
+            leg = amb.identity(objects[i])
+            for m in maps[i:k]:
+                leg = amb.compose(m, leg)
+        else:
+            leg = amb.identity(objects[k])
+            for m in maps[k:i]:
+                leg = amb.compose(m, leg)
+            leg = amb.inverse(leg)
+        legs.append(leg)
+    return ChainColimitResult(objects[k], tuple(legs), k, amb)
+
+
+class _ArrLevelwise(psh.LevelwiseResult):
+    """Levels "dom" and "cod": a square's top and bottom, an arrow's ends."""
+
+    @staticmethod
+    def _part(x, level):
+        if isinstance(x, ArrowObj):
+            return getattr(x, level)
+        return x.top if level == "dom" else x.bottom
+
+    @staticmethod
+    def _assemble(source, target, parts):
+        return Square(source, target, parts["dom"], parts["cod"])
 
 
 class ArrowAmbient:
@@ -360,37 +344,17 @@ class ArrowAmbient:
     def is_mono(self, s: Square) -> bool:
         return self.inner.is_mono(s.top) and self.inner.is_mono(s.bottom)
 
-    def is_epi(self, s: Square) -> bool:
-        return self.inner.is_epi(s.top) and self.inner.is_epi(s.bottom)
-
     def is_iso(self, s: Square) -> bool:
         return self.inner.is_iso(s.top) and self.inner.is_iso(s.bottom)
 
     def is_identity(self, s: Square) -> bool:
         return self.inner.is_identity(s.top) and self.inner.is_identity(s.bottom)
 
-    def initial(self) -> ArrowObj:
-        return self.wrap(self.inner.identity(self.inner.initial()))
-
-    def from_initial(self, f: ArrowObj) -> Square:
-        return Square(self.initial(), f,
-                      self.inner.from_initial(f.dom),
-                      self.inner.from_initial(f.cod))
-
     def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
         out = []
         for top in self.inner.hom(a.dom, b.dom, cap=cap):
             lhs = self.inner.compose(b.mor, top)
             for bottom in self.inner.hom(a.cod, b.cod, cap=cap):
-                if lhs == self.inner.compose(bottom, a.mor):
-                    out.append(Square(a, b, top, bottom))
-        return out
-
-    def isos(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
-        out = []
-        for top in self.inner.isos(a.dom, b.dom, cap=cap):
-            lhs = self.inner.compose(b.mor, top)
-            for bottom in self.inner.isos(a.cod, b.cod, cap=cap):
                 if lhs == self.inner.compose(bottom, a.mor):
                     out.append(Square(a, b, top, bottom))
         return out
@@ -406,7 +370,8 @@ class ArrowAmbient:
             self.inner.compose(cod_po.right, c.mor)))
         left = Square(b, arrow, dom_po.left, cod_po.left)
         right = Square(c, arrow, dom_po.right, cod_po.right)
-        return _ArrPushoutResult(arrow, left, right, dom_po, cod_po)
+        return _ArrLevelwise(arrow, {"dom": dom_po, "cod": cod_po},
+                             left=left, right=right)
 
     def coproduct(self, parts: Sequence[ArrowObj], tags=None):
         dom_cp = self.inner.coproduct([p.dom for p in parts], tags=tags)
@@ -418,7 +383,8 @@ class ArrowAmbient:
         injections = tuple(
             Square(parts[k], arrow, dom_cp.injections[k], cod_cp.injections[k])
             for k in range(len(parts)))
-        return _ArrCoproductResult(arrow, injections, dom_cp, cod_cp)
+        return _ArrLevelwise(arrow, {"dom": dom_cp, "cod": cod_cp},
+                             injections=injections)
 
     def coequalizer(self, s: Square, t: Square):
         if s.source != t.source or s.target != t.target:
@@ -428,33 +394,12 @@ class ArrowAmbient:
         arrow = self.wrap(dom_ce.mediate(
             self.inner.compose(cod_ce.proj, s.target.mor)))
         proj = Square(s.target, arrow, dom_ce.proj, cod_ce.proj)
-        return _ArrCoequalizerResult(arrow, proj, dom_ce, cod_ce)
+        return _ArrLevelwise(arrow, {"dom": dom_ce, "cod": cod_ce},
+                             proj=proj)
 
     def sequential_colimit(self, maps: Sequence[Square],
                            start: ArrowObj | None = None):
-        if not maps:
-            assert start is not None
-            return _ArrChainColimitResult(start, (identity_square(start),), 0)
-        for i in range(len(maps) - 1):
-            if maps[i].target != maps[i + 1].source:
-                raise DomainMismatch(f"chain breaks between {i} and {i + 1}")
-        objects = [maps[0].source] + [m.target for m in maps]
-        k = len(maps)
-        while k > 0 and self.is_iso(maps[k - 1]):
-            k -= 1
-        legs = []
-        for i in range(len(objects)):
-            if i <= k:
-                leg = identity_square(objects[i])
-                for m in maps[i:k]:
-                    leg = compose_squares(m, leg)
-            else:
-                leg = identity_square(objects[k])
-                for m in maps[k:i]:
-                    leg = compose_squares(m, leg)
-                leg = self.inverse(leg)
-            legs.append(leg)
-        return _ArrChainColimitResult(objects[k], tuple(legs), k)
+        return chain_colimit(self, maps, start=start)
 
     def pullback(self, s: Square, t: Square):
         if s.target != t.target:
@@ -466,7 +411,8 @@ class ArrowAmbient:
             self.inner.compose(t.source.mor, dom_pb.right)))
         left = Square(arrow, s.source, dom_pb.left, cod_pb.left)
         right = Square(arrow, t.source, dom_pb.right, cod_pb.right)
-        return _ArrPullbackResult(arrow, left, right, dom_pb, cod_pb)
+        return _ArrLevelwise(arrow, {"dom": dom_pb, "cod": cod_pb},
+                             cone=True, left=left, right=right)
 
     def obj_size(self, f: ArrowObj):
         return self.inner.obj_size(f.dom) + self.inner.obj_size(f.cod)

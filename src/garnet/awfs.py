@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import density as dn
 from .arrows import (ArrowAmbient, ArrowObj, EndoData, PointedEndofunctor,
                      Session, Square, compose_squares, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
@@ -306,53 +305,6 @@ class GeneratedAWFS:
             == compose_squares(pi, pi_r)
         return {"checks": checks, "pass": all(checks.values())}
 
-    def quillen_factorize(self, f: ArrowObj,
-                          max_steps: int | None = None) -> "QuillenResult":
-        """Factor by repeatedly gluing one cell per problem, with no
-        quotienting, until the right map has plain fillers everywhere."""
-        u = self.generators
-        if u.index.non_identity_morphisms():
-            raise NotDiscrete("cell attachment without quotienting needs a "
-                              "discrete generator shape")
-        inner = self.ambient
-        limit = self.max_steps if max_steps is None else max_steps
-        current = f
-        stage_tops: list = []
-        while True:
-            probs = []
-            for i in u.index.objects:
-                for a in lifting_problems(u, i, current, cap=self.cap):
-                    probs.append((i, a))
-            # a first stage is always glued; afterwards stop as soon as
-            # every problem has some filler
-            if not probs or (stage_tops
-                             and has_rlp(current, u, cap=self.cap)):
-                left_mor = inner.identity(f.dom)
-                for top in stage_tops:
-                    left_mor = inner.compose(top, left_mor)
-                left = ArrowObj(inner, left_mor)
-                assert inner.compose(current.mor, left_mor) == f.mor
-                return QuillenResult(f, left, current, tuple(stage_tops),
-                                     len(stage_tops))
-            if len(stage_tops) == limit:
-                break
-            names = [f"{i}#{k}" for k, (i, _) in enumerate(probs)]
-            doms = inner.coproduct([u.arrow(i).dom for i, _ in probs],
-                                   tags=names)
-            cods = inner.coproduct([u.arrow(i).cod for i, _ in probs],
-                                   tags=names)
-            to_x = doms.mediate([a.top for _, a in probs], cod=current.dom)
-            gen = doms.mediate(
-                [inner.compose(cods.injections[k], u.arrow(probs[k][0]).mor)
-                 for k in range(len(probs))], cod=cods.obj)
-            po = inner.pushout(to_x, gen, tags=("old", "new"))
-            bottoms = cods.mediate([a.bottom for _, a in probs], cod=f.cod)
-            current = ArrowObj(inner, po.mediate(current.mor, bottoms))
-            stage_tops.append(po.left)
-        err = IterationLimit(f"no pointwise fillers within {limit} stages")
-        err.stage_tops = tuple(stage_tops)
-        raise err
-
 
 def _step_endofunctor(awfs: GeneratedAWFS) -> PointedEndofunctor:
     inner = awfs.ambient
@@ -382,11 +334,6 @@ def _step_endofunctor(awfs: GeneratedAWFS) -> PointedEndofunctor:
     return PointedEndofunctor(awfs.arr, on_obj, on_mor, unit)
 
 
-def split_pointed_endofunctor(awfs: GeneratedAWFS) -> PointedEndofunctor:
-    """The one-step gluing endofunctor of the session, with its unit."""
-    return awfs.t
-
-
 @dataclass(frozen=True)
 class Factorization:
     f: ArrowObj
@@ -401,10 +348,6 @@ class Factorization:
     @property
     def converged_stage(self) -> int:
         return self.trace.converged_stage
-
-
-def factorize(awfs: GeneratedAWFS, f: ArrowObj) -> Factorization:
-    return awfs.factorize(f)
 
 
 # -- construction traces -------------------------------------------------------
@@ -451,7 +394,7 @@ class Trace:
 
 
 def _cell_record(den) -> TraceCell:
-    order = den.comma.category.objects
+    order = den.comma.objects
     return TraceCell(
         den.den, den.counit,
         tuple((n, den.legs[n]) for n in order),
@@ -481,7 +424,7 @@ def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
     for st in trace.stages:
         try:
             fresh = density_comonad(u, st.arrow, cap=cap)
-            order = fresh.comma.category.objects
+            order = fresh.comma.objects
             ok = (fresh.den == st.cell.den
                   and fresh.counit == st.cell.counit
                   and tuple((n, fresh.legs[n]) for n in order)
@@ -701,7 +644,7 @@ def structure_to_algebra(awfs: GeneratedAWFS,
     den = data.den
     target = ArrowObj(inner, inner.identity(f.dom))
     legs = []
-    for name in den.comma.category.objects:
+    for name in den.comma.objects:
         j, a = den.comma.problems[name]
         legs.append(Square(u.arrow(j), target, a.top, psi.fillers[(j, a)]))
     glued = den.coequalizer.mediate(
@@ -721,7 +664,7 @@ def algebra_to_structure(awfs: GeneratedAWFS, f: ArrowObj,
     if compose_squares(d, data.unit) != identity_square(f):
         raise NotAnAlgebra("the structure square does not retract the unit")
     fillers = {}
-    for name in data.den.comma.category.objects:
+    for name in data.den.comma.objects:
         j, a = data.den.comma.problems[name]
         leg = data.den.legs[name]
         fillers[(j, a)] = inner.compose(
@@ -763,23 +706,6 @@ class Coalgebra:
     section: object
 
 
-def left_factor_coalgebra(awfs: GeneratedAWFS, f: ArrowObj) -> Coalgebra:
-    return awfs.left_factor_coalgebra(f)
-
-
-def retract_lift(awfs: GeneratedAWFS, c: Coalgebra, alpha: Square,
-                 beta: Square) -> Coalgebra:
-    return awfs.retract_lift(c, alpha, beta)
-
-
-def comultiplication(awfs: GeneratedAWFS, f: ArrowObj):
-    return awfs.comultiplication(f)
-
-
-def multiplication(awfs: GeneratedAWFS, f: ArrowObj):
-    return awfs.multiplication(f)
-
-
 @dataclass(frozen=True)
 class QuillenResult:
     """A factorization by plain cell attachment: no quotient stages, left
@@ -793,7 +719,50 @@ class QuillenResult:
 
 def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj,
                       max_steps: int | None = None) -> QuillenResult:
-    return awfs.quillen_factorize(f, max_steps)
+    """Factor by repeatedly gluing one cell per problem, with no
+    quotienting, until the right map has plain fillers everywhere."""
+    u = awfs.generators
+    if u.index.non_identity_morphisms():
+        raise NotDiscrete("cell attachment without quotienting needs a "
+                          "discrete generator shape")
+    inner = awfs.ambient
+    limit = awfs.max_steps if max_steps is None else max_steps
+    current = f
+    stage_tops: list = []
+    while True:
+        probs = []
+        for i in u.index.objects:
+            for a in lifting_problems(u, i, current, cap=awfs.cap):
+                probs.append((i, a))
+        # a first stage is always glued; afterwards stop as soon as
+        # every problem has some filler
+        if not probs or (stage_tops
+                         and has_rlp(current, u, cap=awfs.cap)):
+            left_mor = inner.identity(f.dom)
+            for top in stage_tops:
+                left_mor = inner.compose(top, left_mor)
+            left = ArrowObj(inner, left_mor)
+            assert inner.compose(current.mor, left_mor) == f.mor
+            return QuillenResult(f, left, current, tuple(stage_tops),
+                                 len(stage_tops))
+        if len(stage_tops) == limit:
+            break
+        names = [f"{i}#{k}" for k, (i, _) in enumerate(probs)]
+        doms = inner.coproduct([u.arrow(i).dom for i, _ in probs],
+                               tags=names)
+        cods = inner.coproduct([u.arrow(i).cod for i, _ in probs],
+                               tags=names)
+        to_x = doms.mediate([a.top for _, a in probs], cod=current.dom)
+        gen = doms.mediate(
+            [inner.compose(cods.injections[k], u.arrow(probs[k][0]).mor)
+             for k in range(len(probs))], cod=cods.obj)
+        po = inner.pushout(to_x, gen, tags=("old", "new"))
+        bottoms = cods.mediate([a.bottom for _, a in probs], cod=f.cod)
+        current = ArrowObj(inner, po.mediate(current.mor, bottoms))
+        stage_tops.append(po.left)
+    err = IterationLimit(f"no pointwise fillers within {limit} stages")
+    err.stage_tops = tuple(stage_tops)
+    raise err
 
 
 # -- replaying a trace under a functor ------------------------------------------
@@ -896,10 +865,10 @@ def _square_to_json(inner, s: Square) -> dict:
 
 
 def _square_from_json(inner, data) -> Square:
-    return Square(ArrowObj(inner, dn._mor_from_json(inner, data["source"])),
-                  ArrowObj(inner, dn._mor_from_json(inner, data["target"])),
-                  dn._mor_from_json(inner, data["top"]),
-                  dn._mor_from_json(inner, data["bottom"]))
+    return Square(ArrowObj(inner, inner.mor_from_json(data["source"])),
+                  ArrowObj(inner, inner.mor_from_json(data["target"])),
+                  inner.mor_from_json(data["top"]),
+                  inner.mor_from_json(data["bottom"]))
 
 
 def trace_to_json(trace: Trace) -> dict:
@@ -938,10 +907,7 @@ def trace_to_json(trace: Trace) -> dict:
 def trace_from_json(data, ambient) -> Trace:
     u = arrow_diagram_from_json(data["generators"], ambient)
     inner = ambient
-
-    def mor(d):
-        return dn._mor_from_json(inner, d)
-
+    mor = inner.mor_from_json
     stages = []
     for sd in data["stages"]:
         cell = TraceCell(

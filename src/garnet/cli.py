@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from . import density as dn
 from .arrows import ArrowObj, EndoData, FinSetAmbient, PresheafAmbient, Square
 from .awfs import (GeneratedAWFS, factorization_to_json,
                    find_lifting_structures, has_rlp, quillen_factorize,
@@ -77,7 +76,7 @@ def _map(args, inner):
     data = _read_json(args.map)
     if isinstance(data, dict) and "mor" in data:
         data = data["mor"]
-    return ArrowObj(inner, dn._mor_from_json(inner, data))
+    return ArrowObj(inner, inner.mor_from_json(data))
 
 
 def _session(args):
@@ -162,8 +161,8 @@ def _cmd_solve(args):
     prob = _read_json(args.problem)
     i = prob["index"]
     alpha = Square(aw.generators.arrow(i), f,
-                   dn._mor_from_json(inner, prob["top"]),
-                   dn._mor_from_json(inner, prob["bottom"]))
+                   inner.mor_from_json(prob["top"]),
+                   inner.mor_from_json(prob["bottom"]))
     found = find_lifting_structures(aw, f, mode="first", cap=_cap(args))
     if not found:
         return EXIT_NO_STRUCTURE, {"found": False}, ["no lifting structure"]
@@ -201,9 +200,9 @@ def _load_report(path):
     fd = data["factorization"]
     trace = trace_from_json(fd["trace"], inner)
     fact = _ReportedFactorization(
-        ArrowObj(inner, dn._mor_from_json(inner, fd["f"])),
-        ArrowObj(inner, dn._mor_from_json(inner, fd["left"])),
-        ArrowObj(inner, dn._mor_from_json(inner, fd["right"])))
+        ArrowObj(inner, inner.mor_from_json(fd["f"])),
+        ArrowObj(inner, inner.mor_from_json(fd["left"])),
+        ArrowObj(inner, inner.mor_from_json(fd["right"])))
     return inner, trace, fact
 
 
@@ -242,7 +241,7 @@ def _cmd_replay(args):
         fun = _doubling(inner)
     if args.witnesses:
         raw = _read_json(args.witnesses)
-        witnesses = {j: ArrowObj(inner, dn._mor_from_json(inner, d))
+        witnesses = {j: ArrowObj(inner, inner.mor_from_json(d))
                      for j, d in raw.items()}
     else:
         witnesses = {j: ArrowObj(inner,

@@ -3,9 +3,9 @@
 A generating diagram indexes a family of arrows; its density comonad at f
 is the colimit, over the comma category of all lifting problems into f, of
 the generating arrows themselves.  The counit reassembles every problem.
-The comma category is materialized as a FinCategory because the morphisms
-between lifting problems (the coherences) are what the rest of the build
-quotients by.
+The comma category is kept as its objects and generating morphisms,
+because the morphisms between lifting problems (the coherences) are what
+the rest of the build quotients by; their composites are never needed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .arrows import (
 )
 from .errors import EnumerationCap, MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
-    discrete_category, identity_name
-from .finset import EMPTY, FinFunction, FinSet, function_from_json
+    discrete_category
+from .finset import EMPTY, FinFunction, FinSet
 
 
 class ArrowDiagram:
@@ -95,8 +95,12 @@ def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
 
 @dataclass
 class CommaResult:
-    """The comma category of lifting problems, with its labeling."""
-    category: FinCategory
+    """The comma category of lifting problems, presented by its objects and
+    its generating morphisms; the density colimit never composes them."""
+    # comma object names, in object order
+    objects: tuple[str, ...]
+    # one (name, dom, cod) per generator morphism into each problem
+    relations: list[tuple[str, str, str]]
     # comma object name -> (index object, problem square), in object order
     problems: dict[str, tuple[str, Square]]
     # (index object, problem square) -> comma object name
@@ -109,14 +113,12 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
                    cap: int | None = None) -> CommaResult:
     problems: dict[str, tuple[str, Square]] = {}
     names: dict[tuple[str, Square], str] = {}
-    objects = []
     for j in u.index.objects:
         for k, alpha in enumerate(lifting_problems(u, j, f, cap=cap)):
             name = f"{j}#{k}"
-            objects.append(name)
             problems[name] = (j, alpha)
             names[(j, alpha)] = name
-    morphisms = []
+    relations = []
     over = {}
     for t in u.index.non_identity_morphisms():
         ut = u.square(t.name)
@@ -126,27 +128,9 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
             alpha1 = compose_squares(alpha2, ut)
             name1 = names[(t.dom, alpha1)]
             mor_name = f"{t.name}@{name2}"
-            morphisms.append((mor_name, name1, name2))
+            relations.append((mor_name, name1, name2))
             over[mor_name] = t.name
-    compose_table = {}
-    for t2 in u.index.non_identity_morphisms():
-        for t1 in u.index.non_identity_morphisms():
-            if t1.cod != t2.dom:
-                continue
-            tt = u.index.compose(t2.name, t1.name)
-            for name3, (j3, alpha3) in problems.items():
-                if j3 != t2.cod:
-                    continue
-                name2 = names[(t2.dom, compose_squares(alpha3,
-                                                       u.square(t2.name)))]
-                if u.index.is_identity(tt):
-                    value = identity_name(name3)
-                else:
-                    value = f"{tt}@{name3}"
-                compose_table[(f"{t2.name}@{name3}",
-                               f"{t1.name}@{name2}")] = value
-    category = FinCategory(objects, morphisms, compose_table)
-    return CommaResult(category, problems, names, over)
+    return CommaResult(tuple(problems), relations, problems, names, over)
 
 
 @dataclass
@@ -174,21 +158,20 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj, cap: int | None = None,
 def _density(u: ArrowDiagram, f: ArrowObj, cap) -> DensityResult:
     arr = u.arr
     comma = comma_category(u, f, cap=cap)
-    obj_names = list(comma.category.objects)
+    obj_names = list(comma.objects)
     parts = [u.arrow(comma.problems[n][0]) for n in obj_names]
     cp = arr.coproduct(parts, tags=obj_names)
-    rel_names = [m.name for m in comma.category.non_identity_morphisms()]
-    rel_parts = [u.arrow(comma.problems[comma.category.morphism(m).dom][0])
-                 for m in rel_names]
-    rel_cp = arr.coproduct(rel_parts, tags=rel_names)
+    rel_parts = [u.arrow(comma.problems[dom][0])
+                 for _, dom, _ in comma.relations]
+    rel_cp = arr.coproduct(rel_parts,
+                           tags=[name for name, _, _ in comma.relations])
     idx = {n: k for k, n in enumerate(obj_names)}
     left = rel_cp.mediate(
-        [cp.injections[idx[comma.category.morphism(m).dom]]
-         for m in rel_names], cod=cp.obj)
+        [cp.injections[idx[dom]] for _, dom, _ in comma.relations],
+        cod=cp.obj)
     right = rel_cp.mediate(
-        [compose_squares(cp.injections[idx[comma.category.morphism(m).cod]],
-                         u.square(comma.over[m]))
-         for m in rel_names], cod=cp.obj)
+        [compose_squares(cp.injections[idx[cod]], u.square(comma.over[name]))
+         for name, _, cod in comma.relations], cod=cp.obj)
     ce = arr.coequalizer(left, right)
     legs = {n: compose_squares(ce.proj, cp.injections[idx[n]])
             for n in obj_names}
@@ -204,7 +187,7 @@ def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
     if sigma.source != den_f.f or sigma.target != den_g.f:
         raise MalformedInput("square endpoints do not match the densities")
     cocone = []
-    for n in den_f.comma.category.objects:
+    for n in den_f.comma.objects:
         j, alpha = den_f.comma.problems[n]
         target_name = den_g.comma.names[(j, compose_squares(sigma, alpha))]
         cocone.append(den_g.legs[target_name])
@@ -213,7 +196,8 @@ def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
 
 
 def is_cartesian(s: Square) -> bool:
-    """Whether the commuting square is a pullback in the inner ambient."""
+    """Whether the commuting square is a pullback in the inner ambient; backs
+    the cartesian half of the mono-backdrop hypothesis."""
     inner = s.source.ambient
     pb = inner.pullback(s.target.mor, s.bottom)
     mediator = pb.mediate(s.top, s.source.mor)
@@ -223,7 +207,7 @@ def is_cartesian(s: Square) -> bool:
 def check_mono_compatibility(u: ArrowDiagram, probes: list[Square],
                              cap: int | None = None) -> dict:
     """Probe report: density values mono, mono squares preserved, and sent
-    to cartesian squares."""
+    to cartesian squares (the mono-backdrop hypothesis gluing relies on)."""
     entries = []
     for k, sigma in enumerate(probes):
         den_f = density_comonad(u, sigma.source, cap=cap)
@@ -521,14 +505,6 @@ def arrow_diagram_to_json(u: ArrowDiagram) -> dict:
             "squares": squares}
 
 
-def _mor_from_json(ambient, data):
-    if isinstance(ambient, FinSetAmbient):
-        return function_from_json(data)
-    if isinstance(ambient, PresheafAmbient):
-        return psh.presheaf_map_from_json(data, base=ambient.base)
-    raise MalformedInput("unsupported ambient for diagram files")
-
-
 def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
     if data == "subobject_classifier" or (
             isinstance(data, dict)
@@ -538,7 +514,7 @@ def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
         raise MalformedInput("diagram file needs an 'index' category")
     index = category_from_json(data["index"])
     arrows = data.get("arrows", {})
-    on_objects = {j: ArrowObj(ambient, _mor_from_json(ambient, spec))
+    on_objects = {j: ArrowObj(ambient, ambient.mor_from_json(spec))
                   for j, spec in arrows.items()}
     on_morphisms = {}
     for name, spec in data.get("squares", {}).items():
@@ -547,8 +523,8 @@ def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
         m = index.morphism(name)
         on_morphisms[name] = Square(
             on_objects[m.dom], on_objects[m.cod],
-            _mor_from_json(ambient, spec["top"]),
-            _mor_from_json(ambient, spec["bottom"]))
+            ambient.mor_from_json(spec["top"]),
+            ambient.mor_from_json(spec["bottom"]))
     u = ArrowDiagram(ambient, index, on_objects, on_morphisms)
     problems = validate_diagram(u)
     if problems:

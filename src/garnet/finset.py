@@ -61,10 +61,6 @@ class FinFunction:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    def __matmul__(self, other: "FinFunction") -> "FinFunction":
-        # self after other
-        return compose(self, other)
-
     @property
     def is_identity(self) -> bool:
         return self.dom == self.cod and all(v == i for i, v in enumerate(self.table))
@@ -102,10 +98,6 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
         raise DomainMismatch(f"cannot compose: middle objects differ "
                              f"({f.cod.labels} vs {g.dom.labels})")
     return FinFunction(f.dom, g.cod, tuple(g.table[v] for v in f.table))
-
-
-def constant(dom: FinSet, cod: FinSet, value: int) -> FinFunction:
-    return FinFunction(dom, cod, tuple(value for _ in range(dom.size)))
 
 
 @dataclass(frozen=True)
@@ -322,56 +314,10 @@ def pushout(f: FinFunction, g: FinFunction,
     return PushoutResult(obj, compose(proj, in_b), compose(proj, in_c), (f, g))
 
 
-@dataclass(frozen=True)
-class ChainColimitResult:
-    obj: FinSet
-    legs: tuple[FinFunction, ...]
-    stable_from: int
-
-    def mediate(self, cocone: Sequence[FinFunction]) -> FinFunction:
-        assert len(cocone) == len(self.legs)
-        h = cocone[self.stable_from]
-        for i, leg in enumerate(self.legs):
-            if cocone[i] != compose(h, leg):
-                raise DomainMismatch(f"cocone leg {i} does not factor through "
-                                     f"the stable stage")
-        return h
-
-
 def sequential_colimit(maps: Sequence[FinFunction],
-                       start: FinSet | None = None) -> ChainColimitResult:
-    """Colimit of a finite chain X0 -> X1 -> ... -> Xn.
-
-    The result is identified with the first stage after which every map is
-    a bijection, so labels are stable under extending a converged chain.
-    """
-    if not maps:
-        if start is None:
-            raise DomainMismatch("empty chain needs an explicit object")
-        return ChainColimitResult(start, (identity(start),), 0)
-    objects = [maps[0].dom] + [m.cod for m in maps]
-    for i in range(len(maps) - 1):
-        if maps[i].cod != maps[i + 1].dom:
-            raise DomainMismatch(f"chain breaks between step {i} and {i + 1}")
-    if start is not None and start != objects[0]:
-        raise DomainMismatch("start object disagrees with the first map")
-    k = len(maps)
-    while k > 0 and maps[k - 1].is_bijective:
-        k -= 1
-    legs: list[FinFunction] = []
-    # forward composites into stage k, then inverses of the stable tail
-    for i in range(len(objects)):
-        if i <= k:
-            leg = identity(objects[i])
-            for m in maps[i:k]:
-                leg = compose(m, leg)
-        else:
-            leg = identity(objects[k])
-            for m in maps[k:i]:
-                leg = compose(m, leg)
-            leg = leg.inverse()
-        legs.append(leg)
-    return ChainColimitResult(objects[k], tuple(legs), k)
+                       start: FinSet | None = None):
+    from .arrows import FinSetAmbient, chain_colimit
+    return chain_colimit(FinSetAmbient(), maps, start=start)
 
 
 @dataclass(frozen=True)
@@ -408,14 +354,6 @@ def pullback(f: FinFunction, g: FinFunction) -> PullbackResult:
         (f, g))
 
 
-def equalizer(f: FinFunction, g: FinFunction) -> tuple[FinSet, FinFunction]:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise DomainMismatch("equalizer needs a parallel pair")
-    kept = [i for i in range(f.dom.size) if f(i) == g(i)]
-    obj = FinSet(tuple(f.dom.labels[i] for i in kept))
-    return obj, FinFunction(obj, f.dom, tuple(kept))
-
-
 # -- serialization ----------------------------------------------------------
 
 def finset_to_json(x: FinSet) -> dict:
@@ -448,9 +386,15 @@ def function_from_json(data) -> FinFunction:
             raise MalformedInput(f"map is missing field {key!r}")
     dom = finset_from_json(data["dom"])
     cod = finset_from_json(data["cod"])
-    table = data["table"]
+    return table_from_json(data["table"], dom, cod)
+
+
+def table_from_json(table, dom: FinSet, cod: FinSet,
+                    what: str = "table") -> FinFunction:
+    """The function dom -> cod listed by a JSON table, checked entry by entry
+    (booleans are not indices, although Python counts them as ints)."""
     if not isinstance(table, list) or len(table) != dom.size:
-        raise MalformedInput("table must list one entry per domain element")
-    if not all(isinstance(v, int) and 0 <= v < cod.size for v in table):
-        raise MalformedInput("table entries must index the codomain")
+        raise MalformedInput(f"{what} must list one entry per domain element")
+    if not all(type(v) is int and 0 <= v < cod.size for v in table):
+        raise MalformedInput(f"{what} entries must index the codomain")
     return FinFunction(dom, cod, tuple(table))

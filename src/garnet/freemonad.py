@@ -245,95 +245,3 @@ def algebra_extend(free: FreeAlgebraResult, target, h):
     assert amb.compose(u, free.unit) == h
     assert amb.compose(u, free.structure) == amb.compose(d, t.on_mor(u))
     return u
-
-
-class FreeMonad:
-    """The free monad generated by a pointed endofunctor, with algebras
-    computed on demand and law reports per requested object."""
-
-    def __init__(self, cfg: FreeMonadConfig,
-                 max_steps: int = DEFAULT_MAX_STEPS):
-        self.cfg = cfg
-        self.max_steps = max_steps
-        self._algebras: dict = {}
-        self.law_reports: dict = {}
-
-    def algebra(self, x) -> FreeAlgebraResult:
-        if x not in self._algebras:
-            self._algebras[x] = free_algebra(self.cfg, x, self.max_steps)
-        return self._algebras[x]
-
-    def apply(self, x):
-        return self.algebra(x).carrier
-
-    def unit(self, x):
-        return self.algebra(x).unit
-
-    def map(self, m):
-        """Functorial action on an ambient morphism."""
-        amb = self.cfg.ambient
-        src = self.algebra(amb.dom(m))
-        tgt = self.algebra(amb.cod(m))
-        return algebra_extend(src, (tgt.carrier, tgt.structure),
-                              amb.compose(tgt.unit, m))
-
-    def mult(self, x):
-        fa = self.algebra(x)
-        outer = self.algebra(fa.carrier)
-        return algebra_extend(outer, (fa.carrier, fa.structure),
-                              self.cfg.ambient.identity(fa.carrier))
-
-    def laws(self, x) -> dict:
-        """Check the monad laws at x and record the report."""
-        if x in self.law_reports:
-            return self.law_reports[x]
-        amb = self.cfg.ambient
-        fa = self.algebra(x)
-        rx = fa.carrier
-        mu = self.mult(x)
-        ident = amb.identity(rx)
-        report = {
-            "left_unit": amb.compose(mu, self.unit(rx)) == ident,
-            "right_unit": amb.compose(mu, self.map(fa.unit)) == ident,
-            "associativity": amb.compose(mu, self.map(mu)) ==
-                amb.compose(mu, self.mult(rx)),
-            "unit_in_backdrop": self.cfg.backdrop.contains(amb, fa.unit),
-        }
-        self.law_reports[x] = report
-        return report
-
-
-def free_monad(cfg: FreeMonadConfig,
-               max_steps: int = DEFAULT_MAX_STEPS) -> FreeMonad:
-    return FreeMonad(cfg, max_steps)
-
-
-def trace_to_json(result: FreeAlgebraResult) -> dict:
-    amb = result.cfg.ambient
-    stages = []
-    for rec in result.trace.stages:
-        stages.append({
-            "stage": rec.index,
-            "object": {"a": amb.obj_to_json(rec.x.a),
-                       "b": amb.obj_to_json(rec.x.b),
-                       "f": amb.mor_to_json(rec.x.f)},
-            "pushouts": {"mid": amb.obj_to_json(rec.step.mid.obj),
-                         "out": amb.obj_to_json(rec.step.out.obj)},
-            "unit": {"domain": amb.mor_to_json(rec.step.g),
-                     "codomain": amb.mor_to_json(rec.step.h)},
-            "unit_components_iso": list(rec.unit_iso),
-            "step_unit_coherent": rec.coherent,
-            "certificates": list(rec.step.certificates),
-        })
-    return {
-        "start": amb.obj_to_json(result.start),
-        "stages": stages,
-        "converged_stage": result.trace.converged_stage,
-        "stability": {
-            "domain": amb.mor_to_json(result.trace.stability["domain"]),
-            "codomain": amb.mor_to_json(result.trace.stability["codomain"]),
-        },
-        "carrier": amb.obj_to_json(result.carrier),
-        "structure": amb.mor_to_json(result.structure),
-        "unit": amb.mor_to_json(result.unit),
-    }

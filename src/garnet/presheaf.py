@@ -9,11 +9,11 @@ levelwise complemented one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import finset
 from .errors import (
+    CodomainMismatch,
     EnumerationCap,
     MalformedInput,
     NaturalityViolation,
@@ -126,10 +126,6 @@ class PresheafMap:
     @property
     def is_mono(self) -> bool:
         return all(c.is_injective for c in self.components.values())
-
-    @property
-    def is_epi(self) -> bool:
-        return all(c.is_surjective for c in self.components.values())
 
     @property
     def is_iso(self) -> bool:
@@ -301,7 +297,8 @@ def pullback_classify(t: PresheafMap, a: PresheafMap) -> PresheafMap:
 
 
 def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
-    """Classifying map of a levelwise mono into the sieve classifier."""
+    """Classifying map of a levelwise mono into the sieve classifier; backs
+    its universal property (the truth point pulls back to the mono)."""
     if not m.is_mono:
         raise ShapeMismatch("only levelwise monomorphisms are classifiable")
     base = m.source.base
@@ -419,21 +416,54 @@ def _natural(source, target, components) -> bool:
 
 # -- levelwise colimits and limits -------------------------------------------
 
-class PshPushoutResult:
-    def __init__(self, obj, left, right, level):
-        self.obj: Presheaf = obj
-        self.left: PresheafMap = left
-        self.right: PresheafMap = right
-        self._level = level
+class LevelwiseResult:
+    """A colimit or limit computed one level at a time and reassembled.
 
-    def mediate(self, q: PresheafMap, r: PresheafMap) -> PresheafMap:
-        levels = {c: self._level[c].mediate(q.at(c), r.at(c))
-                  for c in self.obj.base.objects}
-        return PresheafMap(self.obj, q.target, levels)
+    ``level`` maps each level to the result computed there; the legs
+    (``left``/``right``, ``injections`` or ``proj``) are already
+    reassembled.  A mediator is reassembled from the level mediators of the
+    legs' parts: it leaves ``obj`` for a colimit and enters it for a limit
+    (``cone``).  Levels are the objects of the base category here.
+    """
+
+    def __init__(self, obj, level, cone=False, **legs):
+        self.obj = obj
+        self._level = level
+        self._cone = cone
+        self.__dict__.update(legs)
+
+    @staticmethod
+    def _part(x, c):
+        return x.at(c)
+
+    @staticmethod
+    def _assemble(source, target, parts):
+        return PresheafMap(source, target, parts)
+
+    def mediate(self, *legs, cod=None):
+        """Pushout (q, r), coproduct (legs, cod=None), coequalizer (h) or
+        pullback (p, q)."""
+        maps = [m for leg in legs
+                for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
+        if self._cone:
+            source, target = maps[0].source, self.obj
+        else:
+            source, target = self.obj, maps[0].target if maps else cod
+            if target is None:
+                raise CodomainMismatch("empty coproduct mediator needs a "
+                                       "codomain")
+        parts = {}
+        for c, res in self._level.items():
+            args = [[self._part(m, c) for m in leg]
+                    if isinstance(leg, (list, tuple)) else self._part(leg, c)
+                    for leg in legs]
+            extra = {} if cod is None else {"cod": self._part(cod, c)}
+            parts[c] = res.mediate(*args, **extra)
+        return self._assemble(source, target, parts)
 
 
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
-                     tags: tuple[str, str] = ("i0", "i1")) -> PshPushoutResult:
+                     tags: tuple[str, str] = ("i0", "i1")) -> LevelwiseResult:
     if f.source != g.source:
         raise ShapeMismatch("pushout needs a span with a shared apex")
     base = f.source.base
@@ -449,28 +479,12 @@ def presheaf_pushout(f: PresheafMap, g: PresheafMap,
     assert validate_presheaf(obj) == [], "pushout restrictions lost functoriality"
     left = PresheafMap(f.target, obj, {c: level[c].left for c in base.objects})
     right = PresheafMap(g.target, obj, {c: level[c].right for c in base.objects})
-    return PshPushoutResult(obj, left, right, level)
-
-
-class PshCoproductResult:
-    def __init__(self, obj, injections, level):
-        self.obj: Presheaf = obj
-        self.injections: tuple[PresheafMap, ...] = injections
-        self._level = level
-
-    def mediate(self, legs: Sequence[PresheafMap],
-                cod: Presheaf | None = None) -> PresheafMap:
-        target = legs[0].target if legs else cod
-        assert target is not None
-        levels = {c: self._level[c].mediate([leg.at(c) for leg in legs],
-                                            cod=target.at(c))
-                  for c in self.obj.base.objects}
-        return PresheafMap(self.obj, target, levels)
+    return LevelwiseResult(obj, level, left=left, right=right)
 
 
 def presheaf_coproduct(parts: Sequence[Presheaf],
                        tags: Sequence[str] | None = None,
-                       base: FinCategory | None = None) -> PshCoproductResult:
+                       base: FinCategory | None = None) -> LevelwiseResult:
     if base is None:
         assert parts, "empty coproduct needs an explicit base"
         base = parts[0].base
@@ -491,22 +505,10 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
         PresheafMap(parts[k], obj,
                     {c: level[c].injections[k] for c in base.objects})
         for k in range(len(parts)))
-    return PshCoproductResult(obj, injections, level)
+    return LevelwiseResult(obj, level, injections=injections)
 
 
-class PshCoequalizerResult:
-    def __init__(self, obj, proj, level):
-        self.obj: Presheaf = obj
-        self.proj: PresheafMap = proj
-        self._level = level
-
-    def mediate(self, h: PresheafMap) -> PresheafMap:
-        levels = {c: self._level[c].mediate(h.at(c))
-                  for c in self.obj.base.objects}
-        return PresheafMap(self.obj, h.target, levels)
-
-
-def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> PshCoequalizerResult:
+def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("coequalizer needs a parallel pair")
     base = f.source.base
@@ -519,65 +521,18 @@ def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> PshCoequalizerResult
     obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
     assert validate_presheaf(obj) == []
     proj = PresheafMap(f.target, obj, {c: level[c].proj for c in base.objects})
-    return PshCoequalizerResult(obj, proj, level)
-
-
-@dataclass(frozen=True)
-class PshChainColimitResult:
-    obj: Presheaf
-    legs: tuple[PresheafMap, ...]
-    stable_from: int
-
-    def mediate(self, cocone: Sequence[PresheafMap]) -> PresheafMap:
-        h = cocone[self.stable_from]
-        for i, leg in enumerate(self.legs):
-            if cocone[i] != presheaf_compose(h, leg):
-                raise ShapeMismatch(f"cocone leg {i} does not factor")
-        return h
+    return LevelwiseResult(obj, level, proj=proj)
 
 
 def presheaf_sequential_colimit(maps: Sequence[PresheafMap],
-                                start: Presheaf | None = None
-                                ) -> PshChainColimitResult:
-    if not maps:
-        assert start is not None
-        return PshChainColimitResult(start, (presheaf_identity(start),), 0)
-    for i in range(len(maps) - 1):
-        if maps[i].target != maps[i + 1].source:
-            raise ShapeMismatch(f"chain breaks between step {i} and {i + 1}")
-    objects = [maps[0].source] + [m.target for m in maps]
-    k = len(maps)
-    while k > 0 and maps[k - 1].is_iso:
-        k -= 1
-    legs = []
-    for i in range(len(objects)):
-        if i <= k:
-            leg = presheaf_identity(objects[i])
-            for m in maps[i:k]:
-                leg = presheaf_compose(m, leg)
-        else:
-            leg = presheaf_identity(objects[k])
-            for m in maps[k:i]:
-                leg = presheaf_compose(m, leg)
-            leg = presheaf_inverse(leg)
-        legs.append(leg)
-    return PshChainColimitResult(objects[k], tuple(legs), k)
+                                start: Presheaf | None = None):
+    from .arrows import PresheafAmbient, chain_colimit
+    first = start if start is not None else maps[0].source if maps else None
+    return chain_colimit(PresheafAmbient(first and first.base), maps,
+                         start=start)
 
 
-class PshPullbackResult:
-    def __init__(self, obj, left, right, level):
-        self.obj: Presheaf = obj
-        self.left: PresheafMap = left
-        self.right: PresheafMap = right
-        self._level = level
-
-    def mediate(self, p: PresheafMap, q: PresheafMap) -> PresheafMap:
-        levels = {c: self._level[c].mediate(p.at(c), q.at(c))
-                  for c in self.obj.base.objects}
-        return PresheafMap(p.source, self.obj, levels)
-
-
-def presheaf_pullback(f: PresheafMap, g: PresheafMap) -> PshPullbackResult:
+def presheaf_pullback(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
     if f.target != g.target:
         raise ShapeMismatch("pullback needs a cospan with a shared foot")
     base = f.source.base
@@ -592,7 +547,7 @@ def presheaf_pullback(f: PresheafMap, g: PresheafMap) -> PshPullbackResult:
     assert validate_presheaf(obj) == []
     left = PresheafMap(obj, f.source, {c: level[c].left for c in base.objects})
     right = PresheafMap(obj, g.source, {c: level[c].right for c in base.objects})
-    return PshPullbackResult(obj, left, right, level)
+    return LevelwiseResult(obj, level, cone=True, left=left, right=right)
 
 
 # -- serialization ------------------------------------------------------------
@@ -624,7 +579,8 @@ def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
         m = base.morphism(name)
         if m.cod not in at or m.dom not in at:
             raise MalformedInput(f"restriction {name!r} lacks endpoints")
-        restrict[name] = FinFunction(at[m.cod], at[m.dom], tuple(table))
+        restrict[name] = finset.table_from_json(
+            table, at[m.cod], at[m.dom], f"restriction {name!r}")
     return Presheaf(base, at, restrict)
 
 
@@ -649,5 +605,6 @@ def presheaf_map_from_json(data, base: FinCategory | None = None) -> PresheafMap
     for c, table in data["components"].items():
         if c not in source.base.objects:
             raise UnknownObject(f"component at unknown object {c!r}")
-        comps[c] = FinFunction(source.at(c), target.at(c), tuple(table))
+        comps[c] = finset.table_from_json(table, source.at(c), target.at(c),
+                                          f"component at {c!r}")
     return PresheafMap(source, target, comps)

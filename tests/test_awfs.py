@@ -13,7 +13,7 @@ from garnet.arrows import ArrowObj, EndoData, Square, compose_squares, \
     identity_square
 from garnet.awfs import (Coalgebra, GeneratedAWFS, LiftingStructure,
                          algebra_to_structure, compose_structures,
-                         factorization_to_json, factorize,
+                         factorization_to_json,
                          find_filler, find_lifting_structures, has_rlp,
                          quillen_factorize, replay, solve_lifting,
                          structure_to_algebra, structure_to_json,
@@ -163,7 +163,6 @@ def test_factorize_memoized_per_session():
     aw = cospan_awfs()
     f = f_two_to_one()
     assert aw.factorize(f) is aw.factorize(f)
-    assert factorize(aw, f) is aw.factorize(f)
 
 
 def test_algebra_square_satisfies_unit_law():
@@ -746,7 +745,7 @@ def test_quillen_needs_discrete_generators():
 def test_quillen_iteration_limit_carries_progress():
     aw = point_awfs()
     with pytest.raises(IterationLimit) as info:
-        aw.quillen_factorize(f_two_to_one(), max_steps=0)
+        quillen_factorize(aw, f_two_to_one(), max_steps=0)
     assert info.value.stage_tops == ()
 
 

@@ -258,3 +258,32 @@ def test_presheaf_ambient_end_to_end(tmp_path):
                 "--output", str(out)]) == 0
     assert run(["replay", "--report", str(rep),
                 "--functor", "times2"]) == 1
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("graph_edge_to_loop.json", ("components", "v"), [0, 1]),
+    ("graph_edge_to_loop.json", ("source", "restrict", "src"), [2]),
+    ("graph_edge_to_loop.json", ("components", "e"), ["0"]),
+    ("graph_edge_to_loop.json", ("source", "restrict", "tgt"), [True]),
+    ("f_2_to_1.json", ("table",), [0, False]),
+], ids=["component-out-of-range", "restriction-out-of-range",
+        "string-entry", "bool-restriction", "bool-entry"])
+def test_malformed_tables_are_invalid_input(tmp_path, name, path, value):
+    data = load(fix(name))
+    _set(data, path, value)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    args = ["--generators", fix("point_inclusion.json")]
+    if name.startswith("graph"):
+        args = ["--ambient", "presheaf", "--base", fix("graph_base.json"),
+                "--generators", fix("graph_boundary.json")]
+    out = tmp_path / "r.json"
+    assert run(["factorize", *args, "--map", str(bad),
+                "--output", str(out)]) == 1
+    assert load(out)["error"]["kind"] == "MalformedInput"

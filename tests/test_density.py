@@ -14,7 +14,7 @@ from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             is_cartesian, lifting_problems,
                             subobject_classifier_diagram, validate_diagram)
 from garnet.errors import EnumerationCap, MalformedInput, NoIsoFound
-from garnet.fincat import FinCategory, validate_category
+from garnet.fincat import FinCategory
 from garnet.finset import EMPTY, FinFunction, FinSet, identity
 from garnet.presheaf import (Presheaf, PresheafMap, enumerate_maps,
                              presheaf_to_json, subobject_classifier,
@@ -78,29 +78,26 @@ def test_lifting_problems_identity_generator():
 
 def test_comma_category_empty_index():
     comma = comma_category(empty_diagram(), arrow(func(EMPTY, POINT)))
-    assert comma.category.objects == ()
+    assert comma.objects == ()
 
 
 def test_comma_category_stage_one():
     comma = comma_category(WC, arrow(func(EMPTY, POINT)))
-    assert comma.category.objects == ("b#0", "bp#0")
-    assert comma.category.is_discrete()
-    assert validate_category(comma.category) == []
+    assert comma.objects == ("b#0", "bp#0")
+    assert comma.relations == []
 
 
 def test_comma_category_stage_two():
     mid = finite(2, "m")
     f1 = arrow(func(mid, POINT, 0, 0))
     comma = comma_category(WC, f1)
-    assert len(comma.category.objects) == 4
-    non_id = comma.category.non_identity_morphisms()
-    assert len(non_id) == 4
-    assert validate_category(comma.category) == []
+    assert len(comma.objects) == 4
+    assert len(comma.relations) == 4
     # each a-problem receives exactly one morphism from b and one from bp
     for name in ("a#0", "a#1"):
-        incoming = [m for m in non_id if m.cod == name]
-        assert sorted(comma.over[m.name] for m in incoming) == ["s", "t"]
-        assert sorted(m.dom for m in incoming) == ["b#0", "bp#0"]
+        incoming = [r for r in comma.relations if r[2] == name]
+        assert sorted(comma.over[r[0]] for r in incoming) == ["s", "t"]
+        assert sorted(r[1] for r in incoming) == ["b#0", "bp#0"]
 
 
 def test_density_empty_diagram():
@@ -139,7 +136,7 @@ def test_density_discrete_is_coproduct_of_problems():
     a, b = finite(2, "a"), finite(3, "b")
     f = arrow(func(a, b, 0, 2))
     den = density_comonad(PT_INC, f)
-    names = list(den.comma.category.objects)
+    names = list(den.comma.objects)
     parts = [PT_INC.arrow(den.comma.problems[n][0]) for n in names]
     oracle = PT_INC.arr.coproduct(parts, tags=names)
     assert den.den == oracle.obj

@@ -10,12 +10,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from garnet.arrows import (ArrowAmbient, ArrowObj, FinSetAmbient,
+                           PresheafAmbient)
 from garnet.errors import (
     CodomainMismatch,
     DomainMismatch,
     EnumerationCap,
     MalformedInput,
 )
+from garnet.fincat import FinCategory
 from garnet.finset import (
     EMPTY,
     FinFunction,
@@ -35,6 +38,7 @@ from garnet.finset import (
     pushout,
     sequential_colimit,
 )
+from garnet.presheaf import initial_presheaf, terminal_presheaf
 
 
 def fin(n, prefix="x"):
@@ -257,11 +261,23 @@ def test_chain_with_collapse_then_identity():
 
 
 def test_empty_chain_needs_start():
-    x = fin(2)
-    res = sequential_colimit([], start=x)
-    assert res.obj == x
-    with pytest.raises(DomainMismatch):
-        sequential_colimit([])
+    # the chain colimit is one algorithm over the ambient protocol, so every
+    # ambient keeps the same contract for the chain's first object
+    fs, base = FinSetAmbient(), FinCategory(("c",), (), {})
+    cases = [
+        (fs, fin(2), fin(3)),
+        (PresheafAmbient(base), terminal_presheaf(base),
+         initial_presheaf(base)),
+        (ArrowAmbient(fs), ArrowObj(fs, identity(fin(2))),
+         ArrowObj(fs, identity(fin(3)))),
+    ]
+    for amb, x, other in cases:
+        res = amb.sequential_colimit([], start=x)
+        assert res.obj == x
+        with pytest.raises(DomainMismatch):
+            amb.sequential_colimit([])
+        with pytest.raises(DomainMismatch):
+            amb.sequential_colimit([amb.identity(x)], start=other)
 
 
 def test_chain_colimit_reuses_stable_labels_under_extension():

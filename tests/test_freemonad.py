@@ -1,7 +1,5 @@
 """Free algebras on pointed endofunctors: steps, convergence, extensions."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +11,8 @@ from garnet.errors import (BackdropViolation, DomainMismatch, IterationLimit,
 from garnet.finset import FinFunction, FinSet, identity
 from garnet.freemonad import (Backdrop, FreeMonadConfig, QoppaObject,
                               algebra_extend, backdrop_from_json,
-                              backdrop_to_json, free_algebra, free_monad,
-                              qoppa_step, step_on_morphism, trace_to_json)
+                              backdrop_to_json, free_algebra, qoppa_step,
+                              step_on_morphism)
 
 ALL = Backdrop("all")
 MONO = Backdrop("mono")
@@ -129,13 +127,6 @@ def test_identity_endofunctor_free_algebra_trivial():
     assert fa.unit == identity(PAIR)
     assert AMB.compose(fa.structure, identity(PAIR)) == fa.structure
     assert len(fa.trace.stages) == 2
-
-
-def test_identity_endofunctor_monad_laws():
-    cfg = FreeMonadConfig(AMB, ALL, identity_endofunctor())
-    monad = free_monad(cfg)
-    report = monad.laws(PAIR)
-    assert all(report.values())
 
 
 def test_qoppa_step_rejects_mistyped_stage():
@@ -269,49 +260,6 @@ def test_squash_converges_under_all_backdrop():
     assert fa.carrier.size == 1
     assert fa.trace.converged_stage == 1
     assert fa.unit == func(PAIR, fa.carrier, 0, 0)
-
-
-def test_monad_laws_attach_point():
-    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
-    monad = free_monad(cfg)
-    report = monad.laws(PAIR)
-    assert all(report.values())
-    assert monad.law_reports[PAIR] is report
-    assert monad.apply(PAIR).size == 3
-    # multiplication folds the doubly attached point
-    mu = monad.mult(PAIR)
-    assert mu.dom.size == 4 and mu.cod.size == 3
-    assert not AMB.is_mono(mu)
-
-
-def test_monad_functorial_action():
-    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
-    monad = free_monad(cfg)
-    m = func(PAIR, POINT, 0, 0)
-    rm = monad.map(m)
-    assert AMB.compose(rm, monad.unit(PAIR)) == \
-        AMB.compose(monad.unit(POINT), m)
-    assert monad.map(identity(PAIR)) == identity(monad.apply(PAIR))
-
-
-def test_free_monad_propagates_iteration_limit():
-    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
-    monad = free_monad(cfg, max_steps=1)
-    with pytest.raises(IterationLimit):
-        monad.laws(PAIR)
-
-
-def test_trace_export_is_json_ready():
-    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
-    fa = free_algebra(cfg, PAIR)
-    data = trace_to_json(fa)
-    json.dumps(data)
-    assert data["converged_stage"] == 1
-    assert len(data["stages"]) == 3
-    for stage in data["stages"]:
-        assert all(cert["in_backdrop"] for cert in stage["certificates"])
-    assert data["stages"][1]["unit_components_iso"] == [True, True]
-    assert data["carrier"] == AMB.obj_to_json(fa.carrier)
 
 
 def test_step_action_composes_with_units():
