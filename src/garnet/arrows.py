@@ -25,6 +25,7 @@ from typing import Sequence
 from . import finset, presheaf as psh
 from .errors import BoundaryMismatch, DomainMismatch, NaturalityViolation
 from .fincat import FinCategory
+from .finset import cached_hash
 
 
 class FinSetAmbient:
@@ -170,6 +171,8 @@ class ArrowObj:
     ambient: object
     mor: object
 
+    __hash__ = cached_hash
+
     @property
     def dom(self):
         return self.ambient.dom(self.mor)
@@ -186,6 +189,8 @@ class Square:
     target: ArrowObj
     top: object
     bottom: object
+
+    __hash__ = cached_hash
 
     def __post_init__(self):
         amb = self.source.ambient
@@ -351,13 +356,25 @@ class ArrowAmbient:
         return self.inner.is_identity(s.top) and self.inner.is_identity(s.bottom)
 
     def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
-        out = []
-        for top in self.inner.hom(a.dom, b.dom, cap=cap):
-            lhs = self.inner.compose(b.mor, top)
-            for bottom in self.inner.hom(a.cod, b.cod, cap=cap):
-                if lhs == self.inner.compose(bottom, a.mor):
-                    out.append(Square(a, b, top, bottom))
-        return out
+        """All squares a -> b, ordered by top, then by bottom, each in the
+        inner hom's order.
+
+        Each inner hom-set is enumerated once: the bottoms are indexed by
+        the composite ``bottom . a`` they give, and each top picks out the
+        bottoms stored under ``b . top``.  ``cap`` bounds each inner hom;
+        when there is no top the bottoms are never enumerated, so only the
+        tops' hom-set can exceed it.
+        """
+        inner = self.inner
+        tops = inner.hom(a.dom, b.dom, cap=cap)
+        if not tops:
+            return []
+        bottoms: dict = {}
+        for bottom in inner.hom(a.cod, b.cod, cap=cap):
+            bottoms.setdefault(inner.compose(bottom, a.mor), []).append(bottom)
+        return [Square(a, b, top, bottom)
+                for top in tops
+                for bottom in bottoms.get(inner.compose(b.mor, top), ())]
 
     def pushout(self, s: Square, t: Square, tags=("i0", "i1")):
         if s.source != t.source:

@@ -15,7 +15,7 @@ from .arrows import (ArrowAmbient, ArrowObj, EndoData, PointedEndofunctor,
                      Session, Square, compose_squares, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, density_action, density_comonad,
-                      lifting_problems, validate_diagram)
+                      lifting_problems, problem_at, validate_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, IterationLimit, MalformedInput,
                      MissingGeneratorWitness, NotAnAlgebra, NotARetract,
@@ -526,6 +526,16 @@ class LiftingStructure:
         return hash((self.f, tuple(self.fillers.items())))
 
 
+def _filler_index(inner, gen: ArrowObj, f: ArrowObj, cap) -> dict:
+    """Every diagonal s: gen.cod -> f.dom, filed under the problem it
+    solves, ``(s . gen, f . s)``, in hom order."""
+    index: dict = {}
+    for s in inner.hom(gen.cod, f.dom, cap=cap):
+        index.setdefault((inner.compose(s, gen.mor), inner.compose(f.mor, s)),
+                         []).append(s)
+    return index
+
+
 def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
                             mode: str = "all", cap: int | None = None):
     """Backtracking search over coherent filler assignments.
@@ -533,8 +543,11 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     Problems are visited in generator-object order, then in enumeration
     order; assigning a filler immediately forces the fillers of every
     problem reachable along a generator morphism, which prunes the search
-    and keeps the output order deterministic.  mode is "first", "count",
-    or "all".
+    and keeps the output order deterministic.  A problem's candidates are
+    looked up by its boundary in one index of ``hom(gen.cod, f.dom)`` per
+    generator, and the search keeps its branch on an explicit stack, so
+    its depth is not bounded by the interpreter's recursion limit.  mode
+    is "first", "count", or "all".
     """
     if mode not in ("first", "count", "all"):
         raise MalformedInput("mode must be first, count, or all")
@@ -545,56 +558,79 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     for i in u.index.objects:
         for a in lifting_problems(u, i, f, cap=cap):
             problems.append((i, a))
-    candidates = {}
-    for i, a in problems:
-        gen = u.arrow(i)
-        candidates[(i, a)] = [
-            s for s in inner.hom(gen.cod, f.dom, cap=cap)
-            if inner.compose(s, gen.mor) == a.top
-            and inner.compose(f.mor, s) == a.bottom]
-    incoming = {i: [m for m in u.index.non_identity_morphisms()
-                    if m.cod == i] for i in u.index.objects}
-    assignment: dict = {}
+    fillers: dict = {}
+    for i, _a in problems:
+        if i not in fillers:
+            fillers[i] = _filler_index(inner, u.arrow(i), f, cap)
+    candidates = [fillers[i].get((a.top, a.bottom), []) for i, a in problems]
+    index = {(i, a.top, a.bottom): k for k, (i, a) in enumerate(problems)}
+    incoming = {i: [(m.dom, u.square(m.name))
+                    for m in u.index.non_identity_morphisms() if m.cod == i]
+                for i in u.index.objects}
+    n = len(problems)
+    # links[k]: (position of problem k . u(m), u(m).bottom) per generator
+    # morphism m into problem k's generator; built on first use
+    links: list = [None] * n
+    assignment: list = [None] * n
     found: list = []
     count = 0
 
-    def propagate(i, a, value, touched):
-        for m in incoming[i]:
-            square = u.square(m.name)
-            key = (m.dom, compose_squares(a, square))
-            want = inner.compose(value, square.bottom)
-            if key in assignment:
-                if assignment[key] != want:
-                    return False
-            else:
-                assignment[key] = want
-                touched.append(key)
+    def propagate(k, value, touched):
+        if links[k] is None:
+            i, a = problems[k]
+            links[k] = [(problem_at(index, d, inner.compose(a.top, sq.top),
+                                    inner.compose(a.bottom, sq.bottom)),
+                         sq.bottom)
+                        for d, sq in incoming[i]]
+        for other, bottom in links[k]:
+            want = inner.compose(value, bottom)
+            if assignment[other] is None:
+                assignment[other] = want
+                touched.append(other)
+            elif assignment[other] != want:
+                return False
         return True
 
-    def search(pos):
-        nonlocal count
-        if pos == len(problems):
-            structure = LiftingStructure(
-                f, {k: assignment[k] for k in problems}, awfs)
+    def open_from(pos):
+        """The first problem at or after pos that propagation left open."""
+        while pos < n and assignment[pos] is not None:
+            assert assignment[pos] in candidates[pos]
+            pos += 1
+        return pos
+
+    # one frame per open problem on the current branch: its position, its
+    # untried candidates, and the positions the current choice assigned
+    stack: list = []
+    pos = open_from(0)
+    while True:
+        if pos == n:
             if mode == "count":
                 count += 1
-                return False
-            found.append(structure)
-            return mode == "first"
-        key = problems[pos]
-        if key in assignment:
-            assert assignment[key] in candidates[key]
-            return search(pos + 1)
-        for value in candidates[key]:
-            assignment[key] = value
-            touched = [key]
-            if propagate(key[0], key[1], value, touched) and search(pos + 1):
-                return True
-            for k in touched:
-                del assignment[k]
-        return False
-
-    search(0)
+            else:
+                found.append(LiftingStructure(
+                    f, dict(zip(problems, assignment)), awfs))
+                if mode == "first":
+                    break
+        else:
+            stack.append((pos, iter(candidates[pos]), []))
+        # undo the deepest choice and try its next candidate, popping the
+        # frames that have none left
+        while stack:
+            k, untried, touched = stack[-1]
+            for other in touched:
+                assignment[other] = None
+            touched.clear()
+            value = next(untried, None)
+            if value is None:
+                stack.pop()
+                continue
+            assignment[k] = value
+            touched.append(k)
+            if propagate(k, value, touched):
+                pos = open_from(k + 1)
+                break
+        else:
+            break  # every branch is exhausted
     if mode == "count":
         return count
     return found
@@ -677,12 +713,12 @@ def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
     with no coherence requirement."""
     inner = u.ambient
     for i in u.index.objects:
-        gen = u.arrow(i)
-        for a in lifting_problems(u, i, f, cap=cap):
-            if not any(inner.compose(s, gen.mor) == a.top
-                       and inner.compose(f.mor, s) == a.bottom
-                       for s in inner.hom(gen.cod, f.dom, cap=cap)):
-                return False
+        problems = lifting_problems(u, i, f, cap=cap)
+        if not problems:
+            continue
+        fillers = _filler_index(inner, u.arrow(i), f, cap)
+        if any((a.top, a.bottom) not in fillers for a in problems):
+            return False
     return True
 
 

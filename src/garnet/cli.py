@@ -159,7 +159,14 @@ def _cmd_lift(args):
 def _cmd_solve(args):
     inner, _spec, aw, f = _session(args)
     prob = _read_json(args.problem)
+    if not isinstance(prob, dict):
+        raise MalformedInput("problem file must be an object")
+    for key in ("index", "top", "bottom"):
+        if key not in prob:
+            raise MalformedInput(f"problem is missing field {key!r}")
     i = prob["index"]
+    if i not in aw.generators.index.objects:
+        raise MalformedInput(f"problem names an unknown generator {i!r}")
     alpha = Square(aw.generators.arrow(i), f,
                    inner.mor_from_json(prob["top"]),
                    inner.mor_from_json(prob["bottom"]))

@@ -6,6 +6,13 @@ the generating arrows themselves.  The counit reassembles every problem.
 The comma category is kept as its objects and generating morphisms,
 because the morphisms between lifting problems (the coherences) are what
 the rest of the build quotients by; their composites are never needed.
+
+A lifting problem against the generator at j is a square into f whose
+source and target are fixed, so it is determined by ``(j, top, bottom)``.
+Problems are keyed by that boundary: the problem a generator morphism or a
+square of maps carries a problem to is found by composing the two sides in
+the inner ambient and looking them up, not by building the composite
+square.
 """
 
 from __future__ import annotations
@@ -93,6 +100,17 @@ def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
     return u.arr.hom(u.arrow(i), f, cap=cap)
 
 
+def problem_at(index: dict, j: str, top, bottom):
+    """The entry of a boundary-keyed problem index for the problem against
+    the generator at j with these sides.  Callers only look up composites
+    of known problems, which are problems again, so a miss is a bug."""
+    try:
+        return index[(j, top, bottom)]
+    except KeyError:
+        raise AssertionError(f"no lifting problem at {j!r} with this "
+                             f"boundary") from None
+
+
 @dataclass
 class CommaResult:
     """The comma category of lifting problems, presented by its objects and
@@ -103,21 +121,22 @@ class CommaResult:
     relations: list[tuple[str, str, str]]
     # comma object name -> (index object, problem square), in object order
     problems: dict[str, tuple[str, Square]]
-    # (index object, problem square) -> comma object name
-    names: dict[tuple[str, Square], str]
+    # (index object, top, bottom) -> comma object name
+    by_boundary: dict[tuple[str, object, object], str]
     # comma morphism name -> index morphism name
     over: dict[str, str]
 
 
 def comma_category(u: ArrowDiagram, f: ArrowObj,
                    cap: int | None = None) -> CommaResult:
+    amb = u.ambient
     problems: dict[str, tuple[str, Square]] = {}
-    names: dict[tuple[str, Square], str] = {}
+    by_boundary: dict[tuple[str, object, object], str] = {}
     for j in u.index.objects:
         for k, alpha in enumerate(lifting_problems(u, j, f, cap=cap)):
             name = f"{j}#{k}"
             problems[name] = (j, alpha)
-            names[(j, alpha)] = name
+            by_boundary[(j, alpha.top, alpha.bottom)] = name
     relations = []
     over = {}
     for t in u.index.non_identity_morphisms():
@@ -125,12 +144,14 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
         for name2, (j2, alpha2) in problems.items():
             if j2 != t.cod:
                 continue
-            alpha1 = compose_squares(alpha2, ut)
-            name1 = names[(t.dom, alpha1)]
+            name1 = problem_at(by_boundary, t.dom,
+                               amb.compose(alpha2.top, ut.top),
+                               amb.compose(alpha2.bottom, ut.bottom))
             mor_name = f"{t.name}@{name2}"
             relations.append((mor_name, name1, name2))
             over[mor_name] = t.name
-    return CommaResult(tuple(problems), relations, problems, names, over)
+    return CommaResult(tuple(problems), relations, problems, by_boundary,
+                       over)
 
 
 @dataclass
@@ -186,10 +207,13 @@ def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
     """The induced square between density values along sigma: f -> g."""
     if sigma.source != den_f.f or sigma.target != den_g.f:
         raise MalformedInput("square endpoints do not match the densities")
+    amb = u.ambient
     cocone = []
     for n in den_f.comma.objects:
         j, alpha = den_f.comma.problems[n]
-        target_name = den_g.comma.names[(j, compose_squares(sigma, alpha))]
+        target_name = problem_at(den_g.comma.by_boundary, j,
+                                 amb.compose(sigma.top, alpha.top),
+                                 amb.compose(sigma.bottom, alpha.bottom))
         cocone.append(den_g.legs[target_name])
     mediated = den_f.coproduct.mediate(cocone, cod=den_g.den)
     return den_f.coequalizer.mediate(mediated)

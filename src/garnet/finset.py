@@ -23,9 +23,24 @@ from .errors import (
 DEFAULT_CAP = 1_000_000
 
 
+def cached_hash(self) -> int:
+    """``__hash__`` for frozen dataclasses: the fields are hashed once and
+    the result kept on the instance, so a value used in many dict keys
+    (problems and fillers are looked up by their boundary) hashes once."""
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, name)
+                       for name in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 @dataclass(frozen=True)
 class FinSet:
     labels: tuple[str, ...]
+
+    __hash__ = cached_hash
 
     def __post_init__(self):
         assert len(set(self.labels)) == len(self.labels), "labels must be distinct"
@@ -53,6 +68,8 @@ class FinFunction:
     dom: FinSet
     cod: FinSet
     table: tuple[int, ...]
+
+    __hash__ = cached_hash
 
     def __post_init__(self):
         assert len(self.table) == self.dom.size, "table must be total"

@@ -562,6 +562,12 @@ def presheaf_to_json(p: Presheaf) -> dict:
     }
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be an object")
+    return value
+
+
 def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
     from .fincat import category_from_json
     if not isinstance(data, dict) or "at" not in data:
@@ -571,9 +577,11 @@ def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
         if not isinstance(raw, dict):
             raise MalformedInput("presheaf base must be inline or preresolved")
         base = category_from_json(raw)
-    at = {c: finset.finset_from_json(v) for c, v in data["at"].items()}
+    at = {c: finset.finset_from_json(v)
+          for c, v in _json_object(data["at"], "presheaf 'at'").items()}
     restrict = {}
-    for name, table in data.get("restrict", {}).items():
+    for name, table in _json_object(data.get("restrict", {}),
+                                    "presheaf 'restrict'").items():
         if not base.has_morphism(name):
             raise UnknownObject(f"restriction along unknown {name!r}")
         m = base.morphism(name)
@@ -602,7 +610,8 @@ def presheaf_map_from_json(data, base: FinCategory | None = None) -> PresheafMap
     source = presheaf_from_json(data["source"], base=base)
     target = presheaf_from_json(data["target"], base=base)
     comps = {}
-    for c, table in data["components"].items():
+    for c, table in _json_object(data["components"],
+                                 "presheaf map 'components'").items():
         if c not in source.base.objects:
             raise UnknownObject(f"component at unknown object {c!r}")
         comps[c] = finset.table_from_json(table, source.at(c), target.at(c),

@@ -851,3 +851,11 @@ def test_presheaf_ambient_factorization():
     assert back == fact.trace
     # no structure: the source edge has no companion loop over one vertex
     assert find_lifting_structures(aw, g, mode="count") == 0
+
+
+def test_lift_search_depth_is_not_bounded_by_recursion():
+    # 1200 problems, each with exactly one filler: a recursive search ran
+    # one frame per problem and hit the interpreter's recursion limit
+    aw = point_awfs()
+    f = arrow(AMB.identity(finite(1200)))
+    assert find_lifting_structures(aw, f, mode="count") == 1

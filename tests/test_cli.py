@@ -84,14 +84,17 @@ def test_lift_count_and_first(tmp_path):
     assert load(out)["found"] is False
 
 
+# a lifting problem of the walking-cospan generator b against f_2_to_1.json
+PROBLEM = {"index": "b",
+           "top": {"dom": {"size": 0, "labels": []},
+                   "cod": {"size": 2, "labels": ["x0", "x1"]}, "table": []},
+           "bottom": {"dom": {"size": 1, "labels": ["pt"]},
+                      "cod": {"size": 1, "labels": ["pt"]}, "table": [0]}}
+
+
 def test_solve_returns_a_filler(tmp_path):
     prob = tmp_path / "p.json"
-    prob.write_text(json.dumps(
-        {"index": "b",
-         "top": {"dom": {"size": 0, "labels": []},
-                 "cod": {"size": 2, "labels": ["x0", "x1"]}, "table": []},
-         "bottom": {"dom": {"size": 1, "labels": ["pt"]},
-                    "cod": {"size": 1, "labels": ["pt"]}, "table": [0]}}))
+    prob.write_text(json.dumps(PROBLEM))
     out = tmp_path / "r.json"
     assert run(["solve", "--generators", fix("walking_cospan.json"),
                 "--map", fix("f_2_to_1.json"), "--problem", str(prob),
@@ -260,10 +263,22 @@ def test_presheaf_ambient_end_to_end(tmp_path):
                 "--functor", "times2"]) == 1
 
 
-def _set(data, path, value):
+_DROP = object()
+
+
+def _edited(data, path, value):
+    """data with the entry at path replaced by value (removed for _DROP);
+    an empty path replaces the whole document."""
+    if not path:
+        return value
+    node = data
     for key in path[:-1]:
-        data = data[key]
-    data[path[-1]] = value
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
 
 
 @pytest.mark.parametrize("name, path, value", [
@@ -272,18 +287,36 @@ def _set(data, path, value):
     ("graph_edge_to_loop.json", ("components", "e"), ["0"]),
     ("graph_edge_to_loop.json", ("source", "restrict", "tgt"), [True]),
     ("f_2_to_1.json", ("table",), [0, False]),
+    ("graph_edge_to_loop.json", ("source", "at"), []),
+    ("graph_edge_to_loop.json", ("target", "restrict"), [[0]]),
+    ("graph_edge_to_loop.json", ("components",), [[0]]),
+    ("problem.json", (), [1, 2]),
+    ("problem.json", ("index",), _DROP),
+    ("problem.json", ("top",), _DROP),
+    ("problem.json", ("bottom",), _DROP),
+    ("problem.json", ("index",), "zz"),
 ], ids=["component-out-of-range", "restriction-out-of-range",
-        "string-entry", "bool-restriction", "bool-entry"])
+        "string-entry", "bool-restriction", "bool-entry",
+        "at-not-object", "restrict-not-object", "components-not-object",
+        "problem-not-object", "problem-without-index", "problem-without-top",
+        "problem-without-bottom", "problem-unknown-generator"])
 def test_malformed_tables_are_invalid_input(tmp_path, name, path, value):
-    data = load(fix(name))
-    _set(data, path, value)
+    if name == "problem.json":
+        data = json.loads(json.dumps(PROBLEM))
+    else:
+        data = load(fix(name))
     bad = tmp_path / name
-    bad.write_text(json.dumps(data))
-    args = ["--generators", fix("point_inclusion.json")]
-    if name.startswith("graph"):
-        args = ["--ambient", "presheaf", "--base", fix("graph_base.json"),
-                "--generators", fix("graph_boundary.json")]
+    bad.write_text(json.dumps(_edited(data, path, value)))
+    if name == "problem.json":
+        cmd = ["solve", "--generators", fix("walking_cospan.json"),
+               "--map", fix("f_2_to_1.json"), "--problem", str(bad)]
+    elif name.startswith("graph"):
+        cmd = ["factorize", "--ambient", "presheaf",
+               "--base", fix("graph_base.json"),
+               "--generators", fix("graph_boundary.json"), "--map", str(bad)]
+    else:
+        cmd = ["factorize", "--generators", fix("point_inclusion.json"),
+               "--map", str(bad)]
     out = tmp_path / "r.json"
-    assert run(["factorize", *args, "--map", str(bad),
-                "--output", str(out)]) == 1
+    assert run([*cmd, "--output", str(out)]) == 1
     assert load(out)["error"]["kind"] == "MalformedInput"

@@ -230,7 +230,8 @@ def test_representable_problem_is_distinguished():
     for j in u.index.objects:
         gen = u.arrow(j)
         den = density_comonad(u, gen)
-        name = den.comma.names[(j, identity_square(gen))]
+        ident = identity_square(gen)
+        name = den.comma.by_boundary[(j, ident.top, ident.bottom)]
         assert compose_squares(den.counit, den.legs[name]) == \
             identity_square(gen)
 
