@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import finset, presheaf as psh
-from .errors import BoundaryMismatch, DomainMismatch, NaturalityViolation
+from .errors import BoundaryMismatch, DomainMismatch
 from .fincat import FinCategory
 from .finset import cached_hash
 
@@ -220,26 +220,6 @@ def compose_squares(s2: Square, s1: Square) -> Square:
     return Square(s1.source, s2.target,
                   amb.compose(s2.top, s1.top),
                   amb.compose(s2.bottom, s1.bottom))
-
-
-def stack_squares(upper: Square, lower: Square) -> Square:
-    """Paste two squares along a shared middle row.
-
-    The upper square sits over arrows f -> g and the lower over f' -> g'
-    with f' following f; the result is a square over the composites.
-    """
-    if upper.bottom != lower.top:
-        raise BoundaryMismatch("shared middle row differs")
-    amb = upper.source.ambient
-    src = ArrowObj(amb, amb.compose(lower.source.mor, upper.source.mor))
-    tgt = ArrowObj(amb, amb.compose(lower.target.mor, upper.target.mor))
-    return Square(src, tgt, upper.top, lower.bottom)
-
-
-def compose_arrows(lower: ArrowObj, upper: ArrowObj) -> ArrowObj:
-    """The composite arrow (lower after upper) as an object of Arr."""
-    amb = upper.ambient
-    return ArrowObj(amb, amb.compose(lower.mor, upper.mor))
 
 
 @dataclass(frozen=True)
@@ -442,7 +422,7 @@ class ArrowAmbient:
                 "bottom": self.inner.mor_to_json(s.bottom)}
 
 
-# -- functors and transformations as values -----------------------------------
+# -- endofunctors as values ----------------------------------------------------
 
 @dataclass
 class EndoData:
@@ -450,39 +430,6 @@ class EndoData:
     ambient: object
     on_obj: object
     on_mor: object
-
-
-@dataclass
-class NatTransData:
-    """A natural transformation between EndoData functors."""
-    source: EndoData
-    target: EndoData
-    component: object  # obj -> morphism source.on_obj(x) -> target.on_obj(x)
-
-
-@dataclass
-class LeibnizResult:
-    gap: object
-    pushout: object
-
-
-def leibniz_pushout_apply(alpha: NatTransData, f) -> LeibnizResult:
-    """Pushout gap map of alpha's naturality square at f.
-
-    The square at f is pushed out along its top-left corner; the returned
-    gap map satisfies gap . left = target(f) and gap . right = alpha(cod f).
-    """
-    amb = alpha.source.ambient
-    a, b = amb.dom(f), amb.cod(f)
-    ff = alpha.source.on_mor(f)
-    gf = alpha.target.on_mor(f)
-    alpha_a = alpha.component(a)
-    alpha_b = alpha.component(b)
-    if amb.compose(alpha_b, ff) != amb.compose(gf, alpha_a):
-        raise NaturalityViolation("transformation is not natural at this map")
-    po = amb.pushout(alpha_a, ff)
-    gap = po.mediate(gf, alpha_b)
-    return LeibnizResult(gap=gap, pushout=po)
 
 
 class PointedEndofunctor:
@@ -493,34 +440,6 @@ class PointedEndofunctor:
         self.on_obj = on_obj
         self.on_mor = on_mor
         self.unit = unit  # obj -> morphism obj -> on_obj(obj)
-
-    def unit_is_natural_at(self, m) -> bool:
-        amb = self.ambient
-        lhs = amb.compose(self.unit(amb.cod(m)), m)
-        rhs = amb.compose(self.on_mor(m), self.unit(amb.dom(m)))
-        return lhs == rhs
-
-    def is_well_pointed_at(self, x) -> bool:
-        t_unit = self.on_mor(self.unit(x))
-        unit_t = self.unit(self.on_obj(x))
-        return t_unit == unit_t
-
-
-def tgt_endofunctor(inner) -> PointedEndofunctor:
-    """The endofunctor of the arrow category collapsing an arrow onto its
-    codomain identity; its unit at f is the square (f, id)."""
-    arr = ArrowAmbient(inner)
-
-    def on_obj(f: ArrowObj) -> ArrowObj:
-        return arr.wrap(inner.identity(f.cod))
-
-    def on_mor(s: Square) -> Square:
-        return Square(on_obj(s.source), on_obj(s.target), s.bottom, s.bottom)
-
-    def unit(f: ArrowObj) -> Square:
-        return Square(f, on_obj(f), f.mor, inner.identity(f.cod))
-
-    return PointedEndofunctor(arr, on_obj, on_mor, unit)
 
 
 # -- memoization ---------------------------------------------------------------

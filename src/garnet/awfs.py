@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrows import (ArrowAmbient, ArrowObj, EndoData, PointedEndofunctor,
-                     Session, Square, compose_squares, identity_square)
+from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
+                     compose_squares, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, density_action, density_comonad,
                       lifting_problems, problem_at, validate_diagram)
@@ -68,8 +68,9 @@ class GeneratedAWFS:
         self._canonical: dict = {}
 
     def density(self, f: ArrowObj):
-        return density_comonad(self.generators, f, cap=self.cap,
-                               session=self.session)
+        return self.session.memo(
+            ("density", f),
+            lambda: density_comonad(self.generators, f, cap=self.cap))
 
     def one_step(self, f: ArrowObj) -> StepData:
         return self.session.memo(("step", f), lambda: self._one_step(f))
@@ -537,7 +538,7 @@ def _filler_index(inner, gen: ArrowObj, f: ArrowObj, cap) -> dict:
 
 
 def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
-                            mode: str = "all", cap: int | None = None):
+                            mode: str = "all"):
     """Backtracking search over coherent filler assignments.
 
     Problems are visited in generator-object order, then in enumeration
@@ -547,13 +548,14 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     looked up by its boundary in one index of ``hom(gen.cod, f.dom)`` per
     generator, and the search keeps its branch on an explicit stack, so
     its depth is not bounded by the interpreter's recursion limit.  mode
-    is "first", "count", or "all".
+    is "first", "count", or "all"; every hom-set is bounded by the
+    session's cap.
     """
     if mode not in ("first", "count", "all"):
         raise MalformedInput("mode must be first, count, or all")
     u = awfs.generators
     inner = awfs.ambient
-    cap = awfs.cap if cap is None else cap
+    cap = awfs.cap
     problems: list = []
     for i in u.index.objects:
         for a in lifting_problems(u, i, f, cap=cap):
@@ -753,16 +755,15 @@ class QuillenResult:
     steps: int
 
 
-def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj,
-                      max_steps: int | None = None) -> QuillenResult:
+def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj) -> QuillenResult:
     """Factor by repeatedly gluing one cell per problem, with no
-    quotienting, until the right map has plain fillers everywhere."""
+    quotienting, until the right map has plain fillers everywhere; at most
+    the session's max_steps stages are glued."""
     u = awfs.generators
     if u.index.non_identity_morphisms():
         raise NotDiscrete("cell attachment without quotienting needs a "
                           "discrete generator shape")
     inner = awfs.ambient
-    limit = awfs.max_steps if max_steps is None else max_steps
     current = f
     stage_tops: list = []
     while True:
@@ -781,22 +782,17 @@ def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj,
             assert inner.compose(current.mor, left_mor) == f.mor
             return QuillenResult(f, left, current, tuple(stage_tops),
                                  len(stage_tops))
-        if len(stage_tops) == limit:
+        if len(stage_tops) == awfs.max_steps:
             break
         names = [f"{i}#{k}" for k, (i, _) in enumerate(probs)]
-        doms = inner.coproduct([u.arrow(i).dom for i, _ in probs],
-                               tags=names)
-        cods = inner.coproduct([u.arrow(i).cod for i, _ in probs],
-                               tags=names)
-        to_x = doms.mediate([a.top for _, a in probs], cod=current.dom)
-        gen = doms.mediate(
-            [inner.compose(cods.injections[k], u.arrow(probs[k][0]).mor)
-             for k in range(len(probs))], cod=cods.obj)
-        po = inner.pushout(to_x, gen, tags=("old", "new"))
-        bottoms = cods.mediate([a.bottom for _, a in probs], cod=f.cod)
-        current = ArrowObj(inner, po.mediate(current.mor, bottoms))
+        cp = u.arr.coproduct([u.arrow(i) for i, _ in probs], tags=names)
+        # one square from the coproduct of the cells onto the current map
+        cells = cp.mediate([a for _, a in probs], cod=current)
+        po = inner.pushout(cells.top, cp.obj.mor, tags=("old", "new"))
+        current = ArrowObj(inner, po.mediate(current.mor, cells.bottom))
         stage_tops.append(po.left)
-    err = IterationLimit(f"no pointwise fillers within {limit} stages")
+    err = IterationLimit(
+        f"no pointwise fillers within {awfs.max_steps} stages")
     err.stage_tops = tuple(stage_tops)
     raise err
 

@@ -22,7 +22,7 @@ from .density import arrow_diagram_from_json, validate_diagram
 from .errors import (EnumerationCap, GarnetError, IterationLimit,
                      MalformedInput)
 from .fincat import category_from_json, category_to_json, validate_category
-from .finset import FinFunction, FinSet
+from .finset import FinFunction, FinSet, json_object
 from .freemonad import DEFAULT_MAX_STEPS, Backdrop
 from .presheaf import presheaf_from_json, validate_presheaf
 
@@ -139,7 +139,7 @@ def _cmd_factorize(args):
 
 def _cmd_lift(args):
     inner, _spec, aw, f = _session(args)
-    out = find_lifting_structures(aw, f, mode=args.mode, cap=_cap(args))
+    out = find_lifting_structures(aw, f, mode=args.mode)
     if args.mode == "count":
         report = {"mode": "count", "count": out}
         return EXIT_OK, report, [f"{out} coherent lifting structure(s)"]
@@ -158,9 +158,7 @@ def _cmd_lift(args):
 
 def _cmd_solve(args):
     inner, _spec, aw, f = _session(args)
-    prob = _read_json(args.problem)
-    if not isinstance(prob, dict):
-        raise MalformedInput("problem file must be an object")
+    prob = json_object(_read_json(args.problem), "problem file")
     for key in ("index", "top", "bottom"):
         if key not in prob:
             raise MalformedInput(f"problem is missing field {key!r}")
@@ -170,7 +168,7 @@ def _cmd_solve(args):
     alpha = Square(aw.generators.arrow(i), f,
                    inner.mor_from_json(prob["top"]),
                    inner.mor_from_json(prob["bottom"]))
-    found = find_lifting_structures(aw, f, mode="first", cap=_cap(args))
+    found = find_lifting_structures(aw, f, mode="first")
     if not found:
         return EXIT_NO_STRUCTURE, {"found": False}, ["no lifting structure"]
     filler = solve_lifting(found[0], i, alpha)
@@ -200,12 +198,14 @@ class _ReportedFactorization:
 
 
 def _load_report(path):
-    data = _read_json(path)
+    data = json_object(_read_json(path), "report")
     if "factorization" not in data:
         raise MalformedInput("not a factorize report")
-    inner = _ambient_from_spec(data.get("ambient", {}))
-    fd = data["factorization"]
-    trace = trace_from_json(fd["trace"], inner)
+    inner = _ambient_from_spec(json_object(data.get("ambient", {}),
+                                           "report 'ambient'"))
+    fd = json_object(data["factorization"], "report 'factorization'")
+    trace = trace_from_json(json_object(fd["trace"], "factorization 'trace'"),
+                            inner)
     fact = _ReportedFactorization(
         ArrowObj(inner, inner.mor_from_json(fd["f"])),
         ArrowObj(inner, inner.mor_from_json(fd["left"])),
@@ -268,7 +268,7 @@ def _cmd_replay(args):
 
 def _cmd_quillen(args):
     inner, _spec, aw, f = _session(args)
-    out = quillen_factorize(aw, f, max_steps=args.max_steps)
+    out = quillen_factorize(aw, f)
     report = {"left": inner.mor_to_json(out.left.mor),
               "right": inner.mor_to_json(out.right.mor),
               "steps": out.steps,

@@ -168,15 +168,8 @@ class DensityResult:
     coequalizer: object = field(repr=False, default=None)
 
 
-def density_comonad(u: ArrowDiagram, f: ArrowObj, cap: int | None = None,
-                    session=None) -> DensityResult:
-    if session is not None:
-        return session.memo(("density", f),
-                            lambda: _density(u, f, cap))
-    return _density(u, f, cap)
-
-
-def _density(u: ArrowDiagram, f: ArrowObj, cap) -> DensityResult:
+def density_comonad(u: ArrowDiagram, f: ArrowObj,
+                    cap: int | None = None) -> DensityResult:
     arr = u.arr
     comma = comma_category(u, f, cap=cap)
     obj_names = list(comma.objects)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInput
+from .finset import cached_hash
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,13 @@ class FinCategory:
         for m in self.morphisms:
             self._compose.setdefault((identity_name(m.cod), m.name), m.name)
             self._compose.setdefault((m.name, identity_name(m.dom)), m.name)
+        self._key = (self.objects, self.morphisms,
+                     tuple(sorted(self._compose.items())))
 
     def __eq__(self, other):
-        return (isinstance(other, FinCategory)
-                and self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self._compose == other._compose)
+        return isinstance(other, FinCategory) and self._key == other._key
 
-    def __hash__(self):
-        return hash((self.objects, self.morphisms,
-                     tuple(sorted(self._compose.items()))))
+    __hash__ = cached_hash
 
     def __repr__(self):
         return (f"FinCategory({len(self.objects)} objects, "
@@ -100,9 +98,6 @@ class FinCategory:
 
     def non_identity_morphisms(self) -> list[Morphism]:
         return [m for m in self.morphisms if not self.is_identity(m.name)]
-
-    def is_discrete(self) -> bool:
-        return not self.non_identity_morphisms()
 
 
 def discrete_category(objects) -> FinCategory:
@@ -154,59 +149,6 @@ def validate_category(cat: FinCategory) -> list[str]:
                 if outer_left != outer_right:
                     report.append(f"associativity fails at "
                                   f"({h.name!r}, {g.name!r}, {f.name!r})")
-    return report
-
-
-class CatFunctor:
-    def __init__(self, source: FinCategory, target: FinCategory,
-                 on_objects, on_morphisms):
-        self.source = source
-        self.target = target
-        self.on_objects = dict(on_objects)
-        self.on_morphisms = dict(on_morphisms)
-        for x in source.objects:
-            if x not in self.on_objects:
-                raise MalformedInput(f"object {x!r} is unmapped")
-            if self.on_objects[x] not in target.objects:
-                raise MalformedInput(f"object {x!r} maps outside the target")
-        for m in source.morphisms:
-            if source.is_identity(m.name):
-                self.on_morphisms.setdefault(
-                    m.name, identity_name(self.on_objects[m.dom]))
-            if m.name not in self.on_morphisms:
-                raise MalformedInput(f"morphism {m.name!r} is unmapped")
-            if not target.has_morphism(self.on_morphisms[m.name]):
-                raise MalformedInput(f"morphism {m.name!r} maps outside the target")
-
-    def obj(self, x: str) -> str:
-        return self.on_objects[x]
-
-    def mor(self, name: str) -> str:
-        return self.on_morphisms[name]
-
-
-def validate_functor(fun: CatFunctor) -> list[str]:
-    report = []
-    src, tgt = fun.source, fun.target
-    for m in src.morphisms:
-        image = tgt.morphism(fun.mor(m.name))
-        if image.dom != fun.obj(m.dom) or image.cod != fun.obj(m.cod):
-            report.append(f"image of {m.name!r} has wrong endpoints")
-    for x in src.objects:
-        if fun.mor(identity_name(x)) != identity_name(fun.obj(x)):
-            report.append(f"identity of {x!r} is not preserved")
-    for g in src.morphisms:
-        for f in src.morphisms:
-            if f.cod != g.dom:
-                continue
-            here = fun.mor(src.compose(g.name, f.name))
-            if not tgt.composable(fun.mor(g.name), fun.mor(f.name)):
-                # already reported as an endpoint violation
-                continue
-            there = tgt.compose(fun.mor(g.name), fun.mor(f.name))
-            if here != there:
-                report.append(f"composition of ({g.name!r}, {f.name!r}) "
-                              f"is not preserved")
     return report
 
 

@@ -24,14 +24,18 @@ DEFAULT_CAP = 1_000_000
 
 
 def cached_hash(self) -> int:
-    """``__hash__`` for frozen dataclasses: the fields are hashed once and
-    the result kept on the instance, so a value used in many dict keys
+    """``__hash__`` for immutable values: the identifying key (a ``_key``
+    built at construction, else a frozen dataclass's fields) is hashed once
+    and the result kept on the instance, so a value used in many dict keys
     (problems and fillers are looked up by their boundary) hashes once."""
     try:
         return self._hash
     except AttributeError:
-        h = hash(tuple(getattr(self, name)
-                       for name in self.__dataclass_fields__))
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = tuple(getattr(self, name)
+                        for name in self.__dataclass_fields__)
+        h = hash(key)
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -101,9 +105,6 @@ class FinFunction:
             inv[v] = i
         return FinFunction(self.cod, self.dom, tuple(inv))
 
-    def fiber(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.table) if v == j)
-
 
 def identity(x: FinSet) -> FinFunction:
     return FinFunction(x, x, tuple(range(x.size)))
@@ -117,33 +118,6 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
     return FinFunction(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
-@dataclass(frozen=True)
-class MapClass:
-    is_mono: bool
-    is_epi: bool
-    is_iso: bool
-    section_count: int
-
-    @property
-    def is_split_epi(self) -> bool:
-        return self.section_count > 0
-
-
-def classify_map(f: FinFunction) -> MapClass:
-    """Injectivity, surjectivity, and the number of sections.
-
-    A surjection of finite sets always splits; the section count is the
-    product of the fiber sizes, and 0 when some fiber is empty.
-    """
-    mono = f.is_injective
-    epi = f.is_surjective
-    count = 1
-    for j in range(f.cod.size):
-        count *= len(f.fiber(j))
-    return MapClass(is_mono=mono, is_epi=epi, is_iso=mono and epi,
-                    section_count=count if epi else 0)
-
-
 def enumerate_functions(a: FinSet, b: FinSet,
                         cap: int | None = None) -> list[FinFunction]:
     """All functions a -> b in lexicographic table order."""
@@ -153,20 +127,6 @@ def enumerate_functions(a: FinSet, b: FinSet,
         raise EnumerationCap(f"{total} functions exceed cap {cap}")
     return [FinFunction(a, b, t)
             for t in itertools.product(range(b.size), repeat=a.size)]
-
-
-def enumerate_bijections(a: FinSet, b: FinSet,
-                         cap: int | None = None) -> list[FinFunction]:
-    if a.size != b.size:
-        return []
-    cap = DEFAULT_CAP if cap is None else cap
-    total = 1
-    for k in range(2, a.size + 1):
-        total *= k
-    if total > cap:
-        raise EnumerationCap(f"{total} bijections exceed cap {cap}")
-    return [FinFunction(a, b, t)
-            for t in itertools.permutations(range(b.size))]
 
 
 class _UnionFind:
@@ -404,6 +364,13 @@ def function_from_json(data) -> FinFunction:
     dom = finset_from_json(data["dom"])
     cod = finset_from_json(data["cod"])
     return table_from_json(data["table"], dom, cod)
+
+
+def json_object(value, what: str) -> dict:
+    """value, if it is a JSON object; what names it in the error."""
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be an object")
+    return value
 
 
 def table_from_json(table, dom: FinSet, cod: FinSet,

@@ -2,10 +2,9 @@
 
 The construction iterates a one-step quotient on triples (A, B, f: TA -> B)
 until the step's unit becomes invertible, keeping a full trace: every stage's
-pushouts, the unit components with their backdrop certificates, and the
-convergence bookkeeping.  The trace is what makes extensions cheap: the
-universal property of the colimit is replayed stage by stage instead of being
-re-solved globally.
+pushouts, its unit components, and the convergence bookkeeping.  The trace is
+what makes extensions cheap: the universal property of the colimit is replayed
+stage by stage instead of being re-solved globally.
 """
 
 from __future__ import annotations
@@ -87,11 +86,10 @@ class StepResult:
     g: object  # unit domain component a -> b, equals f after the point
     h: object  # unit codomain component b -> new.b
     k: object  # induced structure map T(b) -> new.b
-    mid: object = field(repr=False)    # pushout of the point against g
     out: object = field(repr=False)    # pushout of the gap against the fold
-    gap: object = field(repr=False)    # mid -> T(b)
-    fold: object = field(repr=False)   # mid -> b
-    certificates: tuple = ()
+    # gap and fold leave the pushout P of the point against g
+    gap: object = field(repr=False)    # P -> T(b)
+    fold: object = field(repr=False)   # P -> b
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,6 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class FreeMonadTrace:
-    start: object
     stages: tuple
     converged_stage: int | None
     stability: dict | None = field(repr=False, default=None)
@@ -128,12 +125,9 @@ def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
     if amb.dom(x.f) != t.on_obj(x.a) or amb.cod(x.f) != x.b:
         raise MalformedInput("stage map must go from T(a) to b")
     g = amb.compose(x.f, t.unit(x.a))
-    certs = []
     if not cfg.backdrop.contains(amb, g):
         raise BackdropViolation(
             "stage unit domain component fell outside the backdrop")
-    certs.append({"component": "domain", "provenance": "hypothesis",
-                  "in_backdrop": True})
     mid = amb.pushout(t.unit(x.a), g)
     gap = mid.mediate(t.on_mor(g), t.unit(x.b))
     fold = mid.mediate(x.f, amb.identity(x.b))
@@ -145,10 +139,8 @@ def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
         raise BackdropViolation(
             "stage unit codomain component fell outside the backdrop; "
             "cobase change left the configured class")
-    certs.append({"component": "codomain", "provenance": "cobase-change",
-                  "in_backdrop": True})
-    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, k,
-                      mid, out, gap, fold, tuple(certs))
+    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, k, out, gap,
+                      fold)
 
 
 def step_on_morphism(cfg: FreeMonadConfig, src: StepResult, tgt: StepResult,
@@ -192,7 +184,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
         x = step.new
     if converged is None:
         err = IterationLimit(f"no convergence within {max_steps} steps")
-        err.trace = FreeMonadTrace(start, tuple(stages), None)
+        err.trace = FreeMonadTrace(tuple(stages), None)
         raise err
     # stability: one step past detection must again be invertible, and the
     # two step units compose to the recorded stabilization iso
@@ -214,7 +206,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
         unit = amb.compose(rec.step.g, unit)
     if not cfg.backdrop.contains(amb, unit):
         raise BackdropViolation("the composite unit is outside the backdrop")
-    trace = FreeMonadTrace(start, tuple(stages), converged, stability)
+    trace = FreeMonadTrace(tuple(stages), converged, stability)
     return FreeAlgebraResult(cfg, start, carrier, structure, unit, trace)
 
 

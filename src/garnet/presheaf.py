@@ -21,7 +21,7 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import FinCategory, identity_name
-from .finset import FinFunction, FinSet, compose, identity
+from .finset import FinFunction, FinSet, cached_hash, compose, identity
 
 
 class Presheaf:
@@ -56,6 +56,8 @@ class Presheaf:
         for name in given:
             if not base.has_morphism(name):
                 raise UnknownObject(f"restriction along unknown {name!r}")
+        self._key = (base, tuple((x, self._at[x]) for x in base.objects),
+                     tuple(sorted(self._restrict.items())))
 
     def at(self, x: str) -> FinSet:
         if x not in self._at:
@@ -67,16 +69,10 @@ class Presheaf:
             raise UnknownObject(f"unknown morphism {name!r}")
         return self._restrict[name]
 
-    def _key(self):
-        return (self.base,
-                tuple((x, self._at[x]) for x in self.base.objects),
-                tuple(sorted(self._restrict.items())))
-
     def __eq__(self, other):
-        return isinstance(other, Presheaf) and self._key() == other._key()
+        return isinstance(other, Presheaf) and self._key == other._key
 
-    def __hash__(self):
-        return hash(self._key())
+    __hash__ = cached_hash
 
     def __repr__(self):
         sizes = ", ".join(f"{x}:{self._at[x].size}" for x in self.base.objects)
@@ -119,6 +115,8 @@ class PresheafMap:
             rhs = compose(target.restrict(m.name), self.at(m.cod))
             if lhs != rhs:
                 raise NaturalityViolation(f"naturality fails along {m.name!r}")
+        self._key = (source, target,
+                     tuple((x, self.components[x]) for x in base.objects))
 
     def at(self, x: str) -> FinFunction:
         return self.components[x]
@@ -135,15 +133,10 @@ class PresheafMap:
     def is_identity(self) -> bool:
         return all(c.is_identity for c in self.components.values())
 
-    def _key(self):
-        return (self.source, self.target,
-                tuple((x, self.components[x]) for x in self.source.base.objects))
-
     def __eq__(self, other):
-        return isinstance(other, PresheafMap) and self._key() == other._key()
+        return isinstance(other, PresheafMap) and self._key == other._key
 
-    def __hash__(self):
-        return hash(self._key())
+    __hash__ = cached_hash
 
     def __repr__(self):
         return f"PresheafMap({self.source!r} -> {self.target!r})"
@@ -562,12 +555,6 @@ def presheaf_to_json(p: Presheaf) -> dict:
     }
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedInput(f"{what} must be an object")
-    return value
-
-
 def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
     from .fincat import category_from_json
     if not isinstance(data, dict) or "at" not in data:
@@ -578,10 +565,10 @@ def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
             raise MalformedInput("presheaf base must be inline or preresolved")
         base = category_from_json(raw)
     at = {c: finset.finset_from_json(v)
-          for c, v in _json_object(data["at"], "presheaf 'at'").items()}
+          for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
     restrict = {}
-    for name, table in _json_object(data.get("restrict", {}),
-                                    "presheaf 'restrict'").items():
+    for name, table in finset.json_object(data.get("restrict", {}),
+                                          "presheaf 'restrict'").items():
         if not base.has_morphism(name):
             raise UnknownObject(f"restriction along unknown {name!r}")
         m = base.morphism(name)
@@ -610,8 +597,8 @@ def presheaf_map_from_json(data, base: FinCategory | None = None) -> PresheafMap
     source = presheaf_from_json(data["source"], base=base)
     target = presheaf_from_json(data["target"], base=base)
     comps = {}
-    for c, table in _json_object(data["components"],
-                                 "presheaf map 'components'").items():
+    for c, table in finset.json_object(data["components"],
+                                       "presheaf map 'components'").items():
         if c not in source.base.objects:
             raise UnknownObject(f"component at unknown object {c!r}")
         comps[c] = finset.table_from_json(table, source.at(c), target.at(c),

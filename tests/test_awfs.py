@@ -743,9 +743,9 @@ def test_quillen_needs_discrete_generators():
 
 
 def test_quillen_iteration_limit_carries_progress():
-    aw = point_awfs()
+    aw = GeneratedAWFS(point_inclusion(), max_steps=0)
     with pytest.raises(IterationLimit) as info:
-        quillen_factorize(aw, f_two_to_one(), max_steps=0)
+        quillen_factorize(aw, f_two_to_one())
     assert info.value.stage_tops == ()
 
 

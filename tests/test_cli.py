@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +179,8 @@ def test_quillen_report(tmp_path):
     assert data["steps"] == 1
     assert data["left"]["table"] == [0, 1]
     assert data["right"]["cod"]["size"] == 1
+    assert data["stage_tops"][0]["cod"]["labels"] == \
+        ["old.x0", "old.x1", "new.j#0.pt"]
 
 
 def test_rlp_answers(tmp_path):
@@ -281,42 +285,85 @@ def _edited(data, path, value):
     return data
 
 
-@pytest.mark.parametrize("name, path, value", [
-    ("graph_edge_to_loop.json", ("components", "v"), [0, 1]),
-    ("graph_edge_to_loop.json", ("source", "restrict", "src"), [2]),
-    ("graph_edge_to_loop.json", ("components", "e"), ["0"]),
-    ("graph_edge_to_loop.json", ("source", "restrict", "tgt"), [True]),
-    ("f_2_to_1.json", ("table",), [0, False]),
-    ("graph_edge_to_loop.json", ("source", "at"), []),
-    ("graph_edge_to_loop.json", ("target", "restrict"), [[0]]),
-    ("graph_edge_to_loop.json", ("components",), [[0]]),
-    ("problem.json", (), [1, 2]),
-    ("problem.json", ("index",), _DROP),
-    ("problem.json", ("top",), _DROP),
-    ("problem.json", ("bottom",), _DROP),
-    ("problem.json", ("index",), "zz"),
-], ids=["component-out-of-range", "restriction-out-of-range",
-        "string-entry", "bool-restriction", "bool-entry",
-        "at-not-object", "restrict-not-object", "components-not-object",
-        "problem-not-object", "problem-without-index", "problem-without-top",
-        "problem-without-bottom", "problem-unknown-generator"])
-def test_malformed_tables_are_invalid_input(tmp_path, name, path, value):
+# a factorize report, the input of trace-verify and replay
+REPORT = os.path.join("golden", "factorize_walking_cospan.json")
+
+MALFORMED = {
+    "component-out-of-range": ("graph_edge_to_loop.json",
+                               ("components", "v"), [0, 1]),
+    "restriction-out-of-range": ("graph_edge_to_loop.json",
+                                 ("source", "restrict", "src"), [2]),
+    "string-entry": ("graph_edge_to_loop.json", ("components", "e"), ["0"]),
+    "bool-restriction": ("graph_edge_to_loop.json",
+                         ("source", "restrict", "tgt"), [True]),
+    "bool-entry": ("f_2_to_1.json", ("table",), [0, False]),
+    "at-not-object": ("graph_edge_to_loop.json", ("source", "at"), []),
+    "restrict-not-object": ("graph_edge_to_loop.json",
+                            ("target", "restrict"), [[0]]),
+    "components-not-object": ("graph_edge_to_loop.json", ("components",),
+                              [[0]]),
+    "problem-not-object": ("problem.json", (), [1, 2]),
+    "problem-without-index": ("problem.json", ("index",), _DROP),
+    "problem-without-top": ("problem.json", ("top",), _DROP),
+    "problem-without-bottom": ("problem.json", ("bottom",), _DROP),
+    "problem-unknown-generator": ("problem.json", ("index",), "zz"),
+    "report-not-object": (REPORT, (), 5),
+    "report-ambient-not-object": (REPORT, ("ambient",), []),
+    "report-factorization-not-object": (REPORT, ("factorization",), [1, 2]),
+    "report-trace-not-object": (REPORT, ("factorization", "trace"), 5),
+}
+
+
+def _malformed_commands(tmp_path, case):
+    """The commands that must reject the input of this case, edited and
+    written under tmp_path."""
+    name, path, value = MALFORMED[case]
     if name == "problem.json":
         data = json.loads(json.dumps(PROBLEM))
     else:
         data = load(fix(name))
-    bad = tmp_path / name
-    bad.write_text(json.dumps(_edited(data, path, value)))
+    written = tmp_path / os.path.basename(name)
+    written.write_text(json.dumps(_edited(data, path, value)))
+    bad = str(written)
     if name == "problem.json":
-        cmd = ["solve", "--generators", fix("walking_cospan.json"),
-               "--map", fix("f_2_to_1.json"), "--problem", str(bad)]
-    elif name.startswith("graph"):
-        cmd = ["factorize", "--ambient", "presheaf",
-               "--base", fix("graph_base.json"),
-               "--generators", fix("graph_boundary.json"), "--map", str(bad)]
-    else:
-        cmd = ["factorize", "--generators", fix("point_inclusion.json"),
-               "--map", str(bad)]
-    out = tmp_path / "r.json"
-    assert run([*cmd, "--output", str(out)]) == 1
-    assert load(out)["error"]["kind"] == "MalformedInput"
+        return [["solve", "--generators", fix("walking_cospan.json"),
+                 "--map", fix("f_2_to_1.json"), "--problem", bad]]
+    if name == REPORT:
+        return [["trace-verify", "--report", bad],
+                ["replay", "--report", bad]]
+    if name.startswith("graph"):
+        return [["factorize", "--ambient", "presheaf",
+                 "--base", fix("graph_base.json"),
+                 "--generators", fix("graph_boundary.json"), "--map", bad]]
+    return [["factorize", "--generators", fix("point_inclusion.json"),
+             "--map", bad]]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_tables_are_invalid_input(tmp_path, case):
+    for cmd in _malformed_commands(tmp_path, case):
+        out = tmp_path / "r.json"
+        assert run([*cmd, "--output", str(out)]) == 1, cmd
+        assert load(out)["error"]["kind"] == "MalformedInput"
+        out.unlink()
+
+
+@pytest.mark.parametrize("case", [
+    "component-out-of-range", "report-not-object",
+    "report-ambient-not-object", "report-factorization-not-object",
+    "report-trace-not-object"])
+def test_input_checks_survive_python_O(tmp_path, case):
+    # python -O strips assert statements, so an input check written as one
+    # would let the input through to a traceback here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(FIX, os.pardir, "src"),
+                    os.environ.get("PYTHONPATH", "")) if p))
+    for cmd in _malformed_commands(tmp_path, case):
+        out = tmp_path / "r.json"
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "garnet.cli", *cmd,
+             "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert load(out)["error"]["kind"] == "MalformedInput"
+        out.unlink()

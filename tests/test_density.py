@@ -5,20 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (AMB, PAIR, POINT, arrow, empty_diagram, finite, func,
                       point_inclusion, walking_cospan)
-from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Session,
-                           Square, compose_squares, identity_square)
+from garnet.arrows import (ArrowObj, PresheafAmbient, Square, compose_squares,
+                           identity_square)
+from garnet.awfs import GeneratedAWFS
 from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             arrow_diagram_to_json, check_mono_compatibility,
                             comma_category, density_action, density_comonad,
                             density_closed_form_subobject, find_arrow_iso,
-                            is_cartesian, lifting_problems,
-                            subobject_classifier_diagram, validate_diagram)
-from garnet.errors import EnumerationCap, MalformedInput, NoIsoFound
+                            lifting_problems, subobject_classifier_diagram,
+                            validate_diagram)
+from garnet.errors import EnumerationCap, MalformedInput
 from garnet.fincat import FinCategory
 from garnet.finset import EMPTY, FinFunction, FinSet, identity
 from garnet.presheaf import (Presheaf, PresheafMap, enumerate_maps,
-                             presheaf_to_json, subobject_classifier,
-                             terminal_presheaf, yoneda)
+                             subobject_classifier, terminal_presheaf, yoneda)
 
 WC = walking_cospan()
 PT_INC = point_inclusion()
@@ -144,11 +144,13 @@ def test_density_discrete_is_coproduct_of_problems():
 
 
 def test_density_memoized_per_session():
-    session = Session()
+    aw = GeneratedAWFS(WC)
     f = arrow(func(EMPTY, POINT))
-    first = density_comonad(WC, f, session=session)
-    second = density_comonad(WC, f, session=session)
-    assert first is second
+    first = aw.density(f)
+    assert aw.density(f) is first
+    # kept in the session's memo under ("density", f)
+    assert aw.session.memo(("density", f), lambda: None) is first
+    assert GeneratedAWFS(WC).density(f) is not first
     assert density_comonad(WC, f) is not first
 
 

@@ -5,8 +5,6 @@ naive partition oracle below (repeated merging until a fixed point), which
 shares no code with the union-find implementation.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,11 +21,9 @@ from garnet.finset import (
     EMPTY,
     FinFunction,
     FinSet,
-    classify_map,
     coequalizer,
     compose,
     coproduct,
-    enumerate_bijections,
     enumerate_functions,
     finset_from_json,
     finset_to_json,
@@ -384,34 +380,6 @@ def test_pullback_universal_property(cospan):
                 assert pb.mediate(p, q) == ms[0]
 
 
-# -- classification ----------------------------------------------------------
-
-def test_classify_identity():
-    c = classify_map(identity(fin(2)))
-    assert c.is_mono and c.is_epi and c.is_iso and c.section_count == 1
-
-
-def test_classify_point_inclusion():
-    c = classify_map(fn(EMPTY, fin(1)))
-    assert c.is_mono and not c.is_epi and c.section_count == 0
-    assert not c.is_split_epi
-
-
-def test_classify_split_surjection_counts_sections():
-    three, two = fin(3), fin(2)
-    c = classify_map(fn(three, two, 0, 0, 1))
-    assert c.is_split_epi and c.section_count == 2 and not c.is_mono
-
-
-@given(spans(max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_section_count_matches_brute_force(span):
-    f, _ = span
-    sections = [s for s in enumerate_functions(f.cod, f.dom)
-                if compose(f, s).is_identity]
-    assert classify_map(f).section_count == len(sections)
-
-
 # -- enumeration ------------------------------------------------------------
 
 def test_enumerate_functions_from_empty():
@@ -428,11 +396,6 @@ def test_enumerate_functions_counts_and_order():
 def test_enumerate_functions_cap():
     with pytest.raises(EnumerationCap):
         enumerate_functions(fin(3), fin(3), cap=26)
-
-
-def test_enumerate_bijections():
-    assert len(enumerate_bijections(fin(3), fin(3, "y"))) == 6
-    assert enumerate_bijections(fin(2), fin(3)) == []
 
 
 # -- serialization -----------------------------------------------------------

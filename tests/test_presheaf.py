@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from garnet.errors import NaturalityViolation, ShapeMismatch, UnknownObject
 from garnet.fincat import FinCategory, discrete_category, validate_category
-from garnet.finset import EMPTY, FinFunction, FinSet, identity
+from garnet.finset import FinFunction, FinSet
 from garnet.presheaf import (
     Presheaf,
     PresheafMap,
@@ -170,7 +170,7 @@ def test_mono_equals_pullback_of_its_classifier_up_to_iso():
 def test_elements_of_constant_singleton_is_terminal():
     el, labels = element_category(terminal_presheaf(terminal_base()))
     assert len(el.objects) == 1
-    assert el.is_discrete()
+    assert el.non_identity_morphisms() == []
     assert labels[el.objects[0]] == ("*", "*")
 
 
@@ -178,7 +178,7 @@ def test_elements_of_classifier_on_terminal_base_is_discrete_two():
     omega, _ = subobject_classifier(terminal_base())
     el, _ = element_category(omega)
     assert len(el.objects) == 2
-    assert el.is_discrete()
+    assert el.non_identity_morphisms() == []
 
 
 def test_elements_of_classifier_on_walking_arrow():
