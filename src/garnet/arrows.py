@@ -4,12 +4,14 @@ An ambient is an object with the methods below; they are what the generic
 constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 
 - ``dom``, ``cod``, ``identity``, ``compose``, ``inverse``;
-- ``is_mono``, ``is_iso``, ``is_identity``;
+- ``is_mono``, ``is_iso``;
 - ``hom`` (all maps between two objects, in a fixed order);
-- ``pushout``, ``coproduct``, ``coequalizer``, ``sequential_colimit`` and
-  ``pullback``, each returning a result with a ``mediate`` method;
-- ``obj_size``, ``obj_to_json``, ``mor_to_json`` and, on the two base
-  ambients, ``mor_from_json``.
+- ``pushout``, ``coproduct``, ``coequalizer`` and ``sequential_colimit``,
+  each returning a result with a ``mediate`` method.
+
+The two base ambients, which the factorizations and reports are over, also
+have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
+``mor_from_json``.
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -76,11 +78,8 @@ class FinSetAmbient:
     def coequalizer(self, f, g):
         return finset.coequalizer(f, g)
 
-    def sequential_colimit(self, maps, start=None):
-        return finset.sequential_colimit(maps, start=start)
-
-    def pullback(self, f, g):
-        return finset.pullback(f, g)
+    def sequential_colimit(self, maps):
+        return finset.sequential_colimit(maps)
 
     def obj_size(self, x):
         return x.size
@@ -146,11 +145,8 @@ class PresheafAmbient:
     def coequalizer(self, f, g):
         return psh.presheaf_coequalizer(f, g)
 
-    def sequential_colimit(self, maps, start=None):
-        return psh.presheaf_sequential_colimit(maps, start=start)
-
-    def pullback(self, f, g):
-        return psh.presheaf_pullback(f, g)
+    def sequential_colimit(self, maps):
+        return psh.presheaf_sequential_colimit(maps)
 
     def obj_size(self, x):
         return sum(x.at(c).size for c in self.base.objects)
@@ -241,22 +237,18 @@ class ChainColimitResult:
         return h
 
 
-def chain_colimit(amb, maps: Sequence, start=None) -> ChainColimitResult:
+def chain_colimit(amb, maps: Sequence) -> ChainColimitResult:
     """Colimit of a finite chain X0 -> X1 -> ... -> Xn in the ambient amb.
 
     The result is identified with the first stage after which every map is
     an isomorphism, so labels are stable under extending a converged chain.
     """
     if not maps:
-        if start is None:
-            raise DomainMismatch("empty chain needs an explicit object")
-        return ChainColimitResult(start, (amb.identity(start),), 0, amb)
+        raise DomainMismatch("a chain colimit needs at least one map")
     objects = [amb.dom(maps[0])] + [amb.cod(m) for m in maps]
     for i in range(len(maps) - 1):
         if amb.cod(maps[i]) != amb.dom(maps[i + 1]):
             raise DomainMismatch(f"chain breaks between step {i} and {i + 1}")
-    if start is not None and start != objects[0]:
-        raise DomainMismatch("start object disagrees with the first map")
     k = len(maps)
     while k > 0 and amb.is_iso(maps[k - 1]):
         k -= 1
@@ -307,9 +299,6 @@ class ArrowAmbient:
     def __repr__(self):
         return f"ArrowAmbient({self.inner!r})"
 
-    def wrap(self, mor) -> ArrowObj:
-        return ArrowObj(self.inner, mor)
-
     def dom(self, s: Square) -> ArrowObj:
         return s.source
 
@@ -331,9 +320,6 @@ class ArrowAmbient:
 
     def is_iso(self, s: Square) -> bool:
         return self.inner.is_iso(s.top) and self.inner.is_iso(s.bottom)
-
-    def is_identity(self, s: Square) -> bool:
-        return self.inner.is_identity(s.top) and self.inner.is_identity(s.bottom)
 
     def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
         """All squares a -> b, ordered by top, then by bottom, each in the
@@ -362,7 +348,7 @@ class ArrowAmbient:
         dom_po = self.inner.pushout(s.top, t.top, tags=tags)
         cod_po = self.inner.pushout(s.bottom, t.bottom, tags=tags)
         b, c = s.target, t.target
-        arrow = self.wrap(dom_po.mediate(
+        arrow = ArrowObj(self.inner, dom_po.mediate(
             self.inner.compose(cod_po.left, b.mor),
             self.inner.compose(cod_po.right, c.mor)))
         left = Square(b, arrow, dom_po.left, cod_po.left)
@@ -373,7 +359,7 @@ class ArrowAmbient:
     def coproduct(self, parts: Sequence[ArrowObj], tags=None):
         dom_cp = self.inner.coproduct([p.dom for p in parts], tags=tags)
         cod_cp = self.inner.coproduct([p.cod for p in parts], tags=tags)
-        arrow = self.wrap(dom_cp.mediate(
+        arrow = ArrowObj(self.inner, dom_cp.mediate(
             [self.inner.compose(cod_cp.injections[k], parts[k].mor)
              for k in range(len(parts))],
             cod=cod_cp.obj))
@@ -388,38 +374,14 @@ class ArrowAmbient:
             raise DomainMismatch("coequalizer needs a parallel pair")
         dom_ce = self.inner.coequalizer(s.top, t.top)
         cod_ce = self.inner.coequalizer(s.bottom, t.bottom)
-        arrow = self.wrap(dom_ce.mediate(
+        arrow = ArrowObj(self.inner, dom_ce.mediate(
             self.inner.compose(cod_ce.proj, s.target.mor)))
         proj = Square(s.target, arrow, dom_ce.proj, cod_ce.proj)
         return _ArrLevelwise(arrow, {"dom": dom_ce, "cod": cod_ce},
                              proj=proj)
 
-    def sequential_colimit(self, maps: Sequence[Square],
-                           start: ArrowObj | None = None):
-        return chain_colimit(self, maps, start=start)
-
-    def pullback(self, s: Square, t: Square):
-        if s.target != t.target:
-            raise DomainMismatch("pullback needs a cospan with a shared foot")
-        dom_pb = self.inner.pullback(s.top, t.top)
-        cod_pb = self.inner.pullback(s.bottom, t.bottom)
-        arrow = self.wrap(cod_pb.mediate(
-            self.inner.compose(s.source.mor, dom_pb.left),
-            self.inner.compose(t.source.mor, dom_pb.right)))
-        left = Square(arrow, s.source, dom_pb.left, cod_pb.left)
-        right = Square(arrow, t.source, dom_pb.right, cod_pb.right)
-        return _ArrLevelwise(arrow, {"dom": dom_pb, "cod": cod_pb},
-                             cone=True, left=left, right=right)
-
-    def obj_size(self, f: ArrowObj):
-        return self.inner.obj_size(f.dom) + self.inner.obj_size(f.cod)
-
-    def obj_to_json(self, f: ArrowObj):
-        return self.inner.mor_to_json(f.mor)
-
-    def mor_to_json(self, s: Square):
-        return {"top": self.inner.mor_to_json(s.top),
-                "bottom": self.inner.mor_to_json(s.bottom)}
+    def sequential_colimit(self, maps: Sequence[Square]):
+        return chain_colimit(self, maps)
 
 
 # -- endofunctors as values ----------------------------------------------------

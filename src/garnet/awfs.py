@@ -20,6 +20,7 @@ from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, IterationLimit, MalformedInput,
                      MissingGeneratorWitness, NotAnAlgebra, NotARetract,
                      NotDiscrete)
+from .finset import json_object
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
@@ -64,8 +65,6 @@ class GeneratedAWFS:
         self.t = _step_endofunctor(self)
         self.cfg = FreeMonadConfig(self.arr, Backdrop("domain", backdrop),
                                    self.t)
-        self._factorizations: dict = {}
-        self._canonical: dict = {}
 
     def density(self, f: ArrowObj):
         return self.session.memo(
@@ -92,19 +91,13 @@ class GeneratedAWFS:
         unit = Square(f, obj, po.left, inner.identity(f.cod))
         return StepData(f, den, po, obj, unit)
 
-    def free_on(self, f: ArrowObj):
-        return self.session.memo(("free", f),
-                                 lambda: free_algebra(self.cfg, f,
-                                                      self.max_steps))
-
     def factorize(self, f: ArrowObj) -> "Factorization":
-        if f not in self._factorizations:
-            self._factorizations[f] = self._factorize(f)
-        return self._factorizations[f]
+        return self.session.memo(("factorize", f),
+                                 lambda: self._factorize(f))
 
     def _factorize(self, f: ArrowObj) -> "Factorization":
         inner = self.ambient
-        fa = self.free_on(f)
+        fa = free_algebra(self.cfg, f, self.max_steps)
         beta = fa.unit.bottom
         assert inner.is_iso(beta)
         left = ArrowObj(inner, fa.unit.top)
@@ -202,11 +195,10 @@ class GeneratedAWFS:
 
     def canonical_structure(self, f: ArrowObj) -> "LiftingStructure":
         """The coherent lifting structure carried by the right factor."""
-        if f not in self._canonical:
+        def build():
             fact = self.factorize(f)
-            self._canonical[f] = algebra_to_structure(self, fact.right,
-                                                      fact.algebra)
-        return self._canonical[f]
+            return algebra_to_structure(self, fact.right, fact.algebra)
+        return self.session.memo(("canonical", f), build)
 
     def multiplication(self, f: ArrowObj):
         """The flattening of a twice-applied right factor, and its square."""
@@ -424,14 +416,7 @@ def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
 
     for st in trace.stages:
         try:
-            fresh = density_comonad(u, st.arrow, cap=cap)
-            order = fresh.comma.objects
-            ok = (fresh.den == st.cell.den
-                  and fresh.counit == st.cell.counit
-                  and tuple((n, fresh.legs[n]) for n in order)
-                  == st.cell.legs
-                  and tuple((n,) + fresh.comma.problems[n] for n in order)
-                  == st.cell.problems)
+            ok = _cell_record(density_comonad(u, st.arrow, cap=cap)) == st.cell
         except Exception:
             ok = False
         item(st.index, "cell", ok,
@@ -809,6 +794,8 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
     structure assembled from the supplied per-generator witnesses.
     """
     inner = trace.f.ambient
+    n_star = _stage_index(trace.converged_stage, trace.stages,
+                          "converged_stage")
     used = sorted({j for st in trace.stages
                    for (_name, j, _a) in st.cell.problems})
     missing = [j for j in used if j not in witnesses]
@@ -841,7 +828,6 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
         checks.append({"stage": st.index, "check": "quotient",
                        "preserved": True})
 
-    n_star = trace.converged_stage
     rec_legs = [None] * (n_star + 1)
     rec_legs[n_star] = inner.identity(trace.stages[n_star].arrow.dom)
     for alpha in range(n_star - 1, -1, -1):
@@ -897,6 +883,7 @@ def _square_to_json(inner, s: Square) -> dict:
 
 
 def _square_from_json(inner, data) -> Square:
+    data = json_object(data, "square")
     return Square(ArrowObj(inner, inner.mor_from_json(data["source"])),
                   ArrowObj(inner, inner.mor_from_json(data["target"])),
                   inner.mor_from_json(data["top"]),
@@ -936,33 +923,67 @@ def trace_to_json(trace: Trace) -> dict:
             "stages": stages}
 
 
-def trace_from_json(data, ambient) -> Trace:
-    u = arrow_diagram_from_json(data["generators"], ambient)
-    inner = ambient
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """value, if it is a JSON list (of the given length)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise MalformedInput(f"{what} must be a list"
+                             + ("" if length is None else f" of {length}"))
+    return value
+
+
+def _rows(value, width: int, what: str) -> list:
+    """value, if it lists [name, ..., square] rows of width entries."""
+    rows = _json_list(value, what)
+    if not all(isinstance(r, list) and len(r) == width
+               and all(isinstance(v, str) for v in r[:-1]) for r in rows):
+        raise MalformedInput(f"{what} must list [name, ..., square] rows")
+    return rows
+
+
+def _stage_index(value, stages, what: str) -> int:
+    """value, if it is the position of one of the stages."""
+    if type(value) is not int or not 0 <= value < len(stages):
+        raise MalformedInput(f"{what} must index a recorded stage")
+    return value
+
+
+def trace_from_json(data, inner) -> Trace:
+    """The trace a factorize report records; a part of the wrong JSON type
+    raises MalformedInput, and verify_trace checks the values."""
+    u = arrow_diagram_from_json(data["generators"], inner)
     mor = inner.mor_from_json
+    backdrop = backdrop_from_json(data["backdrop"])
+    if backdrop.kind not in ("all", "mono"):
+        raise MalformedInput("a trace's backdrop must be 'all' or 'mono'")
+    raw = _json_list(data["stages"], "trace 'stages'")
     stages = []
-    for sd in data["stages"]:
+    for sd in raw:
+        sd = json_object(sd, "trace stage")
+        cd = json_object(sd["cell"], "stage 'cell'")
         cell = TraceCell(
-            ArrowObj(inner, mor(sd["cell"]["den"])),
-            _square_from_json(inner, sd["cell"]["counit"]),
+            ArrowObj(inner, mor(cd["den"])),
+            _square_from_json(inner, cd["counit"]),
             tuple((n, _square_from_json(inner, sq))
-                  for n, sq in sd["cell"]["legs"]),
+                  for n, sq in _rows(cd["legs"], 2, "cell 'legs'")),
             tuple((n, j, _square_from_json(inner, sq))
-                  for n, j, sq in sd["cell"]["problems"]))
+                  for n, j, sq in _rows(cd["problems"], 3,
+                                        "cell 'problems'")))
         built = None
         if sd["built_from"] is not None:
-            bd = sd["built_from"]
+            bd = json_object(sd["built_from"], "stage 'built_from'")
+            span = _json_list(bd["span"], "gluing 'span'", 2)
             built = QuotientRecord(
-                (mor(bd["span"][0]), mor(bd["span"][1])),
-                tuple(bd["tags"]), mor(bd["left"]), mor(bd["right"]),
-                bd["into"])
+                (mor(span[0]), mor(span[1])),
+                tuple(_json_list(bd["tags"], "gluing 'tags'", 2)),
+                mor(bd["left"]), mor(bd["right"]), bd["into"])
+        certs = tuple(json_object(c, "certificate") for c in
+                      _json_list(sd["certificates"], "stage 'certificates'"))
         stages.append(TraceStage(
-            sd["index"], ArrowObj(inner, mor(sd["arrow"])), cell, built,
+            _stage_index(sd["index"], raw, "stage 'index'"),
+            ArrowObj(inner, mor(sd["arrow"])), cell, built,
             _square_from_json(inner, sd["composite"]),
-            _square_from_json(inner, sd["transition"]),
-            tuple(sd["certificates"])))
-    return Trace(ArrowObj(inner, mor(data["f"])), u,
-                 backdrop_from_json(data["backdrop"]),
+            _square_from_json(inner, sd["transition"]), certs))
+    return Trace(ArrowObj(inner, mor(data["f"])), u, backdrop,
                  tuple(stages), data["converged_stage"])
 
 

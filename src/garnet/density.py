@@ -17,6 +17,7 @@ square.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import presheaf as psh
@@ -32,7 +33,7 @@ from .arrows import (
 from .errors import EnumerationCap, MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
     discrete_category
-from .finset import EMPTY, FinFunction, FinSet
+from .finset import EMPTY, FinFunction, FinSet, json_object
 
 
 class ArrowDiagram:
@@ -157,7 +158,6 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
 @dataclass
 class DensityResult:
     """The density value at f: the colimit arrow, its counit, and legs."""
-    u: ArrowDiagram
     f: ArrowObj
     comma: CommaResult
     den: ArrowObj
@@ -191,7 +191,7 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
             for n in obj_names}
     counit = ce.mediate(cp.mediate(
         [comma.problems[n][1] for n in obj_names], cod=f))
-    return DensityResult(u, f, comma, ce.obj, counit, legs,
+    return DensityResult(f, comma, ce.obj, counit, legs,
                          coproduct=cp, coequalizer=ce)
 
 
@@ -213,12 +213,21 @@ def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
 
 
 def is_cartesian(s: Square) -> bool:
-    """Whether the commuting square is a pullback in the inner ambient; backs
-    the cartesian half of the mono-backdrop hypothesis."""
+    """Whether the commuting square is cartesian in the inner ambient; backs
+    the cartesian half of the mono-backdrop hypothesis.  At every level (for
+    presheaves, every object of the base) x |-> (top x, source x) must be
+    injective and hit as many pairs as the target and the bottom send to
+    one point; it lands in those pairs because the square commutes."""
     inner = s.source.ambient
-    pb = inner.pullback(s.target.mor, s.bottom)
-    mediator = pb.mediate(s.top, s.source.mor)
-    return inner.is_iso(mediator)
+    sides = (s.top, s.source.mor, s.target.mor, s.bottom)
+    levels = [[m.at(c) for m in sides] for c in inner.base.objects] \
+        if isinstance(inner, PresheafAmbient) else [sides]
+    for top, src, tgt, bottom in levels:
+        over = Counter(tgt.table)
+        if len(set(zip(top.table, src.table))) != src.dom.size \
+                or sum(over[d] for d in bottom.table) != src.dom.size:
+            return False
+    return True
 
 
 def check_mono_compatibility(u: ArrowDiagram, probes: list[Square],
@@ -362,6 +371,9 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
 
 # -- iso search between arrows --------------------------------------------------
 
+ISO_SEARCH_STEPS = 1_000_000  # find_arrow_iso's backtracking budget
+
+
 def _levels(ambient, f: ArrowObj):
     """Flatten an arrow into named levels with unary structure maps."""
     if isinstance(ambient, FinSetAmbient):
@@ -398,8 +410,7 @@ def _refine(sets, funs, colors):
             for n in colors}
 
 
-def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj,
-                   max_steps: int = 1_000_000) -> Square | None:
+def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj) -> Square | None:
     """Search for an isomorphism a -> b in the arrow category.
 
     Levels are first partitioned by iterated color refinement over all the
@@ -471,7 +482,7 @@ def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj,
 
     def search(k):
         steps[0] += 1
-        if steps[0] > max_steps:
+        if steps[0] > ISO_SEARCH_STEPS:
             raise EnumerationCap("iso search exceeded the step cap")
         if k == len(order):
             return True
@@ -530,13 +541,15 @@ def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
     if not isinstance(data, dict) or "index" not in data:
         raise MalformedInput("diagram file needs an 'index' category")
     index = category_from_json(data["index"])
-    arrows = data.get("arrows", {})
+    arrows = json_object(data.get("arrows", {}), "diagram 'arrows'")
     on_objects = {j: ArrowObj(ambient, ambient.mor_from_json(spec))
                   for j, spec in arrows.items()}
     on_morphisms = {}
-    for name, spec in data.get("squares", {}).items():
+    for name, spec in json_object(data.get("squares", {}),
+                                  "diagram 'squares'").items():
         if not index.has_morphism(name):
             raise MalformedInput(f"square at unknown morphism {name!r}")
+        spec = json_object(spec, f"square at {name!r}")
         m = index.morphism(name)
         on_morphisms[name] = Square(
             on_objects[m.dom], on_objects[m.cod],

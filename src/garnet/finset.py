@@ -291,44 +291,9 @@ def pushout(f: FinFunction, g: FinFunction,
     return PushoutResult(obj, compose(proj, in_b), compose(proj, in_c), (f, g))
 
 
-def sequential_colimit(maps: Sequence[FinFunction],
-                       start: FinSet | None = None):
+def sequential_colimit(maps: Sequence[FinFunction]):
     from .arrows import FinSetAmbient, chain_colimit
-    return chain_colimit(FinSetAmbient(), maps, start=start)
-
-
-@dataclass(frozen=True)
-class PullbackResult:
-    obj: FinSet
-    left: FinFunction    # P -> A
-    right: FinFunction   # P -> B
-    _cospan: tuple[FinFunction, FinFunction]
-
-    def mediate(self, p: FinFunction, q: FinFunction) -> FinFunction:
-        f, g = self._cospan
-        if p.dom != q.dom:
-            raise DomainMismatch("cone legs must share a domain")
-        if compose(f, p) != compose(g, q):
-            raise CodomainMismatch("cone does not commute over the cospan")
-        pairs = {(self.left(i), self.right(i)): i for i in range(self.obj.size)}
-        return FinFunction(p.dom, self.obj,
-                           tuple(pairs[(p(w), q(w))] for w in range(p.dom.size)))
-
-
-def pullback(f: FinFunction, g: FinFunction) -> PullbackResult:
-    """Pullback of the cospan f: A -> C <- B :g, in lexicographic pair order."""
-    if f.cod != g.cod:
-        raise CodomainMismatch("pullback needs a cospan with a shared foot")
-    pairs = [(a, b)
-             for a in range(f.dom.size)
-             for b in range(g.dom.size)
-             if f(a) == g(b)]
-    obj = FinSet(tuple(f"({f.dom.labels[a]},{g.dom.labels[b]})" for a, b in pairs))
-    return PullbackResult(
-        obj,
-        FinFunction(obj, f.dom, tuple(a for a, _ in pairs)),
-        FinFunction(obj, g.dom, tuple(b for _, b in pairs)),
-        (f, g))
+    return chain_colimit(FinSetAmbient(), maps)
 
 
 # -- serialization ----------------------------------------------------------

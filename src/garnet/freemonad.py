@@ -97,7 +97,6 @@ class StageRecord:
     index: int
     x: QoppaObject
     step: StepResult = field(repr=False)
-    unit_iso: tuple
     coherent: bool | None
 
 
@@ -176,9 +175,8 @@ def free_algebra(cfg: FreeMonadConfig, start,
     for n in range(max_steps):
         step = qoppa_step(cfg, x)
         coherent = _coherence(cfg, stages[-1], step) if stages else None
-        unit_iso = (amb.is_iso(step.g), amb.is_iso(step.h))
-        stages.append(StageRecord(n, x, step, unit_iso, coherent))
-        if unit_iso[0] and unit_iso[1]:
+        stages.append(StageRecord(n, x, step, coherent))
+        if amb.is_iso(step.g) and amb.is_iso(step.h):
             converged = n
             break
         x = step.new
@@ -192,8 +190,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
     extra = qoppa_step(cfg, step.new)
     coherent = _coherence(cfg, stages[-1], extra)
     extra_iso = (amb.is_iso(extra.g), amb.is_iso(extra.h))
-    stages.append(StageRecord(converged + 1, step.new, extra, extra_iso,
-                              coherent))
+    stages.append(StageRecord(converged + 1, step.new, extra, coherent))
     assert extra_iso == (True, True), "converged stage failed to stabilize"
     stability = {"domain": amb.compose(extra.g, step.g),
                  "codomain": amb.compose(extra.h, step.h)}

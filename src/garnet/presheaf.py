@@ -407,22 +407,21 @@ def _natural(source, target, components) -> bool:
     return True
 
 
-# -- levelwise colimits and limits -------------------------------------------
+# -- levelwise colimits -------------------------------------------------------
 
 class LevelwiseResult:
-    """A colimit or limit computed one level at a time and reassembled.
+    """A colimit computed one level at a time and reassembled.
 
-    ``level`` maps each level to the result computed there; the legs
+    ``level`` maps each level to the colimit computed there; the legs
     (``left``/``right``, ``injections`` or ``proj``) are already
-    reassembled.  A mediator is reassembled from the level mediators of the
-    legs' parts: it leaves ``obj`` for a colimit and enters it for a limit
-    (``cone``).  Levels are the objects of the base category here.
+    reassembled, and a mediator out of ``obj`` is reassembled from the
+    level mediators of the legs' parts.  Levels are the objects of the base
+    category here.
     """
 
-    def __init__(self, obj, level, cone=False, **legs):
+    def __init__(self, obj, level, **legs):
         self.obj = obj
         self._level = level
-        self._cone = cone
         self.__dict__.update(legs)
 
     @staticmethod
@@ -434,17 +433,12 @@ class LevelwiseResult:
         return PresheafMap(source, target, parts)
 
     def mediate(self, *legs, cod=None):
-        """Pushout (q, r), coproduct (legs, cod=None), coequalizer (h) or
-        pullback (p, q)."""
+        """Pushout (q, r), coproduct (legs, cod=None) or coequalizer (h)."""
         maps = [m for leg in legs
                 for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
-        if self._cone:
-            source, target = maps[0].source, self.obj
-        else:
-            source, target = self.obj, maps[0].target if maps else cod
-            if target is None:
-                raise CodomainMismatch("empty coproduct mediator needs a "
-                                       "codomain")
+        target = maps[0].target if maps else cod
+        if target is None:
+            raise CodomainMismatch("empty coproduct mediator needs a codomain")
         parts = {}
         for c, res in self._level.items():
             args = [[self._part(m, c) for m in leg]
@@ -452,7 +446,7 @@ class LevelwiseResult:
                     for leg in legs]
             extra = {} if cod is None else {"cod": self._part(cod, c)}
             parts[c] = res.mediate(*args, **extra)
-        return self._assemble(source, target, parts)
+        return self._assemble(self.obj, target, parts)
 
 
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
@@ -517,30 +511,10 @@ def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
     return LevelwiseResult(obj, level, proj=proj)
 
 
-def presheaf_sequential_colimit(maps: Sequence[PresheafMap],
-                                start: Presheaf | None = None):
+def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
     from .arrows import PresheafAmbient, chain_colimit
-    first = start if start is not None else maps[0].source if maps else None
-    return chain_colimit(PresheafAmbient(first and first.base), maps,
-                         start=start)
-
-
-def presheaf_pullback(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
-    if f.target != g.target:
-        raise ShapeMismatch("pullback needs a cospan with a shared foot")
-    base = f.source.base
-    level = {c: finset.pullback(f.at(c), g.at(c)) for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        src, dst = level[m.cod], level[m.dom]
-        restrict[m.name] = dst.mediate(
-            compose(f.source.restrict(m.name), src.left),
-            compose(g.source.restrict(m.name), src.right))
-    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
-    assert validate_presheaf(obj) == []
-    left = PresheafMap(obj, f.source, {c: level[c].left for c in base.objects})
-    right = PresheafMap(obj, g.source, {c: level[c].right for c in base.objects})
-    return LevelwiseResult(obj, level, cone=True, left=left, right=right)
+    base = maps[0].source.base if maps else None
+    return chain_colimit(PresheafAmbient(base), maps)
 
 
 # -- serialization ------------------------------------------------------------

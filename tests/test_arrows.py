@@ -170,18 +170,6 @@ def test_arrow_ambient_chain_colimit():
         res.mediate(bad)
 
 
-def test_arrow_ambient_pullback():
-    two = fin(2, "c")
-    f = arrow(identity(two))
-    g = arrow(identity(ONE))
-    s = Square(f, g, fn(two, ONE, 0, 0), fn(two, ONE, 0, 0))
-    t = identity_square(g)
-    pb = ARR.pullback(s, t)
-    assert compose_squares(s, pb.left) == compose_squares(t, pb.right)
-    assert pb.obj.dom.size == 2 and pb.obj.cod.size == 2
-    assert ARR.is_iso(pb.left)
-
-
 def test_arrow_ambient_hom_counts():
     f = arrow(fn(TWO, ONE, 0, 0))
     g = arrow(identity(ONE))

@@ -287,6 +287,7 @@ def _edited(data, path, value):
 
 # a factorize report, the input of trace-verify and replay
 REPORT = os.path.join("golden", "factorize_walking_cospan.json")
+TRACE = ("factorization", "trace")
 
 MALFORMED = {
     "component-out-of-range": ("graph_edge_to_loop.json",
@@ -311,6 +312,16 @@ MALFORMED = {
     "report-ambient-not-object": (REPORT, ("ambient",), []),
     "report-factorization-not-object": (REPORT, ("factorization",), [1, 2]),
     "report-trace-not-object": (REPORT, ("factorization", "trace"), 5),
+    "trace-stages-not-list": (REPORT, TRACE + ("stages",), 5),
+    "trace-stage-not-object": (REPORT, TRACE + ("stages", 1), [1]),
+    "trace-cell-not-object": (REPORT, TRACE + ("stages", 1, "cell"), 5),
+    "trace-certificates-not-list": (REPORT,
+                                    TRACE + ("stages", 0, "certificates"), 5),
+    "trace-backdrop-domain": (REPORT, TRACE + ("backdrop",),
+                              {"kind": "domain", "inner": "all"}),
+    "trace-generator-arrows-not-object": (REPORT,
+                                          TRACE + ("generators", "arrows"),
+                                          []),
 }
 
 
@@ -351,7 +362,7 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "component-out-of-range", "report-not-object",
     "report-ambient-not-object", "report-factorization-not-object",
-    "report-trace-not-object"])
+    "report-trace-not-object", "trace-stages-not-list"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here
@@ -367,3 +378,21 @@ def test_input_checks_survive_python_O(tmp_path, case):
         assert done.returncode == 1, done.stderr
         assert load(out)["error"]["kind"] == "MalformedInput"
         out.unlink()
+
+
+@pytest.mark.parametrize("stage", [99, "x", -1, True])
+def test_replay_rejects_a_converged_stage_that_is_no_stage(tmp_path, stage):
+    data = _edited(load(fix(REPORT)), TRACE + ("converged_stage",), stage)
+    rep = tmp_path / "r.json"
+    rep.write_text(json.dumps(data))
+    out = tmp_path / "o.json"
+    assert run(["replay", "--report", str(rep), "--output", str(out)]) == 1
+    assert load(out)["error"]["kind"] == "MalformedInput"
+    # the same value is a failing check, not malformed input, for
+    # trace-verify
+    assert run(["trace-verify", "--report", str(rep),
+                "--output", str(out)]) == 1
+    report = load(out)
+    assert "error" not in report and not report["pass"]
+    failed = {it["check"] for it in report["items"] if not it["pass"]}
+    assert {"chain", "factorization"} <= failed

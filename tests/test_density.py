@@ -12,12 +12,13 @@ from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             arrow_diagram_to_json, check_mono_compatibility,
                             comma_category, density_action, density_comonad,
                             density_closed_form_subobject, find_arrow_iso,
-                            lifting_problems, subobject_classifier_diagram,
-                            validate_diagram)
+                            is_cartesian, lifting_problems,
+                            subobject_classifier_diagram, validate_diagram)
 from garnet.errors import EnumerationCap, MalformedInput
 from garnet.fincat import FinCategory
 from garnet.finset import EMPTY, FinFunction, FinSet, identity
 from garnet.presheaf import (Presheaf, PresheafMap, enumerate_maps,
+                             presheaf_identity, pullback_classify,
                              subobject_classifier, terminal_presheaf, yoneda)
 
 WC = walking_cospan()
@@ -191,6 +192,29 @@ def test_classifier_generators_fully_mono_compatible(sigma):
     u = subobject_classifier_diagram(AMB)
     report = check_mono_compatibility(u, [sigma])
     assert report["pass"]
+
+
+def test_is_cartesian_on_presheaf_squares():
+    base = FinCategory(("x", "y"), (("m", "x", "y"),), {})
+    amb = PresheafAmbient(base)
+    omega, truth = subobject_classifier(base)
+    one = truth.source
+    yy = yoneda(base, "y")
+    a = PresheafMap(yy, omega, {
+        c: FinFunction(yy.at(c), omega.at(c), (1,)) for c in ("x", "y")})
+    # the mono a classifies, with its square onto the truth point: a
+    # pullback at both objects of the base
+    sub = pullback_classify(truth, a)
+    s = sub.source
+    assert (s.at("x").size, s.at("y").size) == (1, 0)
+    to_one = enumerate_maps(s, one)[0]
+    assert is_cartesian(Square(ArrowObj(amb, sub), ArrowObj(amb, truth),
+                               to_one, a))
+    # s -> 1 over the identity of 1 is a pullback at x, where s has the one
+    # point, but not at y, where s is empty
+    ident = ArrowObj(amb, presheaf_identity(one))
+    assert not is_cartesian(Square(ArrowObj(amb, to_one), ident, to_one,
+                                   presheaf_identity(one)))
 
 
 def test_walking_cospan_density_mono_on_paper_map():

@@ -106,7 +106,7 @@ def test_mono_backdrop_closed_under_cobase_change(data):
 def test_mono_backdrop_closed_under_chain_colimits():
     one, two, three = finite(1), finite(2), finite(3)
     chain = [FinFunction(one, two, (0,)), FinFunction(two, three, (0, 1))]
-    col = AMB.sequential_colimit(chain, start=one)
+    col = AMB.sequential_colimit(chain)
     for leg in col.legs:
         assert MONO.contains(AMB, leg)
 

@@ -21,7 +21,6 @@ from garnet.presheaf import (
     presheaf_identity,
     presheaf_map_from_json,
     presheaf_map_to_json,
-    presheaf_pullback,
     presheaf_pushout,
     presheaf_sequential_colimit,
     presheaf_to_json,
@@ -273,9 +272,9 @@ def test_presheaf_pullback_matches_levelwise():
         "x": FinFunction(yy.at("x"), omega.at("x"), (1,)),
         "y": FinFunction(yy.at("y"), omega.at("y"), (1,)),
     })
-    pb = presheaf_pullback(truth, a)
-    assert pb.obj.at("x").size == 1 and pb.obj.at("y").size == 0
-    assert validate_presheaf(pb.obj) == []
+    pb = pullback_classify(truth, a)
+    assert pb.source.at("x").size == 1 and pb.source.at("y").size == 0
+    assert validate_presheaf(pb.source) == []
 
 
 # -- validation and serialization ----------------------------------------------
