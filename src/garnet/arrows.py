@@ -11,7 +11,10 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 
 The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
-``mor_from_json``.
+``mor_from_json``, and two methods for working up to relabeling:
+``skeleton`` (a hashable key of a map's sizes and tables, without its
+labels) and ``relabel`` (the iso between two objects that differ only in
+their labels, with table ``0..n-1`` at every level).
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -84,6 +87,12 @@ class FinSetAmbient:
     def obj_size(self, x):
         return x.size
 
+    def skeleton(self, m):
+        return (m.dom.size, m.cod.size, m.table)
+
+    def relabel(self, a, b):
+        return finset.FinFunction(a, b, tuple(range(a.size)))
+
     def obj_to_json(self, x):
         return finset.finset_to_json(x)
 
@@ -150,6 +159,19 @@ class PresheafAmbient:
 
     def obj_size(self, x):
         return sum(x.at(c).size for c in self.base.objects)
+
+    def skeleton(self, m):
+        objects = self.base.objects
+        return (tuple((m.source.at(c).size, m.target.at(c).size,
+                       m.at(c).table) for c in objects),
+                tuple((m.source.restrict(r.name).table,
+                       m.target.restrict(r.name).table)
+                      for r in self.base.non_identity_morphisms()))
+
+    def relabel(self, a, b):
+        return psh.PresheafMap(a, b, {
+            c: finset.FinFunction(a.at(c), b.at(c), tuple(range(a.at(c).size)))
+            for c in self.base.objects})
 
     def obj_to_json(self, x):
         return psh.presheaf_to_json(x)

@@ -15,11 +15,12 @@ from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
                      compose_squares, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, density_action, density_comonad,
-                      lifting_problems, problem_at, validate_diagram)
+                      hom_shape, lifting_problems, problem_at,
+                      retarget_density, validate_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
-                     DomainMismatch, IterationLimit, MalformedInput,
-                     MissingGeneratorWitness, NotAnAlgebra, NotARetract,
-                     NotDiscrete)
+                     DomainMismatch, EnumerationCap, IterationLimit,
+                     MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
+                     NotARetract, NotDiscrete)
 from .finset import json_object
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
@@ -67,9 +68,15 @@ class GeneratedAWFS:
                                    self.t)
 
     def density(self, f: ArrowObj):
-        return self.session.memo(
-            ("density", f),
+        """The density comonad at f, memoized up to relabeling: the colimit
+        and the comma names, relations and ``over`` (the label-free fields
+        of ``DensityResult``) are built once per skeleton of f, its sizes
+        and tables; the problems, their boundary index and the counit are
+        retargeted to f's labels."""
+        core = self.session.memo(
+            ("density", self.ambient.skeleton(f.mor)),
             lambda: density_comonad(self.generators, f, cap=self.cap))
+        return core if core.f == f else retarget_density(core, f)
 
     def one_step(self, f: ArrowObj) -> StepData:
         return self.session.memo(("step", f), lambda: self._one_step(f))
@@ -232,6 +239,9 @@ class GeneratedAWFS:
         return delta, sigma
 
     def left_factor_coalgebra(self, f: ArrowObj) -> "Coalgebra":
+        """The coalgebra structure the comultiplication puts on the left
+        factor; backs "every left factor is a coalgebra" (Bourke-Garner
+        2016, AWFS I)."""
         delta, _ = self.comultiplication(f)
         fact = self.factorize(f)
         out = Coalgebra(fact.left, delta)
@@ -239,6 +249,8 @@ class GeneratedAWFS:
         return out
 
     def coalgebra_holds(self, c: "Coalgebra") -> bool:
+        """The two coalgebra axioms on a section, checked on the nose; the
+        test behind the coalgebra claims (Bourke-Garner 2016, AWFS I)."""
         inner = self.ambient
         fact = self.factorize(c.f)
         return (inner.compose(fact.right.mor, c.section)
@@ -247,7 +259,9 @@ class GeneratedAWFS:
 
     def retract_lift(self, c: "Coalgebra", alpha: Square,
                      beta: Square) -> "Coalgebra":
-        """Transport a section along a retract with identity domain legs."""
+        """Transport a section along a retract with identity domain legs;
+        backs the closure of coalgebras under retracts (Bourke-Garner 2016,
+        AWFS I)."""
         inner = self.ambient
         if alpha.target != c.f or beta.source != c.f \
                 or alpha.source != beta.target:
@@ -512,11 +526,17 @@ class LiftingStructure:
         return hash((self.f, tuple(self.fillers.items())))
 
 
-def _filler_index(inner, gen: ArrowObj, f: ArrowObj, cap) -> dict:
-    """Every diagonal s: gen.cod -> f.dom, filed under the problem it
-    solves, ``(s . gen, f . s)``, in hom order."""
+def _filler_index(inner, j: str, gen: ArrowObj, f: ArrowObj, cap) -> dict:
+    """Every diagonal s: gen.cod -> f.dom for the generator gen at j, filed
+    under the problem it solves, ``(s . gen, f . s)``, in hom order."""
+    try:
+        diagonals = inner.hom(gen.cod, f.dom, cap=cap)
+    except EnumerationCap as exc:
+        raise EnumerationCap(
+            f"{exc}, enumerating the fillers at generator {j!r}: "
+            f"diagonals {hom_shape(inner, gen.cod, f.dom)}") from exc
     index: dict = {}
-    for s in inner.hom(gen.cod, f.dom, cap=cap):
+    for s in diagonals:
         index.setdefault((inner.compose(s, gen.mor), inner.compose(f.mor, s)),
                          []).append(s)
     return index
@@ -548,7 +568,7 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     fillers: dict = {}
     for i, _a in problems:
         if i not in fillers:
-            fillers[i] = _filler_index(inner, u.arrow(i), f, cap)
+            fillers[i] = _filler_index(inner, i, u.arrow(i), f, cap)
     candidates = [fillers[i].get((a.top, a.bottom), []) for i, a in problems]
     index = {(i, a.top, a.bottom): k for k, (i, a) in enumerate(problems)}
     incoming = {i: [(m.dom, u.square(m.name))
@@ -703,7 +723,7 @@ def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
         problems = lifting_problems(u, i, f, cap=cap)
         if not problems:
             continue
-        fillers = _filler_index(inner, u.arrow(i), f, cap)
+        fillers = _filler_index(inner, i, u.arrow(i), f, cap)
         if any((a.top, a.bottom) not in fillers for a in problems):
             return False
     return True
@@ -724,7 +744,9 @@ def find_filler(inner, left_mor, right_mor, top, bottom,
 @dataclass(frozen=True)
 class Coalgebra:
     """A map together with a section of its right factor that restricts the
-    left factor correctly."""
+    left factor correctly: a coalgebra for the left-factor comonad, as in
+    the coalgebra and retract-closure claims of Bourke-Garner 2016 (AWFS
+    I)."""
     f: ArrowObj
     section: object
 

@@ -247,7 +247,7 @@ def _cmd_replay(args):
                                  "over finite sets")
         fun = _doubling(inner)
     if args.witnesses:
-        raw = _read_json(args.witnesses)
+        raw = json_object(_read_json(args.witnesses), "witness file")
         witnesses = {j: ArrowObj(inner, inner.mor_from_json(d))
                      for j, d in raw.items()}
     else:

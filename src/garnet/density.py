@@ -98,7 +98,22 @@ def validate_diagram(u: ArrowDiagram) -> list[str]:
 def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
                      cap: int | None = None) -> list[Square]:
     """All squares from the generator at i into f, in deterministic order."""
-    return u.arr.hom(u.arrow(i), f, cap=cap)
+    gen = u.arrow(i)
+    try:
+        return u.arr.hom(gen, f, cap=cap)
+    except EnumerationCap as exc:
+        raise EnumerationCap(
+            f"{exc}, enumerating the lifting problems at generator {i!r}: "
+            f"tops {hom_shape(u.ambient, gen.dom, f.dom)}, bottoms "
+            f"{hom_shape(u.ambient, gen.cod, f.cod)}") from exc
+
+
+def hom_shape(inner, a, b) -> str:
+    """The shape |a|->|b| of a hom-set, level by level, for messages."""
+    if isinstance(inner, PresheafAmbient):
+        return "(" + ", ".join(f"{c}: {a.at(c).size}->{b.at(c).size}"
+                               for c in inner.base.objects) + ")"
+    return f"{a.size}->{b.size}"
 
 
 def problem_at(index: dict, j: str, top, bottom):
@@ -157,7 +172,14 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
 
 @dataclass
 class DensityResult:
-    """The density value at f: the colimit arrow, its counit, and legs."""
+    """The density value at f: the colimit arrow, its counit, and legs.
+
+    Only ``f``, ``counit`` and the comma's ``problems`` and ``by_boundary``
+    have f in their boundary.  The rest -- ``den``, ``legs``, ``coproduct``,
+    ``coequalizer`` and the comma's ``objects``, ``relations`` and ``over``
+    -- depend on f's sizes and tables only, not on its labels, so
+    ``retarget_density`` shares them between relabeled copies of f.
+    """
     f: ArrowObj
     comma: CommaResult
     den: ArrowObj
@@ -170,6 +192,9 @@ class DensityResult:
 
 def density_comonad(u: ArrowDiagram, f: ArrowObj,
                     cap: int | None = None) -> DensityResult:
+    """The density comonad at f, built from scratch: the colimit over the
+    comma category of lifting problems into f of the generating arrows.
+    Its label-free fields are listed on ``DensityResult``."""
     arr = u.arr
     comma = comma_category(u, f, cap=cap)
     obj_names = list(comma.objects)
@@ -193,6 +218,30 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
         [comma.problems[n][1] for n in obj_names], cod=f))
     return DensityResult(f, comma, ce.obj, counit, legs,
                          coproduct=cp, coequalizer=ce)
+
+
+def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
+    """The density at f, given the density at a map with f's skeleton (the
+    same sizes and tables, other labels).
+
+    The identity-table iso ``core.f -> f`` keeps the order of every
+    hom-set, so the comma names, relations and colimit agree with a fresh
+    build at f and are shared; each problem square and the counit are
+    composed with the iso, and the boundary index is rebuilt from them.
+    """
+    amb = f.ambient
+    iso = Square(core.f, f, amb.relabel(core.f.dom, f.dom),
+                 amb.relabel(core.f.cod, f.cod))
+    problems = {n: (j, compose_squares(iso, alpha))
+                for n, (j, alpha) in core.comma.problems.items()}
+    by_boundary = {(j, alpha.top, alpha.bottom): n
+                   for n, (j, alpha) in problems.items()}
+    comma = CommaResult(core.comma.objects, core.comma.relations, problems,
+                        by_boundary, core.comma.over)
+    return DensityResult(f, comma, core.den,
+                         compose_squares(iso, core.counit), core.legs,
+                         coproduct=core.coproduct,
+                         coequalizer=core.coequalizer)
 
 
 def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,

@@ -170,16 +170,31 @@ def category_from_json(data) -> FinCategory:
     for key in ("objects", "morphisms"):
         if key not in data:
             raise MalformedInput(f"category is missing field {key!r}")
+    for key in ("objects", "morphisms", "compose"):
+        if not isinstance(data.get(key, []), list):
+            raise MalformedInput(f"category {key!r} must be a list")
+    if not all(isinstance(x, str) for x in data["objects"]):
+        raise MalformedInput("category objects must be strings")
     morphisms = []
     for entry in data["morphisms"]:
-        try:
-            morphisms.append(Morphism(entry["name"], entry["dom"], entry["cod"]))
-        except (KeyError, TypeError):
+        names = _names(entry, ("name", "dom", "cod"))
+        if names is None:
             raise MalformedInput(f"bad morphism entry {entry!r}")
+        morphisms.append(Morphism(*names))
     compose = {}
     for entry in data.get("compose", []):
-        try:
-            compose[(entry["g"], entry["f"])] = entry["eq"]
-        except (KeyError, TypeError):
+        names = _names(entry, ("g", "f", "eq"))
+        if names is None:
             raise MalformedInput(f"bad compose entry {entry!r}")
+        g, f, h = names
+        compose[(g, f)] = h
     return FinCategory(data["objects"], morphisms, compose)
+
+
+def _names(entry, keys):
+    """The strings an entry holds at keys, or None if it is not an object
+    holding a string at each."""
+    if isinstance(entry, dict) \
+            and all(isinstance(entry.get(k), str) for k in keys):
+        return [entry[k] for k in keys]
+    return None

@@ -71,7 +71,7 @@ def indexed_candidates(inner, gen, f, cap=None):
     problems = ArrowAmbient(inner).hom(gen, f, cap=cap)
     if not problems:
         return []
-    index = _filler_index(inner, gen, f, cap)
+    index = _filler_index(inner, "j", gen, f, cap)
     return [index.get((a.top, a.bottom), []) for a in problems]
 
 
@@ -196,4 +196,4 @@ def test_has_rlp_enumerates_no_fillers_without_problems():
     assert outcome(oracle_has_rlp, f, u, cap=5) == ("ok", True)
     assert outcome(has_rlp, f, u, cap=5) == ("ok", True)
     with pytest.raises(EnumerationCap):
-        _filler_index(PAMB, gen, f, 5)
+        _filler_index(PAMB, "j", gen, f, 5)

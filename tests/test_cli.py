@@ -223,6 +223,26 @@ def test_exit_code_cap(monkeypatch):
                 "--map", fix("f_2_to_1.json"), "--mode", "count"]) == 4
 
 
+@pytest.mark.parametrize("cmd, where", [
+    (["factorize", "--generators", fix("walking_cospan.json"),
+      "--map", fix("f_0_to_1.json")],
+     "lifting problems at generator 'a': tops 1->2, bottoms 2->1"),
+    (["rlp", "--generators", fix("point_inclusion.json"),
+      "--map", fix("f_2_to_1.json")],
+     "fillers at generator 'j': diagonals 1->2"),
+    (["factorize", "--ambient", "presheaf", "--base", fix("graph_base.json"),
+      "--generators", fix("graph_boundary.json"),
+      "--map", fix("graph_edge_to_loop.json")],
+     "lifting problems at generator 'j': tops (v: 2->2, e: 0->1), "
+     "bottoms (v: 2->1, e: 1->1)"),
+], ids=["factorize", "rlp", "presheaf"])
+def test_cap_errors_name_the_generator_and_hom(tmp_path, cmd, where):
+    out = tmp_path / "r.json"
+    assert run([*cmd, "--cap", "1", "--output", str(out)]) == 4
+    error = load(out)["error"]
+    assert error["kind"] == "EnumerationCap" and where in error["message"]
+
+
 def test_exit_code_bad_inputs(tmp_path):
     assert run(["factorize", "--generators", str(tmp_path / "nope.json"),
                 "--map", fix("f_0_to_1.json")]) == 1
@@ -322,6 +342,20 @@ MALFORMED = {
     "trace-generator-arrows-not-object": (REPORT,
                                           TRACE + ("generators", "arrows"),
                                           []),
+    "trace-index-morphisms-not-list": (REPORT, TRACE + ("generators", "index",
+                                                        "morphisms"), 5),
+    "index-morphisms-not-list": ("walking_cospan.json",
+                                 ("index", "morphisms"), 5),
+    "index-compose-not-list": ("walking_cospan.json", ("index", "compose"),
+                               5),
+    "index-objects-not-list": ("walking_cospan.json", ("index", "objects"),
+                               7),
+    "index-object-not-string": ("walking_cospan.json",
+                                ("index", "objects", 0), ["b"]),
+    "index-morphism-name-not-string": ("walking_cospan.json",
+                                       ("index", "morphisms", 0, "name"),
+                                       ["s"]),
+    "witnesses-not-object": ("witnesses.json", (), [1, 2]),
 }
 
 
@@ -331,6 +365,8 @@ def _malformed_commands(tmp_path, case):
     name, path, value = MALFORMED[case]
     if name == "problem.json":
         data = json.loads(json.dumps(PROBLEM))
+    elif name == "witnesses.json":
+        data = load(fix("walking_cospan.json"))["arrows"]
     else:
         data = load(fix(name))
     written = tmp_path / os.path.basename(name)
@@ -342,6 +378,11 @@ def _malformed_commands(tmp_path, case):
     if name == REPORT:
         return [["trace-verify", "--report", bad],
                 ["replay", "--report", bad]]
+    if name == "witnesses.json":
+        return [["replay", "--report", fix(REPORT), "--witnesses", bad]]
+    if name == "walking_cospan.json":
+        return [["factorize", "--generators", bad,
+                 "--map", fix("f_0_to_1.json")]]
     if name.startswith("graph"):
         return [["factorize", "--ambient", "presheaf",
                  "--base", fix("graph_base.json"),
@@ -362,7 +403,8 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "component-out-of-range", "report-not-object",
     "report-ambient-not-object", "report-factorization-not-object",
-    "report-trace-not-object", "trace-stages-not-list"])
+    "report-trace-not-object", "trace-stages-not-list",
+    "witnesses-not-object", "index-morphisms-not-list"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here
