@@ -11,10 +11,20 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 
 The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
-``mor_from_json``, and two methods for working up to relabeling:
-``skeleton`` (a hashable key of a map's sizes and tables, without its
-labels) and ``relabel`` (the iso between two objects that differ only in
-their labels, with table ``0..n-1`` at every level).
+``mor_from_json``, and these:
+
+- a per-level table view, for code that works on integer tables: ``tables``
+  (a map's tables, one per level in a fixed level order: the one set of a
+  finite set, the base objects of a presheaf) and ``from_tables`` (the
+  checked map between two objects with the given tables);
+- ``quotient`` (an object divided by the equivalence closure of pairs of
+  element indices, given per level in the same order; classes are named
+  after and ordered by their minimal members, and the result has ``proj``
+  and ``mediate``);
+- two methods for working up to relabeling: ``skeleton`` (a hashable key of
+  a map's sizes and tables, without its labels) and ``relabel`` (the iso
+  between two objects that differ only in their labels, with table
+  ``0..n-1`` at every level).
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -84,6 +94,17 @@ class FinSetAmbient:
     def sequential_colimit(self, maps):
         return finset.sequential_colimit(maps)
 
+    def quotient(self, x, pairs):
+        (level,) = pairs
+        return finset.quotient(x, level)
+
+    def tables(self, m):
+        return (m.table,)
+
+    def from_tables(self, a, b, tables):
+        (table,) = tables
+        return finset.FinFunction(a, b, table)
+
     def obj_size(self, x):
         return x.size
 
@@ -91,7 +112,7 @@ class FinSetAmbient:
         return (m.dom.size, m.cod.size, m.table)
 
     def relabel(self, a, b):
-        return finset.FinFunction(a, b, tuple(range(a.size)))
+        return self.from_tables(a, b, (tuple(range(a.size)),))
 
     def obj_to_json(self, x):
         return finset.finset_to_json(x)
@@ -157,6 +178,17 @@ class PresheafAmbient:
     def sequential_colimit(self, maps):
         return psh.presheaf_sequential_colimit(maps)
 
+    def quotient(self, x, pairs):
+        return psh.presheaf_quotient(x, dict(zip(self.base.objects, pairs)))
+
+    def tables(self, m):
+        return tuple(m.at(c).table for c in self.base.objects)
+
+    def from_tables(self, a, b, tables):
+        return psh.PresheafMap(a, b, {
+            c: finset.FinFunction(a.at(c), b.at(c), table)
+            for c, table in zip(self.base.objects, tables)})
+
     def obj_size(self, x):
         return sum(x.at(c).size for c in self.base.objects)
 
@@ -169,9 +201,8 @@ class PresheafAmbient:
                       for r in self.base.non_identity_morphisms()))
 
     def relabel(self, a, b):
-        return psh.PresheafMap(a, b, {
-            c: finset.FinFunction(a.at(c), b.at(c), tuple(range(a.at(c).size)))
-            for c in self.base.objects})
+        return self.from_tables(a, b, [tuple(range(a.at(c).size))
+                                       for c in self.base.objects])
 
     def obj_to_json(self, x):
         return psh.presheaf_to_json(x)

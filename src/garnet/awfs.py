@@ -59,6 +59,8 @@ class GeneratedAWFS:
         self.generators = generators
         self.ambient = generators.ambient
         self.arr = generators.arr
+        if type(max_steps) is not int or max_steps < 0:
+            raise MalformedInput("max_steps must be a non-negative integer")
         self.backdrop = backdrop
         self.cap = cap
         self.max_steps = max_steps
@@ -69,9 +71,9 @@ class GeneratedAWFS:
 
     def density(self, f: ArrowObj):
         """The density comonad at f, memoized up to relabeling: the colimit
-        and the comma names, relations and ``over`` (the label-free fields
-        of ``DensityResult``) are built once per skeleton of f, its sizes
-        and tables; the problems, their boundary index and the counit are
+        and the comma names, relations, ``over`` and boundary index (the
+        label-free fields of ``DensityResult``) are built once per skeleton
+        of f, its sizes and tables; the problems and the counit are
         retargeted to f's labels."""
         core = self.session.memo(
             ("density", self.ambient.skeleton(f.mor)),
@@ -690,8 +692,7 @@ def structure_to_algebra(awfs: GeneratedAWFS,
     for name in den.comma.objects:
         j, a = den.comma.problems[name]
         legs.append(Square(u.arrow(j), target, a.top, psi.fillers[(j, a)]))
-    glued = den.coequalizer.mediate(
-        den.coproduct.mediate(legs, cod=target))
+    glued = den.mediate(legs, target)
     d_top = data.po.mediate(inner.identity(f.dom), glued.bottom)
     return Square(data.obj, f, d_top, inner.identity(f.cod))
 
@@ -969,6 +970,14 @@ def _stage_index(value, stages, what: str) -> int:
     return value
 
 
+def _certificate(value) -> dict:
+    """value, if it is a certificate object that names its morphism."""
+    cert = json_object(value, "certificate")
+    if not isinstance(cert.get("morphism"), str):
+        raise MalformedInput("a certificate's 'morphism' must be a string")
+    return cert
+
+
 def trace_from_json(data, inner) -> Trace:
     """The trace a factorize report records; a part of the wrong JSON type
     raises MalformedInput, and verify_trace checks the values."""
@@ -998,7 +1007,7 @@ def trace_from_json(data, inner) -> Trace:
                 (mor(span[0]), mor(span[1])),
                 tuple(_json_list(bd["tags"], "gluing 'tags'", 2)),
                 mor(bd["left"]), mor(bd["right"]), bd["into"])
-        certs = tuple(json_object(c, "certificate") for c in
+        certs = tuple(_certificate(c) for c in
                       _json_list(sd["certificates"], "stage 'certificates'"))
         stages.append(TraceStage(
             _stage_index(sd["index"], raw, "stage 'index'"),

@@ -8,17 +8,19 @@ because the morphisms between lifting problems (the coherences) are what
 the rest of the build quotients by; their composites are never needed.
 
 A lifting problem against the generator at j is a square into f whose
-source and target are fixed, so it is determined by ``(j, top, bottom)``.
-Problems are keyed by that boundary: the problem a generator morphism or a
-square of maps carries a problem to is found by composing the two sides in
-the inner ambient and looking them up, not by building the composite
-square.
+source and target are fixed, so it is determined by j and the tables of its
+top and bottom.  Problems are keyed by that boundary: the problem a
+generator morphism or a square of maps carries a problem to is found by
+composing the two sides' tables and looking them up, without building a
+map or a square.  The colimit is built on tables too, as one quotient of
+the coproduct of the cells.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from . import presheaf as psh
 from .arrows import (
@@ -30,10 +32,12 @@ from .arrows import (
     compose_squares,
     identity_square,
 )
-from .errors import EnumerationCap, MalformedInput, NoIsoFound
+from .errors import DomainMismatch, EnumerationCap, MalformedInput, \
+    NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
     discrete_category
-from .finset import EMPTY, FinFunction, FinSet, json_object
+from .finset import EMPTY, FinFunction, FinSet, class_values, \
+    first_members, json_object
 
 
 class ArrowDiagram:
@@ -127,6 +131,11 @@ def problem_at(index: dict, j: str, top, bottom):
                              f"boundary") from None
 
 
+def compose_tables(g, f) -> tuple:
+    """The tables of g . f, level by level, from those of g and of f."""
+    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
+
+
 @dataclass
 class CommaResult:
     """The comma category of lifting problems, presented by its objects and
@@ -137,32 +146,34 @@ class CommaResult:
     relations: list[tuple[str, str, str]]
     # comma object name -> (index object, problem square), in object order
     problems: dict[str, tuple[str, Square]]
-    # (index object, top, bottom) -> comma object name
-    by_boundary: dict[tuple[str, object, object], str]
+    # (index object, top tables, bottom tables) -> comma object name, in
+    # object order; the tables are the inner ambient's ``tables``
+    by_boundary: dict[tuple[str, tuple, tuple], str]
     # comma morphism name -> index morphism name
     over: dict[str, str]
 
 
 def comma_category(u: ArrowDiagram, f: ArrowObj,
                    cap: int | None = None) -> CommaResult:
-    amb = u.ambient
+    tables = u.ambient.tables
     problems: dict[str, tuple[str, Square]] = {}
-    by_boundary: dict[tuple[str, object, object], str] = {}
+    by_boundary: dict[tuple[str, tuple, tuple], str] = {}
     for j in u.index.objects:
         for k, alpha in enumerate(lifting_problems(u, j, f, cap=cap)):
             name = f"{j}#{k}"
             problems[name] = (j, alpha)
-            by_boundary[(j, alpha.top, alpha.bottom)] = name
+            by_boundary[(j, tables(alpha.top), tables(alpha.bottom))] = name
     relations = []
     over = {}
     for t in u.index.non_identity_morphisms():
         ut = u.square(t.name)
-        for name2, (j2, alpha2) in problems.items():
+        ut_top, ut_bottom = tables(ut.top), tables(ut.bottom)
+        for (j2, top2, bottom2), name2 in by_boundary.items():
             if j2 != t.cod:
                 continue
             name1 = problem_at(by_boundary, t.dom,
-                               amb.compose(alpha2.top, ut.top),
-                               amb.compose(alpha2.bottom, ut.bottom))
+                               compose_tables(top2, ut_top),
+                               compose_tables(bottom2, ut_bottom))
             mor_name = f"{t.name}@{name2}"
             relations.append((mor_name, name1, name2))
             over[mor_name] = t.name
@@ -174,50 +185,101 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
 class DensityResult:
     """The density value at f: the colimit arrow, its counit, and legs.
 
-    Only ``f``, ``counit`` and the comma's ``problems`` and ``by_boundary``
-    have f in their boundary.  The rest -- ``den``, ``legs``, ``coproduct``,
-    ``coequalizer`` and the comma's ``objects``, ``relations`` and ``over``
-    -- depend on f's sizes and tables only, not on its labels, so
-    ``retarget_density`` shares them between relabeled copies of f.
+    The colimit is the coproduct of one cell per lifting problem (a copy of
+    its generating arrow), divided by the relations.  ``cells`` lists the
+    generating arrows in comma object order, and ``classes`` holds, for the
+    domain and then the codomain side, one ``(proj, reps)`` per level of
+    the inner ambient: the class of each element of the coproduct, and the
+    minimal member of each class.  ``mediate`` reads a cocone off these.
+
+    Only ``f``, ``counit`` and the comma's ``problems`` have f in their
+    boundary.  The rest -- ``den``, ``legs``, ``cells``, ``classes`` and the
+    comma's ``objects``, ``relations``, ``over`` and ``by_boundary``, whose
+    keys are tables without labels -- depend on f's sizes and tables only,
+    so ``retarget_density`` shares them between relabeled copies of f.
     """
     f: ArrowObj
     comma: CommaResult
     den: ArrowObj
     counit: Square
     legs: dict[str, Square] = field(repr=False)
-    # colimit provenance, reused by the functorial action and by replay
-    coproduct: object = field(repr=False, default=None)
-    coequalizer: object = field(repr=False, default=None)
+    cells: tuple = field(repr=False)
+    classes: tuple = field(repr=False)
+
+    def mediate(self, cocone, cod: ArrowObj) -> Square:
+        """The square den -> cod induced by a cocone: one square from each
+        cell into cod, in comma object order.  Each side's tables are
+        concatenated over the cells and read once per class; a cocone that
+        is not constant on a class, which is to say one that does not
+        respect a relation, raises DomainMismatch."""
+        if len(cocone) != len(self.cells):
+            raise DomainMismatch("a cocone needs one leg per lifting problem")
+        for leg, cell in zip(cocone, self.cells):
+            if leg.source != cell or leg.target != cod:
+                raise DomainMismatch("cocone leg does not go from its cell "
+                                     "to the cocone's arrow")
+        inner = cod.ambient
+        sides = []
+        for side, levels in zip(("top", "bottom"), self.classes):
+            legs = [inner.tables(getattr(leg, side)) for leg in cocone]
+            sides.append([
+                class_values(proj, reps, list(chain.from_iterable(
+                    t[k] for t in legs)))
+                for k, (proj, reps) in enumerate(levels)])
+        return Square(self.den, cod,
+                      inner.from_tables(self.den.dom, cod.dom, sides[0]),
+                      inner.from_tables(self.den.cod, cod.cod, sides[1]))
 
 
 def density_comonad(u: ArrowDiagram, f: ArrowObj,
                     cap: int | None = None) -> DensityResult:
     """The density comonad at f, built from scratch: the colimit over the
     comma category of lifting problems into f of the generating arrows.
-    Its label-free fields are listed on ``DensityResult``."""
-    arr = u.arr
+
+    The coproduct of the cells fixes the labels.  Its domain and codomain
+    are then divided, level by level, by the relations: a relation
+    ``t@n2: n1 -> n2`` identifies each element x of the cell of n1 with
+    ``u(t)(x)`` in the cell of n2.  Its label-free fields are listed on
+    ``DensityResult``."""
+    inner = u.ambient
+    tables = inner.tables
     comma = comma_category(u, f, cap=cap)
-    obj_names = list(comma.objects)
-    parts = [u.arrow(comma.problems[n][0]) for n in obj_names]
-    cp = arr.coproduct(parts, tags=obj_names)
-    rel_parts = [u.arrow(comma.problems[dom][0])
-                 for _, dom, _ in comma.relations]
-    rel_cp = arr.coproduct(rel_parts,
-                           tags=[name for name, _, _ in comma.relations])
-    idx = {n: k for k, n in enumerate(obj_names)}
-    left = rel_cp.mediate(
-        [cp.injections[idx[dom]] for _, dom, _ in comma.relations],
-        cod=cp.obj)
-    right = rel_cp.mediate(
-        [compose_squares(cp.injections[idx[cod]], u.square(comma.over[name]))
-         for name, _, cod in comma.relations], cod=cp.obj)
-    ce = arr.coequalizer(left, right)
-    legs = {n: compose_squares(ce.proj, cp.injections[idx[n]])
-            for n in obj_names}
-    counit = ce.mediate(cp.mediate(
-        [comma.problems[n][1] for n in obj_names], cod=f))
-    return DensityResult(f, comma, ce.obj, counit, legs,
-                         coproduct=cp, coequalizer=ce)
+    names = comma.objects
+    cells = tuple(u.arrow(comma.problems[n][0]) for n in names)
+    cp = u.arr.coproduct(cells, tags=names)
+    # where each cell sits in the coproduct, per side and level
+    at = {n: (tables(inj.top), tables(inj.bottom))
+          for n, inj in zip(names, cp.injections)}
+    squares = {t.name: (tables(u.square(t.name).top),
+                        tables(u.square(t.name).bottom))
+               for t in u.index.non_identity_morphisms()}
+    levels = len(tables(cp.obj.mor))
+    pairs = ([[] for _ in range(levels)], [[] for _ in range(levels)])
+    for name, n1, n2 in comma.relations:
+        for side in (0, 1):
+            for k, ut in enumerate(squares[comma.over[name]][side]):
+                into = at[n2][side][k]
+                pairs[side][k].extend(zip(at[n1][side][k],
+                                          map(into.__getitem__, ut)))
+    dom_q = inner.quotient(cp.obj.dom, pairs[0])
+    cod_q = inner.quotient(cp.obj.cod, pairs[1])
+    projs = (tables(dom_q.proj), tables(cod_q.proj))
+    classes = tuple(tuple((proj, first_members(proj)) for proj in side)
+                    for side in projs)
+    # the arrow between the quotients, read at one member of each class
+    den = ArrowObj(inner, inner.from_tables(dom_q.obj, cod_q.obj, [
+        tuple(cod_proj[mor[r]] for r in reps)
+        for (_, reps), cod_proj, mor in zip(classes[0], projs[1],
+                                            tables(cp.obj.mor))]))
+    legs = {}
+    for n, cell in zip(names, cells):
+        top, bottom = (compose_tables(projs[side], at[n][side])
+                       for side in (0, 1))
+        legs[n] = Square(cell, den, inner.from_tables(cell.dom, den.dom, top),
+                         inner.from_tables(cell.cod, den.cod, bottom))
+    out = DensityResult(f, comma, den, None, legs, cells, classes)
+    out.counit = out.mediate([comma.problems[n][1] for n in names], f)
+    return out
 
 
 def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
@@ -225,40 +287,33 @@ def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
     same sizes and tables, other labels).
 
     The identity-table iso ``core.f -> f`` keeps the order of every
-    hom-set, so the comma names, relations and colimit agree with a fresh
-    build at f and are shared; each problem square and the counit are
-    composed with the iso, and the boundary index is rebuilt from them.
+    hom-set and every table, so the comma names, relations, boundary index
+    and colimit agree with a fresh build at f and are shared; only each
+    problem square and the counit are composed with the iso.
     """
     amb = f.ambient
     iso = Square(core.f, f, amb.relabel(core.f.dom, f.dom),
                  amb.relabel(core.f.cod, f.cod))
     problems = {n: (j, compose_squares(iso, alpha))
                 for n, (j, alpha) in core.comma.problems.items()}
-    by_boundary = {(j, alpha.top, alpha.bottom): n
-                   for n, (j, alpha) in problems.items()}
-    comma = CommaResult(core.comma.objects, core.comma.relations, problems,
-                        by_boundary, core.comma.over)
-    return DensityResult(f, comma, core.den,
-                         compose_squares(iso, core.counit), core.legs,
-                         coproduct=core.coproduct,
-                         coequalizer=core.coequalizer)
+    comma = replace(core.comma, problems=problems)
+    return replace(core, f=f, comma=comma,
+                   counit=compose_squares(iso, core.counit))
 
 
 def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
                    den_g: DensityResult) -> Square:
-    """The induced square between density values along sigma: f -> g."""
+    """The induced square between density values along sigma: f -> g.  Each
+    problem at f, composed with sigma on tables, is looked up at g."""
     if sigma.source != den_f.f or sigma.target != den_g.f:
         raise MalformedInput("square endpoints do not match the densities")
-    amb = u.ambient
-    cocone = []
-    for n in den_f.comma.objects:
-        j, alpha = den_f.comma.problems[n]
-        target_name = problem_at(den_g.comma.by_boundary, j,
-                                 amb.compose(sigma.top, alpha.top),
-                                 amb.compose(sigma.bottom, alpha.bottom))
-        cocone.append(den_g.legs[target_name])
-    mediated = den_f.coproduct.mediate(cocone, cod=den_g.den)
-    return den_f.coequalizer.mediate(mediated)
+    tables = u.ambient.tables
+    top, bottom = tables(sigma.top), tables(sigma.bottom)
+    index = den_g.comma.by_boundary
+    cocone = [den_g.legs[problem_at(index, j, compose_tables(top, t),
+                                    compose_tables(bottom, b))]
+              for j, t, b in den_f.comma.by_boundary]
+    return den_f.mediate(cocone, den_g.den)
 
 
 def is_cartesian(s: Square) -> bool:
@@ -267,14 +322,12 @@ def is_cartesian(s: Square) -> bool:
     presheaves, every object of the base) x |-> (top x, source x) must be
     injective and hit as many pairs as the target and the bottom send to
     one point; it lands in those pairs because the square commutes."""
-    inner = s.source.ambient
-    sides = (s.top, s.source.mor, s.target.mor, s.bottom)
-    levels = [[m.at(c) for m in sides] for c in inner.base.objects] \
-        if isinstance(inner, PresheafAmbient) else [sides]
-    for top, src, tgt, bottom in levels:
-        over = Counter(tgt.table)
-        if len(set(zip(top.table, src.table))) != src.dom.size \
-                or sum(over[d] for d in bottom.table) != src.dom.size:
+    tables = s.source.ambient.tables
+    for top, src, tgt, bottom in zip(*map(tables, (
+            s.top, s.source.mor, s.target.mor, s.bottom))):
+        over = Counter(tgt)
+        if len(set(zip(top, src))) != len(src) \
+                or sum(over[d] for d in bottom) != len(src):
             return False
     return True
 
@@ -424,11 +477,12 @@ ISO_SEARCH_STEPS = 1_000_000  # find_arrow_iso's backtracking budget
 
 
 def _levels(ambient, f: ArrowObj):
-    """Flatten an arrow into named levels with unary structure maps."""
+    """Flatten an arrow into named levels with unary structure maps; the
+    level names come in the order of the ambient's ``tables``."""
     if isinstance(ambient, FinSetAmbient):
         sets = {(0, "*"): f.dom, (1, "*"): f.cod}
         funs = [("arr", (0, "*"), (1, "*"), f.mor)]
-        return sets, funs
+        return ("*",), sets, funs
     assert isinstance(ambient, PresheafAmbient)
     base = ambient.base
     sets = {}
@@ -443,7 +497,7 @@ def _levels(ambient, f: ArrowObj):
                      f.dom.restrict(m.name)))
         funs.append((f"r1@{m.name}", (1, arrow.cod), (1, arrow.dom),
                      f.cod.restrict(m.name)))
-    return sets, funs
+    return base.objects, sets, funs
 
 
 def _refine(sets, funs, colors):
@@ -465,8 +519,8 @@ def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj) -> Square | None:
     Levels are first partitioned by iterated color refinement over all the
     structure maps; backtracking then only matches nodes of equal color.
     """
-    sets_a, funs_a = _levels(ambient, a)
-    sets_b, funs_b = _levels(ambient, b)
+    names, sets_a, funs_a = _levels(ambient, a)
+    _, sets_b, funs_b = _levels(ambient, b)
     if set(sets_a) != set(sets_b):
         return None
     for slot in sets_a:
@@ -551,22 +605,12 @@ def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj) -> Square | None:
 
     if not search(0):
         return None
-    if isinstance(ambient, FinSetAmbient):
-        top = FinFunction(a.dom, b.dom, tuple(
-            assignment[((0, "*"), i)][1] for i in range(a.dom.size)))
-        bottom = FinFunction(a.cod, b.cod, tuple(
-            assignment[((1, "*"), i)][1] for i in range(a.cod.size)))
-        return Square(a, b, top, bottom)
-    base = ambient.base
-    top = psh.PresheafMap(a.dom, b.dom, {
-        c: FinFunction(a.dom.at(c), b.dom.at(c), tuple(
-            assignment[((0, c), i)][1] for i in range(a.dom.at(c).size)))
-        for c in base.objects})
-    bottom = psh.PresheafMap(a.cod, b.cod, {
-        c: FinFunction(a.cod.at(c), b.cod.at(c), tuple(
-            assignment[((1, c), i)][1] for i in range(a.cod.at(c).size)))
-        for c in base.objects})
-    return Square(a, b, top, bottom)
+
+    def side(end, x, y):
+        return ambient.from_tables(x, y, [
+            tuple(assignment[((end, c), i)][1]
+                  for i in range(sets_a[(end, c)].size)) for c in names])
+    return Square(a, b, side(0, a.dom, b.dom), side(1, a.cod, b.cod))
 
 
 # -- JSON ------------------------------------------------------------------------

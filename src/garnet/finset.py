@@ -151,25 +151,51 @@ class _UnionFind:
         self.parent[hi] = lo
 
 
-def _quotient(labels: Sequence[str],
-              pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], FinSet]:
-    """Quotient table and label set for the equivalence closure of pairs.
+def _quotient(n: int, pairs: Iterable[tuple[int, int]]
+              ) -> tuple[list[int], list[int]]:
+    """The class of each element, and the minimal member of each class, for
+    the equivalence closure of pairs.
 
     Classes are ordered by their minimal member, which also names the class.
     """
-    uf = _UnionFind(len(labels))
+    uf = _UnionFind(n)
     for i, j in pairs:
         uf.union(i, j)
     roots: list[int] = []
     index_of_root: dict[int, int] = {}
     table = []
-    for i in range(len(labels)):
+    for i in range(n):
         r = uf.find(i)
         if r not in index_of_root:
             index_of_root[r] = len(roots)
             roots.append(r)
         table.append(index_of_root[r])
-    return tuple(table), FinSet(tuple(labels[r] for r in roots))
+    return table, roots
+
+
+def first_members(proj: Sequence[int]) -> tuple[int, ...]:
+    """The minimal member of each class, for a quotient's table whose
+    classes are numbered in the order of their minimal members."""
+    reps: list[int] = []
+    for i, q in enumerate(proj):
+        if q == len(reps):
+            reps.append(i)
+    return tuple(reps)
+
+
+def class_values(proj: Sequence[int], reps: Sequence[int],
+                 values: Sequence[int]) -> tuple[int, ...]:
+    """The value on each class of a table that is constant on the classes.
+
+    ``proj`` gives the class of each element and ``reps`` one member of each
+    class.  A table that differs on two members of one class is no cocone
+    out of the quotient: it raises DomainMismatch.
+    """
+    out = tuple(values[r] for r in reps)
+    if len(values) != len(proj) \
+            or list(map(out.__getitem__, proj)) != list(values):
+        raise DomainMismatch("cocone leg is not constant on a class")
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +205,8 @@ class CoproductResult:
 
     def mediate(self, legs: Sequence[FinFunction],
                 cod: FinSet | None = None) -> FinFunction:
-        assert len(legs) == len(self.injections)
+        if len(legs) != len(self.injections):
+            raise DomainMismatch("a cocone needs one leg per summand")
         if legs:
             if len({leg.cod for leg in legs}) != 1:
                 raise CodomainMismatch("coproduct legs must share a codomain")
@@ -199,7 +226,8 @@ def coproduct(parts: Sequence[FinSet],
     """Disjoint union with provenance-tagged labels tag.label."""
     if tags is None:
         tags = [f"i{k}" for k in range(len(parts))]
-    assert len(tags) == len(parts)
+    if len(tags) != len(parts):
+        raise DomainMismatch("a coproduct needs one tag per summand")
     labels: list[str] = []
     injections = []
     offset = 0
@@ -214,35 +242,36 @@ def coproduct(parts: Sequence[FinSet],
 
 
 @dataclass(frozen=True)
-class CoequalizerResult:
+class QuotientResult:
+    """A finite set divided by an equivalence relation: ``proj`` sends each
+    element to its class, and ``reps[k]`` is the minimal member of class k,
+    whose label the class carries."""
     obj: FinSet
     proj: FinFunction
-    _pair: tuple[FinFunction, FinFunction]
+    reps: tuple[int, ...]
 
     def mediate(self, h: FinFunction) -> FinFunction:
-        f, g = self._pair
-        if h.dom != f.cod:
-            raise DomainMismatch("cocone leg must start at the shared codomain")
-        if compose(h, f) != compose(h, g):
-            raise DomainMismatch("cocone leg does not coequalize the pair")
-        table = [0] * self.obj.size
-        seen = [False] * self.obj.size
-        for i in range(h.dom.size):
-            q = self.proj(i)
-            if seen[q]:
-                assert table[q] == h(i), "cocone not constant on a class"
-            else:
-                table[q], seen[q] = h(i), True
-        assert all(seen), "projection not surjective"
-        return FinFunction(self.obj, h.cod, tuple(table))
+        if h.dom != self.proj.dom:
+            raise DomainMismatch("cocone leg must start at the quotiented "
+                                 "set")
+        return FinFunction(self.obj, h.cod,
+                           class_values(self.proj.table, self.reps, h.table))
 
 
-def coequalizer(f: FinFunction, g: FinFunction) -> CoequalizerResult:
+def quotient(x: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientResult:
+    """x divided by the equivalence closure of pairs of element indices."""
+    table, reps = _quotient(x.size, pairs)
+    obj = FinSet(tuple(x.labels[r] for r in reps))
+    return QuotientResult(obj, FinFunction(x, obj, tuple(table)), tuple(reps))
+
+
+def coequalizer(f: FinFunction, g: FinFunction) -> QuotientResult:
+    """The quotient of the shared codomain by f(i) ~ g(i); a map out of it
+    is a map constant on the classes, which is to say one that
+    coequalizes f and g."""
     if f.dom != g.dom or f.cod != g.cod:
         raise DomainMismatch("coequalizer needs a parallel pair")
-    table, obj = _quotient(f.cod.labels,
-                           ((f(i), g(i)) for i in range(f.dom.size)))
-    return CoequalizerResult(obj, FinFunction(f.cod, obj, table), (f, g))
+    return quotient(f.cod, zip(f.table, g.table))
 
 
 @dataclass(frozen=True)
@@ -250,27 +279,17 @@ class PushoutResult:
     obj: FinSet
     left: FinFunction    # B -> P
     right: FinFunction   # C -> P
-    _span: tuple[FinFunction, FinFunction]
+    _classes: QuotientResult  # of B + C
 
     def mediate(self, q: FinFunction, r: FinFunction) -> FinFunction:
-        f, g = self._span
-        if q.dom != f.cod or r.dom != g.cod:
+        if q.dom != self.left.dom or r.dom != self.right.dom:
             raise DomainMismatch("cocone legs must start at the span feet")
         if q.cod != r.cod:
             raise CodomainMismatch("cocone legs must share a codomain")
-        if compose(q, f) != compose(r, g):
-            raise DomainMismatch("cocone does not commute over the span apex")
-        table = [0] * self.obj.size
-        seen = [False] * self.obj.size
-        for leg, inn in ((q, self.left), (r, self.right)):
-            for i in range(leg.dom.size):
-                p = inn(i)
-                if seen[p]:
-                    assert table[p] == leg(i), "cocone not constant on a class"
-                else:
-                    table[p], seen[p] = leg(i), True
-        assert all(seen)
-        return FinFunction(self.obj, q.cod, tuple(table))
+        # constant on the classes of B + C exactly when q . f == r . g
+        quo = self._classes
+        return FinFunction(self.obj, q.cod, class_values(
+            quo.proj.table, quo.reps, q.table + r.table))
 
 
 def pushout(f: FinFunction, g: FinFunction,
@@ -285,10 +304,10 @@ def pushout(f: FinFunction, g: FinFunction,
         raise DomainMismatch("pushout needs a span with a shared apex")
     cp = coproduct([f.cod, g.cod], tags=tags)
     in_b, in_c = cp.injections
-    table, obj = _quotient(cp.obj.labels,
-                           ((in_b(f(a)), in_c(g(a))) for a in range(f.dom.size)))
-    proj = FinFunction(cp.obj, obj, table)
-    return PushoutResult(obj, compose(proj, in_b), compose(proj, in_c), (f, g))
+    quo = quotient(cp.obj, ((in_b(f(a)), in_c(g(a)))
+                            for a in range(f.dom.size)))
+    return PushoutResult(quo.obj, compose(quo.proj, in_b),
+                         compose(quo.proj, in_c), quo)
 
 
 def sequential_colimit(maps: Sequence[FinFunction]):

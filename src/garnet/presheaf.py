@@ -433,7 +433,8 @@ class LevelwiseResult:
         return PresheafMap(source, target, parts)
 
     def mediate(self, *legs, cod=None):
-        """Pushout (q, r), coproduct (legs, cod=None) or coequalizer (h)."""
+        """Pushout (q, r), coproduct (legs, cod=None), or coequalizer or
+        quotient (h)."""
         maps = [m for leg in legs
                 for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
         target = maps[0].target if maps else cod
@@ -495,20 +496,30 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
     return LevelwiseResult(obj, level, injections=injections)
 
 
-def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
-    if f.source != g.source or f.target != g.target:
-        raise ShapeMismatch("coequalizer needs a parallel pair")
-    base = f.source.base
-    level = {c: finset.coequalizer(f.at(c), g.at(c)) for c in base.objects}
+def presheaf_quotient(x: Presheaf, pairs) -> LevelwiseResult:
+    """x divided, at each base object c, by the equivalence closure of
+    ``pairs[c]``, pairs of element indices.  The restrictions are induced,
+    so the pairs must be closed under them: otherwise inducing them raises
+    DomainMismatch."""
+    base = x.base
+    level = {c: finset.quotient(x.at(c), pairs[c])
+             for c in base.objects}
     restrict = {}
     for m in base.non_identity_morphisms():
         src, dst = level[m.cod], level[m.dom]
         restrict[m.name] = src.mediate(
-            compose(dst.proj, f.target.restrict(m.name)))
+            compose(dst.proj, x.restrict(m.name)))
     obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
     assert validate_presheaf(obj) == []
-    proj = PresheafMap(f.target, obj, {c: level[c].proj for c in base.objects})
+    proj = PresheafMap(x, obj, {c: level[c].proj for c in base.objects})
     return LevelwiseResult(obj, level, proj=proj)
+
+
+def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
+    if f.source != g.source or f.target != g.target:
+        raise ShapeMismatch("coequalizer needs a parallel pair")
+    return presheaf_quotient(f.target, {
+        c: zip(f.at(c).table, g.at(c).table) for c in f.source.base.objects})
 
 
 def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):

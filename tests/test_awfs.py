@@ -749,6 +749,13 @@ def test_quillen_iteration_limit_carries_progress():
     assert info.value.stage_tops == ()
 
 
+@pytest.mark.parametrize("steps", [-1, True, 1.5, "3"])
+def test_stage_bound_rejects_what_is_no_count(steps):
+    from garnet.errors import MalformedInput
+    with pytest.raises(MalformedInput):
+        GeneratedAWFS(point_inclusion(), max_steps=steps)
+
+
 def test_cross_lifting_between_constructions():
     # the cell-by-cell left factor lifts against the free right factor
     aw = point_awfs()

@@ -215,6 +215,20 @@ def test_exit_code_iteration_limit():
                 "--map", fix("f_0_to_1.json"), "--max-steps", "1"]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["quillen", "factorize"])
+def test_stage_bound_must_be_a_non_negative_integer(tmp_path, cmd):
+    out = tmp_path / "r.json"
+    job = [cmd, "--generators", fix("point_inclusion.json"),
+           "--map", fix("f_0_to_1.json"), "--output", str(out)]
+    assert run([*job, "--max-steps", "-1"]) == 1
+    assert load(out)["error"]["kind"] == "MalformedInput"
+    # no stage at all: quillen runs out of stages, factorize refuses
+    code = run([*job, "--max-steps", "0"])
+    kind = load(out)["error"]["kind"]
+    assert (code, kind) == ((2, "IterationLimit") if cmd == "quillen"
+                            else (1, "MalformedInput"))
+
+
 def test_exit_code_cap(monkeypatch):
     assert run(["factorize", "--generators", fix("walking_cospan.json"),
                 "--map", fix("f_0_to_1.json"), "--cap", "1"]) == 4
@@ -337,6 +351,9 @@ MALFORMED = {
     "trace-cell-not-object": (REPORT, TRACE + ("stages", 1, "cell"), 5),
     "trace-certificates-not-list": (REPORT,
                                     TRACE + ("stages", 0, "certificates"), 5),
+    "certificate-morphism-not-string": (REPORT,
+                                        TRACE + ("stages", 0, "certificates",
+                                                 0, "morphism"), [1]),
     "trace-backdrop-domain": (REPORT, TRACE + ("backdrop",),
                               {"kind": "domain", "inner": "all"}),
     "trace-generator-arrows-not-object": (REPORT,
@@ -404,7 +421,8 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
     "component-out-of-range", "report-not-object",
     "report-ambient-not-object", "report-factorization-not-object",
     "report-trace-not-object", "trace-stages-not-list",
-    "witnesses-not-object", "index-morphisms-not-list"])
+    "certificate-morphism-not-string", "witnesses-not-object",
+    "index-morphisms-not-list"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here

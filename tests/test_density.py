@@ -258,7 +258,8 @@ def test_representable_problem_is_distinguished():
         gen = u.arrow(j)
         den = density_comonad(u, gen)
         ident = identity_square(gen)
-        name = den.comma.by_boundary[(j, ident.top, ident.bottom)]
+        name = den.comma.by_boundary[(j, ambient.tables(ident.top),
+                                      ambient.tables(ident.bottom))]
         assert compose_squares(den.counit, den.legs[name]) == \
             identity_square(gen)
 

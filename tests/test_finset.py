@@ -5,6 +5,10 @@ naive partition oracle below (repeated merging until a fixed point), which
 shares no code with the union-find implementation.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +33,7 @@ from garnet.finset import (
     function_to_json,
     identity,
     pushout,
+    quotient,
     sequential_colimit,
 )
 
@@ -226,6 +231,69 @@ def test_coequalizer_universal_property(pair):
             ms = mediators(co.obj, [co.proj], [h])
             assert len(ms) == 1
             assert co.mediate(h) == ms[0]
+
+
+@st.composite
+def relations(draw, max_size=5):
+    n = draw(st.integers(0, max_size))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pair, max_size=6)) if n else []
+
+
+@given(relations())
+@settings(max_examples=60, deadline=None)
+def test_quotient_matches_partition_oracle(rel):
+    n, pairs = rel
+    x = fin(n, "x")
+    q = quotient(x, pairs)
+    classes = sorted(sorted(c) for c in oracle_partition(n, pairs))
+    assert [[i for i in range(n) if q.proj(i) == k]
+            for k in range(q.obj.size)] == classes
+    assert q.obj.labels == tuple(x.labels[c[0]] for c in classes)
+    assert q.reps == tuple(c[0] for c in classes)
+
+
+# -- mediators refuse what is no cocone, also under python -O ----------------
+
+NOT_A_COCONE = """
+from garnet.errors import CodomainMismatch, DomainMismatch
+from garnet.finset import FinFunction, FinSet, coequalizer, coproduct, \\
+    pushout, quotient
+
+a, b, w = FinSet.fresh(1, "a"), FinSet.fresh(2, "b"), FinSet.fresh(2, "w")
+swap = FinFunction(b, w, (1, 0))
+cp = coproduct([a, a])
+ce = coequalizer(FinFunction(a, b, (0,)), FinFunction(a, b, (1,)))
+po = pushout(FinFunction(a, b, (0,)), FinFunction(a, b, (1,)))
+cases = [
+    (DomainMismatch, lambda: cp.mediate([FinFunction(a, w, (0,))])),
+    (DomainMismatch, lambda: coproduct([a, b], tags=["only"])),
+    (DomainMismatch, lambda: ce.mediate(swap)),
+    (DomainMismatch, lambda: quotient(b, [(0, 1)]).mediate(swap)),
+    (DomainMismatch, lambda: po.mediate(swap, swap)),
+    (CodomainMismatch, lambda: po.mediate(
+        swap, FinFunction(b, FinSet.fresh(3, "v"), (0, 1)))),
+]
+for k, (error, build) in enumerate(cases):
+    try:
+        build()
+    except error:
+        continue
+    raise SystemExit(f"case {k} did not raise {error.__name__}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_mediators_raise_on_what_is_no_cocone(flags):
+    # python -O strips assert statements, so a check written as one would
+    # let such a cocone through to a wrong map
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, *flags, "-c", NOT_A_COCONE],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 # -- sequential colimit ------------------------------------------------------
