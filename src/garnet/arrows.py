@@ -21,10 +21,8 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   element indices, given per level in the same order; classes are named
   after and ordered by their minimal members, and the result has ``proj``
   and ``mediate``);
-- two methods for working up to relabeling: ``skeleton`` (a hashable key of
-  a map's sizes and tables, without its labels) and ``relabel`` (the iso
-  between two objects that differ only in their labels, with table
-  ``0..n-1`` at every level).
+- ``skeleton``, for working up to relabeling: a hashable key of a map's
+  sizes and tables, without its labels.
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -111,9 +109,6 @@ class FinSetAmbient:
     def skeleton(self, m):
         return (m.dom.size, m.cod.size, m.table)
 
-    def relabel(self, a, b):
-        return self.from_tables(a, b, (tuple(range(a.size)),))
-
     def obj_to_json(self, x):
         return finset.finset_to_json(x)
 
@@ -199,10 +194,6 @@ class PresheafAmbient:
                 tuple((m.source.restrict(r.name).table,
                        m.target.restrict(r.name).table)
                       for r in self.base.non_identity_morphisms()))
-
-    def relabel(self, a, b):
-        return self.from_tables(a, b, [tuple(range(a.at(c).size))
-                                       for c in self.base.objects])
 
     def obj_to_json(self, x):
         return psh.presheaf_to_json(x)

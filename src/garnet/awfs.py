@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
                      compose_squares, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
-                      arrow_diagram_to_json, density_action, density_comonad,
-                      hom_shape, lifting_problems, problem_at,
-                      retarget_density, validate_diagram)
+                      arrow_diagram_to_json, comma_category, compose_tables,
+                      density_action, density_comonad, hom_shape,
+                      lifting_problems, retarget_density, validate_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
@@ -25,6 +25,13 @@ from .finset import json_object
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
+
+
+def require_count(value, what: str) -> int:
+    """value, if it is a non-negative int (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise MalformedInput(f"{what} must be a non-negative integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,9 @@ class GeneratedAWFS:
         self.generators = generators
         self.ambient = generators.ambient
         self.arr = generators.arr
-        if type(max_steps) is not int or max_steps < 0:
-            raise MalformedInput("max_steps must be a non-negative integer")
         self.backdrop = backdrop
-        self.cap = cap
-        self.max_steps = max_steps
+        self.cap = None if cap is None else require_count(cap, "cap")
+        self.max_steps = require_count(max_steps, "max_steps")
         self.session = Session()
         self.t = _step_endofunctor(self)
         self.cfg = FreeMonadConfig(self.arr, Backdrop("domain", backdrop),
@@ -106,7 +111,14 @@ class GeneratedAWFS:
 
     def _factorize(self, f: ArrowObj) -> "Factorization":
         inner = self.ambient
-        fa = free_algebra(self.cfg, f, self.max_steps)
+        try:
+            fa = free_algebra(self.cfg, f, self.max_steps)
+        except IterationLimit as exc:
+            err = IterationLimit(f"{exc}; stage arrows " + ", ".join(
+                hom_shape(inner, rec.x.a.dom, rec.x.a.cod)
+                for rec in exc.trace.stages))
+            err.trace = exc.trace
+            raise err from exc
         beta = fa.unit.bottom
         assert inner.is_iso(beta)
         left = ArrowObj(inner, fa.unit.top)
@@ -530,17 +542,21 @@ class LiftingStructure:
 
 def _filler_index(inner, j: str, gen: ArrowObj, f: ArrowObj, cap) -> dict:
     """Every diagonal s: gen.cod -> f.dom for the generator gen at j, filed
-    under the problem it solves, ``(s . gen, f . s)``, in hom order."""
+    under the tables of the problem it solves, ``(s . gen, f . s)``, in hom
+    order; with j in front, that is the problem's ``by_boundary`` key."""
     try:
         diagonals = inner.hom(gen.cod, f.dom, cap=cap)
     except EnumerationCap as exc:
         raise EnumerationCap(
             f"{exc}, enumerating the fillers at generator {j!r}: "
             f"diagonals {hom_shape(inner, gen.cod, f.dom)}") from exc
+    tables = inner.tables
+    gen_t, f_t = tables(gen.mor), tables(f.mor)
     index: dict = {}
     for s in diagonals:
-        index.setdefault((inner.compose(s, gen.mor), inner.compose(f.mor, s)),
-                         []).append(s)
+        s_t = tables(s)
+        index.setdefault((compose_tables(s_t, gen_t),
+                          compose_tables(f_t, s_t)), []).append(s)
     return index
 
 
@@ -548,12 +564,14 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
                             mode: str = "all"):
     """Backtracking search over coherent filler assignments.
 
-    Problems are visited in generator-object order, then in enumeration
-    order; assigning a filler immediately forces the fillers of every
-    problem reachable along a generator morphism, which prunes the search
-    and keeps the output order deterministic.  A problem's candidates are
-    looked up by its boundary in one index of ``hom(gen.cod, f.dom)`` per
-    generator, and the search keeps its branch on an explicit stack, so
+    The problems, their order and their links are read off the comma
+    category of lifting problems into f: problems are visited in comma
+    object order, and assigning a filler s to the problem n2 immediately
+    forces ``s . u(t).bottom`` on n1 for every relation ``t@n2: n1 -> n2``,
+    which prunes the search and keeps the output order deterministic.  A
+    problem's candidates are looked up under its ``by_boundary`` key in
+    one index of ``hom(gen.cod, f.dom)`` per generator.  No density
+    colimit is built.  The search keeps its branch on an explicit stack, so
     its depth is not bounded by the interpreter's recursion limit.  mode
     is "first", "count", or "all"; every hom-set is bounded by the
     session's cap.
@@ -563,34 +581,26 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     u = awfs.generators
     inner = awfs.ambient
     cap = awfs.cap
-    problems: list = []
-    for i in u.index.objects:
-        for a in lifting_problems(u, i, f, cap=cap):
-            problems.append((i, a))
+    comma = comma_category(u, f, cap=cap)
+    problems = list(comma.problems.values())
     fillers: dict = {}
-    for i, _a in problems:
-        if i not in fillers:
-            fillers[i] = _filler_index(inner, i, u.arrow(i), f, cap)
-    candidates = [fillers[i].get((a.top, a.bottom), []) for i, a in problems]
-    index = {(i, a.top, a.bottom): k for k, (i, a) in enumerate(problems)}
-    incoming = {i: [(m.dom, u.square(m.name))
-                    for m in u.index.non_identity_morphisms() if m.cod == i]
-                for i in u.index.objects}
+    for j, _a in problems:
+        if j not in fillers:
+            fillers[j] = _filler_index(inner, j, u.arrow(j), f, cap)
+    candidates = [fillers[j].get((top, bottom), [])
+                  for j, top, bottom in comma.by_boundary]
+    position = {name: k for k, name in enumerate(comma.objects)}
+    # links[k]: (position of n1, u(t).bottom) per relation t@k: n1 -> k
+    links: list = [[] for _ in problems]
+    for name, n1, n2 in comma.relations:
+        links[position[n2]].append(
+            (position[n1], u.square(comma.over[name]).bottom))
     n = len(problems)
-    # links[k]: (position of problem k . u(m), u(m).bottom) per generator
-    # morphism m into problem k's generator; built on first use
-    links: list = [None] * n
     assignment: list = [None] * n
     found: list = []
     count = 0
 
     def propagate(k, value, touched):
-        if links[k] is None:
-            i, a = problems[k]
-            links[k] = [(problem_at(index, d, inner.compose(a.top, sq.top),
-                                    inner.compose(a.bottom, sq.bottom)),
-                         sq.bottom)
-                        for d, sq in incoming[i]]
         for other, bottom in links[k]:
             want = inner.compose(value, bottom)
             if assignment[other] is None:
@@ -720,12 +730,14 @@ def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
     """True iff every problem against every generator has some filler,
     with no coherence requirement."""
     inner = u.ambient
+    tables = inner.tables
     for i in u.index.objects:
         problems = lifting_problems(u, i, f, cap=cap)
         if not problems:
             continue
         fillers = _filler_index(inner, i, u.arrow(i), f, cap)
-        if any((a.top, a.bottom) not in fillers for a in problems):
+        if any((tables(a.top), tables(a.bottom)) not in fillers
+               for a in problems):
             return False
     return True
 
@@ -1003,9 +1015,14 @@ def trace_from_json(data, inner) -> Trace:
         if sd["built_from"] is not None:
             bd = json_object(sd["built_from"], "stage 'built_from'")
             span = _json_list(bd["span"], "gluing 'span'", 2)
+            tags = _json_list(bd["tags"], "gluing 'tags'", 2)
+            if not all(isinstance(t, str) for t in tags):
+                raise MalformedInput("gluing 'tags' must be two strings")
+            if bd["into"] not in ("left", "right"):
+                raise MalformedInput("gluing 'into' must be 'left' or "
+                                     "'right'")
             built = QuotientRecord(
-                (mor(span[0]), mor(span[1])),
-                tuple(_json_list(bd["tags"], "gluing 'tags'", 2)),
+                (mor(span[0]), mor(span[1])), tuple(tags),
                 mor(bd["left"]), mor(bd["right"]), bd["into"])
         certs = tuple(_certificate(c) for c in
                       _json_list(sd["certificates"], "stage 'certificates'"))

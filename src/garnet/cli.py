@@ -16,8 +16,8 @@ import sys
 from .arrows import ArrowObj, EndoData, FinSetAmbient, PresheafAmbient, Square
 from .awfs import (GeneratedAWFS, factorization_to_json,
                    find_lifting_structures, has_rlp, quillen_factorize,
-                   replay, solve_lifting, structure_to_json, trace_from_json,
-                   verify_trace)
+                   replay, require_count, solve_lifting, structure_to_json,
+                   trace_from_json, verify_trace)
 from .density import arrow_diagram_from_json, validate_diagram
 from .errors import (EnumerationCap, GarnetError, IterationLimit,
                      MalformedInput)
@@ -42,10 +42,18 @@ def _read_json(path):
 
 
 def _cap(args):
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("GARNET_CAP")
-    return int(env) if env else None
+    """The enumeration cap: --cap, else GARNET_CAP, else none."""
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("GARNET_CAP")
+        if not env:
+            return None
+        try:
+            cap = int(env)
+        except ValueError:
+            raise MalformedInput("GARNET_CAP must be a non-negative "
+                                 "integer") from None
+    return require_count(cap, "cap")
 
 
 def _ambient(args):

@@ -155,6 +155,9 @@ class CommaResult:
 
 def comma_category(u: ArrowDiagram, f: ArrowObj,
                    cap: int | None = None) -> CommaResult:
+    """The comma category of lifting problems into f: the one place where
+    problems are enumerated, keyed and linked.  The density colimit and the
+    lifting search both read it."""
     tables = u.ambient.tables
     problems: dict[str, tuple[str, Square]] = {}
     by_boundary: dict[tuple[str, tuple, tuple], str] = {}
@@ -286,19 +289,24 @@ def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
     """The density at f, given the density at a map with f's skeleton (the
     same sizes and tables, other labels).
 
-    The identity-table iso ``core.f -> f`` keeps the order of every
-    hom-set and every table, so the comma names, relations, boundary index
-    and colimit agree with a fresh build at f and are shared; only each
-    problem square and the counit are composed with the iso.
+    f's skeleton fixes the order of every hom-set and every table, so the
+    comma names, relations, boundary index and colimit agree with a fresh
+    build at f and are shared.  Each problem square is rebuilt at f from
+    its cell and its ``by_boundary`` key, and the counit from its own
+    tables, so no map is composed to move them.
     """
     amb = f.ambient
-    iso = Square(core.f, f, amb.relabel(core.f.dom, f.dom),
-                 amb.relabel(core.f.cod, f.cod))
-    problems = {n: (j, compose_squares(iso, alpha))
-                for n, (j, alpha) in core.comma.problems.items()}
+
+    def onto_f(source, top, bottom):
+        return Square(source, f, amb.from_tables(source.dom, f.dom, top),
+                      amb.from_tables(source.cod, f.cod, bottom))
+    problems = {name: (j, onto_f(cell, top, bottom))
+                for ((j, top, bottom), name), cell
+                in zip(core.comma.by_boundary.items(), core.cells)}
     comma = replace(core.comma, problems=problems)
-    return replace(core, f=f, comma=comma,
-                   counit=compose_squares(iso, core.counit))
+    counit = onto_f(core.den, amb.tables(core.counit.top),
+                    amb.tables(core.counit.bottom))
+    return replace(core, f=f, comma=comma, counit=counit)
 
 
 def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,

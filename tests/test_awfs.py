@@ -756,6 +756,13 @@ def test_stage_bound_rejects_what_is_no_count(steps):
         GeneratedAWFS(point_inclusion(), max_steps=steps)
 
 
+@pytest.mark.parametrize("cap", [-1, True, False, 1.5, "3"])
+def test_cap_rejects_what_is_no_count(cap):
+    from garnet.errors import MalformedInput
+    with pytest.raises(MalformedInput):
+        GeneratedAWFS(point_inclusion(), cap=cap)
+
+
 def test_cross_lifting_between_constructions():
     # the cell-by-cell left factor lifts against the free right factor
     aw = point_awfs()

@@ -72,7 +72,8 @@ def indexed_candidates(inner, gen, f, cap=None):
     if not problems:
         return []
     index = _filler_index(inner, "j", gen, f, cap)
-    return [index.get((a.top, a.bottom), []) for a in problems]
+    return [index.get((inner.tables(a.top), inner.tables(a.bottom)), [])
+            for a in problems]
 
 
 def outcome(fn, *args, **kwargs):

@@ -229,6 +229,30 @@ def test_stage_bound_must_be_a_non_negative_integer(tmp_path, cmd):
                             else (1, "MalformedInput"))
 
 
+@pytest.mark.parametrize("cmd", ["factorize", "rlp", "trace-verify"])
+def test_cap_must_be_a_non_negative_integer(tmp_path, monkeypatch, cmd):
+    out = tmp_path / "r.json"
+    if cmd == "trace-verify":
+        job = [cmd, "--report", fix(REPORT), "--output", str(out)]
+    else:
+        job = [cmd, "--generators", fix("walking_cospan.json"),
+               "--map", fix("f_0_to_1.json"), "--output", str(out)]
+    assert run([*job, "--cap", "-1"]) == 1
+    assert load(out)["error"]["kind"] == "MalformedInput"
+    for env in ("-1", "x", "1.5"):
+        monkeypatch.setenv("GARNET_CAP", env)
+        assert run(job) == 1
+        assert load(out)["error"]["kind"] == "MalformedInput"
+    monkeypatch.delenv("GARNET_CAP")
+    # a cap of 0 stays a cap: every non-empty hom-set exceeds it, which
+    # trace-verify reports as cells it cannot recompute
+    code = run([*job, "--cap", "0"])
+    if cmd == "trace-verify":
+        assert code == 1 and not load(out)["pass"]
+    else:
+        assert code == 4 and load(out)["error"]["kind"] == "EnumerationCap"
+
+
 def test_exit_code_cap(monkeypatch):
     assert run(["factorize", "--generators", fix("walking_cospan.json"),
                 "--map", fix("f_0_to_1.json"), "--cap", "1"]) == 4
@@ -264,6 +288,19 @@ def test_exit_code_bad_inputs(tmp_path):
     garbled.write_text("{not json")
     assert run(["factorize", "--generators", str(garbled),
                 "--map", fix("f_0_to_1.json")]) == 1
+
+
+@pytest.mark.parametrize("steps, shapes", [
+    ("1", "stage arrows 0->1"), ("2", "stage arrows 0->1, 2->1")])
+def test_iteration_limit_names_the_stage_arrows(tmp_path, steps, shapes):
+    out = tmp_path / "r.json"
+    assert run(["factorize", "--generators", fix("walking_cospan.json"),
+                "--map", fix("f_0_to_1.json"), "--max-steps", steps,
+                "--output", str(out)]) == 2
+    error = load(out)["error"]
+    assert error["kind"] == "IterationLimit"
+    assert error["message"] == \
+        f"no convergence within {steps} steps; {shapes}"
 
 
 def test_error_reports_are_machine_readable(tmp_path):
@@ -351,6 +388,12 @@ MALFORMED = {
     "trace-cell-not-object": (REPORT, TRACE + ("stages", 1, "cell"), 5),
     "trace-certificates-not-list": (REPORT,
                                     TRACE + ("stages", 0, "certificates"), 5),
+    "gluing-tags-not-strings": (REPORT,
+                                TRACE + ("stages", 1, "built_from", "tags"),
+                                [{}, {}]),
+    "gluing-into-not-a-leg": (REPORT,
+                              TRACE + ("stages", 1, "built_from", "into"),
+                              [1]),
     "certificate-morphism-not-string": (REPORT,
                                         TRACE + ("stages", 0, "certificates",
                                                  0, "morphism"), [1]),
@@ -422,7 +465,7 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
     "report-ambient-not-object", "report-factorization-not-object",
     "report-trace-not-object", "trace-stages-not-list",
     "certificate-morphism-not-string", "witnesses-not-object",
-    "index-morphisms-not-list"])
+    "index-morphisms-not-list", "gluing-into-not-a-leg"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here

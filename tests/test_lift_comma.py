@@ -1,0 +1,250 @@
+"""The lifting search reads the comma category of lifting problems.
+
+``find_lifting_structures`` takes its problems, their order and the links
+that force fillers from ``comma_category``, and looks candidates up by
+tables.  The oracle below is the search it replaced, which enumerated the
+problems itself, keyed them and their fillers by maps, and built each
+problem's links on first use by composing squares: on random finite-set
+and graph maps, with random caps, both must return the same structures in
+the same order, or both must raise EnumerationCap.  Two count guards pin
+the single index: one comma category and no density per search, and no
+composite formed to retarget a density beyond each rebuilt square's own
+commutation check.
+"""
+
+import json
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import arrow, func, finite
+from garnet import awfs as awfs_module, density
+from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square
+from garnet.awfs import GeneratedAWFS, LiftingStructure, \
+    find_lifting_structures
+from garnet.density import (arrow_diagram_from_json, density_comonad,
+                            lifting_problems, retarget_density)
+from garnet.errors import EnumerationCap
+from garnet.fincat import category_from_json
+from garnet.finset import FinFunction, FinSet
+from test_density_memo import graph_maps, relabeled
+
+FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+AMB = FinSetAmbient()
+
+
+def _fixture(name):
+    with open(os.path.join(FIX, name)) as fh:
+        return json.load(fh)
+
+
+WC = arrow_diagram_from_json(_fixture("walking_cospan.json"), AMB)
+POINT = arrow_diagram_from_json(_fixture("point_inclusion.json"), AMB)
+GRAPH = category_from_json(_fixture("graph_base.json"))
+PAMB = PresheafAmbient(GRAPH)
+BOUNDARY = arrow_diagram_from_json(_fixture("graph_boundary.json"), PAMB)
+EDGE_TO_LOOP = ArrowObj(PAMB, PAMB.mor_from_json(
+    _fixture("graph_edge_to_loop.json")))
+MODES = ("all", "first", "count")
+
+
+# -- the oracle: the search before it read the comma category ------------------
+
+def oracle_lifts(aw, f, mode):
+    u, inner, cap = aw.generators, aw.ambient, aw.cap
+    problems = [(i, a) for i in u.index.objects
+                for a in lifting_problems(u, i, f, cap=cap)]
+    fillers: dict = {}
+    for i, _a in problems:
+        if i not in fillers:
+            gen = u.arrow(i)
+            index: dict = {}
+            for s in inner.hom(gen.cod, f.dom, cap=cap):
+                index.setdefault((inner.compose(s, gen.mor),
+                                  inner.compose(f.mor, s)), []).append(s)
+            fillers[i] = index
+    candidates = [fillers[i].get((a.top, a.bottom), []) for i, a in problems]
+    position = {(i, a.top, a.bottom): k for k, (i, a) in enumerate(problems)}
+    incoming = {i: [(m.dom, u.square(m.name))
+                    for m in u.index.non_identity_morphisms() if m.cod == i]
+                for i in u.index.objects}
+    n = len(problems)
+    links: list = [None] * n
+    assignment: list = [None] * n
+    found: list = []
+    count = 0
+
+    def propagate(k, value, touched):
+        if links[k] is None:
+            i, a = problems[k]
+            links[k] = [(position[(d, inner.compose(a.top, sq.top),
+                                   inner.compose(a.bottom, sq.bottom))],
+                         sq.bottom)
+                        for d, sq in incoming[i]]
+        for other, bottom in links[k]:
+            want = inner.compose(value, bottom)
+            if assignment[other] is None:
+                assignment[other] = want
+                touched.append(other)
+            elif assignment[other] != want:
+                return False
+        return True
+
+    def open_from(pos):
+        while pos < n and assignment[pos] is not None:
+            assert assignment[pos] in candidates[pos]
+            pos += 1
+        return pos
+
+    stack: list = []
+    pos = open_from(0)
+    while True:
+        if pos == n:
+            if mode == "count":
+                count += 1
+            else:
+                found.append(LiftingStructure(
+                    f, dict(zip(problems, assignment)), aw))
+                if mode == "first":
+                    break
+        else:
+            stack.append((pos, iter(candidates[pos]), []))
+        while stack:
+            k, untried, touched = stack[-1]
+            for other in touched:
+                assignment[other] = None
+            touched.clear()
+            value = next(untried, None)
+            if value is None:
+                stack.pop()
+                continue
+            assignment[k] = value
+            touched.append(k)
+            if propagate(k, value, touched):
+                pos = open_from(k + 1)
+                break
+        else:
+            break
+    return count if mode == "count" else found
+
+
+def outcome(search, aw, f, mode):
+    """The search's answer, with each structure as its ordered fillers."""
+    try:
+        out = search(aw, f, mode)
+    except EnumerationCap:
+        return ("cap", None)
+    if mode == "count":
+        return ("ok", out)
+    return ("ok", [(s.f, list(s.fillers.items())) for s in out])
+
+
+def check_against_oracle(u, f, cap):
+    aw = GeneratedAWFS(u, cap=cap)
+    got = {mode: outcome(find_lifting_structures, aw, f, mode)
+           for mode in MODES}
+    for mode in MODES:
+        assert got[mode] == outcome(oracle_lifts, aw, f, mode), mode
+    kind, structures = got["all"]
+    if kind == "ok":
+        assert got["count"] == ("ok", len(structures))
+        assert got["first"] == ("ok", structures[:1])
+
+
+# -- shapes ----------------------------------------------------------------------
+
+@st.composite
+def finset_maps(draw, most=6):
+    """Maps of up to most elements a side; endomaps and empty domains
+    included."""
+    dom = FinSet.fresh(draw(st.integers(0, most)), "x")
+    endo = draw(st.booleans())
+    cod = dom if endo and dom.size else FinSet.fresh(
+        draw(st.integers(1, most)), "y")
+    table = draw(st.lists(st.integers(0, cod.size - 1),
+                          min_size=dom.size, max_size=dom.size))
+    return arrow(FinFunction(dom, cod, tuple(table)))
+
+
+CAPS = st.one_of(st.none(), st.integers(0, 60))
+
+
+@settings(max_examples=120, deadline=None)
+@given(finset_maps(), CAPS)
+def test_finset_lifts_match_the_oracle(f, cap):
+    for u in (WC, POINT):
+        check_against_oracle(u, f, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_maps(), CAPS)
+def test_graph_lifts_match_the_oracle(f, cap):
+    check_against_oracle(BOUNDARY, f, cap)
+
+
+@pytest.mark.parametrize("f", [
+    arrow(func(finite(2), finite(2), 1, 0)),
+    arrow(func(finite(0), finite(1, "y"))),
+    arrow(func(finite(4), finite(2, "y"), 0, 1, 0, 1)),
+], ids=["swap", "empty-domain", "two-fibres"])
+def test_small_lifts_match_the_oracle(f):
+    for u in (WC, POINT):
+        check_against_oracle(u, f, None)
+
+
+# -- count guards ----------------------------------------------------------------
+
+def test_one_search_reads_one_comma_category(monkeypatch):
+    calls = []
+
+    def counted(u, f, cap=None):
+        calls.append(f)
+        return density.comma_category(u, f, cap=cap)
+
+    def no_density(*args, **kwargs):
+        raise AssertionError("the lifting search built a density")
+    monkeypatch.setattr(awfs_module, "comma_category", counted)
+    monkeypatch.setattr(awfs_module, "density_comonad", no_density)
+    monkeypatch.setattr(density, "density_comonad", no_density)
+    f = arrow(func(finite(4), finite(2, "y"), 0, 1, 0, 1))
+    for u, m in ((WC, f), (POINT, f), (BOUNDARY, EDGE_TO_LOOP)):
+        aw = GeneratedAWFS(u)
+        for mode in MODES:
+            calls.clear()
+            find_lifting_structures(aw, m, mode)
+            assert calls == [m]
+
+
+@pytest.mark.parametrize("u, f", [
+    (WC, arrow(func(finite(4), finite(2, "y"), 0, 1, 0, 1))),
+    (WC, arrow(func(finite(2), finite(2), 1, 0))),
+    (BOUNDARY, EDGE_TO_LOOP),
+], ids=["cospan", "cospan-endomap", "graph"])
+def test_retarget_composes_nothing(monkeypatch, u, f):
+    core = density_comonad(u, f)
+    copy = relabeled(f, "p")
+    composed, squares = [], []
+    amb_class = type(u.ambient)
+    compose = amb_class.compose
+    check = Square.__post_init__
+
+    def counted_compose(self, g, h):
+        composed.append((g, h))
+        return compose(self, g, h)
+
+    def counted_check(self):
+        squares.append(self)
+        check(self)
+
+    def no_composite(*args):
+        raise AssertionError("retargeting composed two squares")
+    monkeypatch.setattr(amb_class, "compose", counted_compose)
+    monkeypatch.setattr(Square, "__post_init__", counted_check)
+    monkeypatch.setattr(density, "compose_squares", no_composite)
+    out = retarget_density(core, copy)
+    # one square per problem and the counit; the only composites are the
+    # two each square's own commutation check forms
+    assert len(squares) == len(core.comma.problems) + 1
+    assert len(composed) == 2 * len(squares)
+    assert out.f == copy and out.den is core.den
