@@ -9,14 +9,20 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 - ``pushout``, ``coproduct``, ``coequalizer`` and ``sequential_colimit``,
   each returning a result with a ``mediate`` method.
 
+Every ambient also has ``tables``, a per-level view of a map for code that
+works on integer tables: the map's tables, one per level in a fixed level
+order (the one set of a finite set, the base objects of a presheaf, and for
+a square its top's levels, then its bottom's).  Between two fixed objects a
+map is its tables, and ``compose_tables`` composes them level by level, so
+checks such as a square's commutation run on tables without building a
+composite map.
+
 The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 ``mor_from_json``, and these:
 
-- a per-level table view, for code that works on integer tables: ``tables``
-  (a map's tables, one per level in a fixed level order: the one set of a
-  finite set, the base objects of a presheaf) and ``from_tables`` (the
-  checked map between two objects with the given tables);
+- ``from_tables`` (the checked map between two objects with the given
+  tables);
 - ``quotient`` (an object divided by the equivalence closure of pairs of
   element indices, given per level in the same order; classes are named
   after and ordered by their minimal members, and the result has ``proj``
@@ -222,9 +228,18 @@ class ArrowObj:
         return self.ambient.cod(self.mor)
 
 
+def compose_tables(g, f) -> tuple:
+    """The tables of g . f, level by level, from those of g and of f."""
+    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
+
+
 @dataclass(frozen=True)
 class Square:
-    """A commuting square, i.e. a morphism source -> target of arrows."""
+    """A commuting square, i.e. a morphism source -> target of arrows.
+
+    Once its sides are typed, both paths run from ``source.dom`` to
+    ``target.cod``, so the square commutes exactly when their tables agree;
+    they are composed with ``compose_tables``, not as maps."""
     source: ArrowObj
     target: ArrowObj
     top: object
@@ -241,9 +256,9 @@ class Square:
                 or amb.dom(self.bottom) != self.source.cod \
                 or amb.cod(self.bottom) != self.target.cod:
             raise BoundaryMismatch("square sides are mistyped")
-        lhs = amb.compose(self.target.mor, self.top)
-        rhs = amb.compose(self.bottom, self.source.mor)
-        if lhs != rhs:
+        tables = amb.tables
+        if compose_tables(tables(self.target.mor), tables(self.top)) \
+                != compose_tables(tables(self.bottom), tables(self.source.mor)):
             raise BoundaryMismatch("square does not commute")
 
 
@@ -365,26 +380,33 @@ class ArrowAmbient:
     def is_iso(self, s: Square) -> bool:
         return self.inner.is_iso(s.top) and self.inner.is_iso(s.bottom)
 
+    def tables(self, s: Square) -> tuple:
+        return self.inner.tables(s.top) + self.inner.tables(s.bottom)
+
     def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
         """All squares a -> b, ordered by top, then by bottom, each in the
         inner hom's order.
 
         Each inner hom-set is enumerated once: the bottoms are indexed by
-        the composite ``bottom . a`` they give, and each top picks out the
-        bottoms stored under ``b . top``.  ``cap`` bounds each inner hom;
-        when there is no top the bottoms are never enumerated, so only the
-        tops' hom-set can exceed it.
+        the tables of the composite ``bottom . a`` they give, and each top
+        picks out the bottoms stored under the tables of ``b . top``.
+        ``cap`` bounds each inner hom; when there is no top the bottoms are
+        never enumerated, so only the tops' hom-set can exceed it.
         """
         inner = self.inner
         tops = inner.hom(a.dom, b.dom, cap=cap)
         if not tops:
             return []
+        tables = inner.tables
+        a_t, b_t = tables(a.mor), tables(b.mor)
         bottoms: dict = {}
         for bottom in inner.hom(a.cod, b.cod, cap=cap):
-            bottoms.setdefault(inner.compose(bottom, a.mor), []).append(bottom)
+            bottoms.setdefault(compose_tables(tables(bottom), a_t),
+                               []).append(bottom)
         return [Square(a, b, top, bottom)
                 for top in tops
-                for bottom in bottoms.get(inner.compose(b.mor, top), ())]
+                for bottom in bottoms.get(compose_tables(b_t, tables(top)),
+                                          ())]
 
     def pushout(self, s: Square, t: Square, tags=("i0", "i1")):
         if s.source != t.source:

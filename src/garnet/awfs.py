@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
-                     compose_squares, identity_square)
+                     compose_squares, compose_tables, identity_square)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
-                      arrow_diagram_to_json, comma_category, compose_tables,
-                      density_action, density_comonad, hom_shape,
-                      lifting_problems, retarget_density, validate_diagram)
+                      arrow_diagram_to_json, comma_category, density_action,
+                      density_comonad, hom_shape, lifting_problems,
+                      retarget_density, validate_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
@@ -445,6 +445,10 @@ def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
     for st in trace.stages:
         try:
             ok = _cell_record(density_comonad(u, st.arrow, cap=cap)) == st.cell
+        except EnumerationCap:
+            # a cap too small to recompute the cell says nothing about the
+            # trace, so it is reported as the cap, not as a failing check
+            raise
         except Exception:
             ok = False
         item(st.index, "cell", ok,

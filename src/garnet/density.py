@@ -30,6 +30,7 @@ from .arrows import (
     PresheafAmbient,
     Square,
     compose_squares,
+    compose_tables,
     identity_square,
 )
 from .errors import DomainMismatch, EnumerationCap, MalformedInput, \
@@ -129,11 +130,6 @@ def problem_at(index: dict, j: str, top, bottom):
     except KeyError:
         raise AssertionError(f"no lifting problem at {j!r} with this "
                              f"boundary") from None
-
-
-def compose_tables(g, f) -> tuple:
-    """The tables of g . f, level by level, from those of g and of f."""
-    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
 
 
 @dataclass

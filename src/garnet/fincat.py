@@ -60,6 +60,8 @@ class FinCategory:
             self._compose.setdefault((m.name, identity_name(m.dom)), m.name)
         self._key = (self.objects, self.morphisms,
                      tuple(sorted(self._compose.items())))
+        self._non_identity = tuple(m for m in self.morphisms
+                                   if not self.is_identity(m.name))
 
     def __eq__(self, other):
         return isinstance(other, FinCategory) and self._key == other._key
@@ -96,8 +98,8 @@ class FinCategory:
     def hom(self, x: str, y: str) -> list[str]:
         return [m.name for m in self.morphisms if m.dom == x and m.cod == y]
 
-    def non_identity_morphisms(self) -> list[Morphism]:
-        return [m for m in self.morphisms if not self.is_identity(m.name)]
+    def non_identity_morphisms(self) -> tuple[Morphism, ...]:
+        return self._non_identity
 
 
 def discrete_category(objects) -> FinCategory:

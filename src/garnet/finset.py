@@ -1,10 +1,12 @@
 """Finite sets, functions, and deterministic colimits.
 
 This is the computational substrate for every ambient category in the
-package.  All quotients are built by union-find with minimal-index
-representatives, and every colimit labels its elements by provenance
-strings derived from the input labels, so running the same construction
-twice yields byte-identical results.
+package.  A function's checks (totality and range) run on its integer table
+with ``len``, ``min`` and ``max``, and raise, so ``python -O`` keeps them.
+All quotients are built by union-find with minimal-index representatives,
+and every colimit labels its elements by provenance strings derived from
+the input labels, so running the same construction twice yields
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class FinSet:
     __hash__ = cached_hash
 
     def __post_init__(self):
-        assert len(set(self.labels)) == len(self.labels), "labels must be distinct"
+        if len(set(self.labels)) != len(self.labels):
+            raise MalformedInput("labels must be distinct")
 
     @staticmethod
     def fresh(n: int, prefix: str = "x") -> "FinSet":
@@ -76,8 +79,11 @@ class FinFunction:
     __hash__ = cached_hash
 
     def __post_init__(self):
-        assert len(self.table) == self.dom.size, "table must be total"
-        assert all(0 <= v < self.cod.size for v in self.table), "table out of range"
+        table = self.table
+        if len(table) != len(self.dom.labels):
+            raise DomainMismatch("table must be total")
+        if table and (min(table) < 0 or max(table) >= len(self.cod.labels)):
+            raise CodomainMismatch("table out of range")
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -99,7 +105,8 @@ class FinFunction:
         return self.is_injective and self.is_surjective
 
     def inverse(self) -> "FinFunction":
-        assert self.is_bijective, "only bijections invert"
+        if not self.is_bijective:
+            raise MalformedInput("only bijections invert")
         inv = [0] * self.cod.size
         for i, v in enumerate(self.table):
             inv[v] = i
@@ -115,7 +122,7 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
     if f.cod != g.dom:
         raise DomainMismatch(f"cannot compose: middle objects differ "
                              f"({f.cod.labels} vs {g.dom.labels})")
-    return FinFunction(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    return FinFunction(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def enumerate_functions(a: FinSet, b: FinSet,

@@ -2,9 +2,10 @@
 
 Everything is levelwise over the substrate in finset: colimits are computed
 object by object and reassembled, with naturality of the induced maps
-re-verified afterwards.  The subobject classifier is the full sieve
-classifier; on these finite, fully decidable bases it coincides with the
-levelwise complemented one.
+re-verified afterwards.  Naturality and functoriality are checked on the
+restriction and component tables, without building composite maps.  The
+subobject classifier is the full sieve classifier; on these finite, fully
+decidable bases it coincides with the levelwise complemented one.
 """
 
 from __future__ import annotations
@@ -80,18 +81,35 @@ class Presheaf:
 
 
 def validate_presheaf(p: Presheaf) -> list[str]:
-    """Functoriality report; empty means valid."""
+    """Functoriality report, on restriction tables; empty means valid."""
     report = []
     cat = p.base
     for g in cat.morphisms:
         for f in cat.morphisms:
             if f.cod != g.dom:
                 continue
-            gf = cat.compose(g.name, f.name)
-            if p.restrict(gf) != compose(p.restrict(f.name), p.restrict(g.name)):
+            r_gf = p.restrict(cat.compose(g.name, f.name))
+            r_f, r_g = p.restrict(f.name), p.restrict(g.name)
+            if r_gf.dom != r_g.dom or r_gf.cod != r_f.cod \
+                    or r_gf.table != tuple(map(r_f.table.__getitem__,
+                                               r_g.table)):
                 report.append(f"restriction fails functoriality at "
                               f"({g.name!r}, {f.name!r})")
     return report
+
+
+def _unnatural_along(source: Presheaf, target: Presheaf, components):
+    """The first non-identity base morphism m along which the components,
+    already typed level by level, fail naturality, or None: the tables of
+    ``component(dom m) . source(m)`` and ``target(m) . component(cod m)``
+    are compared, not the composite maps."""
+    for m in source.base.non_identity_morphisms():
+        if tuple(map(components[m.dom].table.__getitem__,
+                     source.restrict(m.name).table)) \
+                != tuple(map(target.restrict(m.name).table.__getitem__,
+                             components[m.cod].table)):
+            return m.name
+    return None
 
 
 class PresheafMap:
@@ -108,13 +126,9 @@ class PresheafMap:
             c = self.components[x]
             if c.dom != source.at(x) or c.cod != target.at(x):
                 raise ShapeMismatch(f"component at {x!r} has wrong shape")
-        for m in base.morphisms:
-            if base.is_identity(m.name):
-                continue
-            lhs = compose(self.at(m.dom), source.restrict(m.name))
-            rhs = compose(target.restrict(m.name), self.at(m.cod))
-            if lhs != rhs:
-                raise NaturalityViolation(f"naturality fails along {m.name!r}")
+        failing = _unnatural_along(source, target, self.components)
+        if failing is not None:
+            raise NaturalityViolation(f"naturality fails along {failing!r}")
         self._key = (source, target,
                      tuple((x, self.components[x]) for x in base.objects))
 
@@ -155,7 +169,8 @@ def presheaf_compose(g: PresheafMap, f: PresheafMap) -> PresheafMap:
 
 
 def presheaf_inverse(f: PresheafMap) -> PresheafMap:
-    assert f.is_iso
+    if not f.is_iso:
+        raise MalformedInput("only levelwise bijections invert")
     return PresheafMap(f.target, f.source,
                        {x: f.at(x).inverse() for x in f.source.base.objects})
 
@@ -382,7 +397,7 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
     out = []
     for combo in _product(per_object):
         components = dict(zip(base.objects, combo))
-        if _natural(source, target, components):
+        if _unnatural_along(source, target, components) is None:
             out.append(PresheafMap(source, target, components))
     return out
 
@@ -395,16 +410,6 @@ def _product(columns):
     for h in head:
         for r in _product(rest):
             yield (h,) + r
-
-
-def _natural(source, target, components) -> bool:
-    base = source.base
-    for m in base.non_identity_morphisms():
-        lhs = compose(components[m.dom], source.restrict(m.name))
-        rhs = compose(target.restrict(m.name), components[m.cod])
-        if lhs != rhs:
-            return False
-    return True
 
 
 # -- levelwise colimits -------------------------------------------------------

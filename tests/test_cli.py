@@ -244,13 +244,10 @@ def test_cap_must_be_a_non_negative_integer(tmp_path, monkeypatch, cmd):
         assert run(job) == 1
         assert load(out)["error"]["kind"] == "MalformedInput"
     monkeypatch.delenv("GARNET_CAP")
-    # a cap of 0 stays a cap: every non-empty hom-set exceeds it, which
-    # trace-verify reports as cells it cannot recompute
+    # a cap of 0 stays a cap: every non-empty hom-set exceeds it, and
+    # trace-verify reports it as the cap, not as cells that fail to verify
     code = run([*job, "--cap", "0"])
-    if cmd == "trace-verify":
-        assert code == 1 and not load(out)["pass"]
-    else:
-        assert code == 4 and load(out)["error"]["kind"] == "EnumerationCap"
+    assert code == 4 and load(out)["error"]["kind"] == "EnumerationCap"
 
 
 def test_exit_code_cap(monkeypatch):
@@ -259,6 +256,39 @@ def test_exit_code_cap(monkeypatch):
     monkeypatch.setenv("GARNET_CAP", "1")
     assert run(["lift", "--generators", fix("walking_cospan.json"),
                 "--map", fix("f_2_to_1.json"), "--mode", "count"]) == 4
+
+
+@pytest.mark.parametrize("cap, where", [
+    ("0", "generator 'b': tops 0->0, bottoms 1->1"),
+    ("1", "generator 'a': tops 1->2, bottoms 2->1"),
+    (None, None)])
+def test_trace_verify_reports_a_cap_too_small_as_the_cap(tmp_path, cap,
+                                                          where):
+    # a cell that cannot be recomputed under the cap says nothing about the
+    # trace: trace-verify exits 4 like factorize, naming where the cap hit
+    out = tmp_path / "r.json"
+    job = ["trace-verify", "--report", fix(REPORT), "--output", str(out)]
+    code = run(job if cap is None else [*job, "--cap", cap])
+    report = load(out)
+    if cap is None:
+        assert code == 0 and report["pass"]
+        return
+    assert code == 4 and report["error"]["kind"] == "EnumerationCap"
+    assert where in report["error"]["message"]
+
+
+def test_trace_verify_rejects_a_tampered_cell_as_a_failing_check(tmp_path):
+    data = load(fix(REPORT))
+    cell = data["factorization"]["trace"]["stages"][1]["cell"]
+    cell["legs"] = cell["legs"][:-1]
+    rep, out = tmp_path / "t.json", tmp_path / "r.json"
+    rep.write_text(json.dumps(data))
+    assert run(["trace-verify", "--report", str(rep),
+                "--output", str(out)]) == 1
+    report = load(out)
+    failed = [(it["stage"], it["check"]) for it in report["items"]
+              if not it["pass"]]
+    assert "error" not in report and failed == [(1, "cell")]
 
 
 @pytest.mark.parametrize("cmd, where", [

@@ -84,7 +84,7 @@ def test_small_category_validation_is_fast():
 
 def test_discrete_category():
     cat = discrete_category(["u", "v"])
-    assert cat.non_identity_morphisms() == []
+    assert cat.non_identity_morphisms() == ()
     assert validate_category(cat) == []
     assert walking_arrow().non_identity_morphisms()
 

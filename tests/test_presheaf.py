@@ -169,7 +169,7 @@ def test_mono_equals_pullback_of_its_classifier_up_to_iso():
 def test_elements_of_constant_singleton_is_terminal():
     el, labels = element_category(terminal_presheaf(terminal_base()))
     assert len(el.objects) == 1
-    assert el.non_identity_morphisms() == []
+    assert el.non_identity_morphisms() == ()
     assert labels[el.objects[0]] == ("*", "*")
 
 
@@ -177,7 +177,7 @@ def test_elements_of_classifier_on_terminal_base_is_discrete_two():
     omega, _ = subobject_classifier(terminal_base())
     el, _ = element_category(omega)
     assert len(el.objects) == 2
-    assert el.non_identity_morphisms() == []
+    assert el.non_identity_morphisms() == ()
 
 
 def test_elements_of_classifier_on_walking_arrow():
