@@ -1000,8 +1000,6 @@ def trace_from_json(data, inner) -> Trace:
     u = arrow_diagram_from_json(data["generators"], inner)
     mor = inner.mor_from_json
     backdrop = backdrop_from_json(data["backdrop"])
-    if backdrop.kind not in ("all", "mono"):
-        raise MalformedInput("a trace's backdrop must be 'all' or 'mono'")
     raw = _json_list(data["stages"], "trace 'stages'")
     stages = []
     for sd in raw:

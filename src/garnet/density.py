@@ -14,6 +14,11 @@ generator morphism or a square of maps carries a problem to is found by
 composing the two sides' tables and looking them up, without building a
 map or a square.  The colimit is built on tables too, as one quotient of
 the coproduct of the cells.
+
+For the subobject-classifier generators the density also has a pointwise
+closed form.  Its isomorphism onto the generic colimit is fixed by the
+construction, so it is built cell by cell and then checked, not searched
+for.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from .arrows import (
     compose_tables,
     identity_square,
 )
-from .errors import DomainMismatch, EnumerationCap, MalformedInput, \
-    NoIsoFound
+from .errors import DomainMismatch, EnumerationCap, GarnetError, \
+    MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
-    discrete_category
+    discrete_category, identity_name
 from .finset import EMPTY, FinFunction, FinSet, class_values, \
     first_members, json_object
 
@@ -412,27 +417,43 @@ class ClosedFormResult:
 
 def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
                                   cap: int | None = None) -> ClosedFormResult:
-    """Pointwise computation of the classifier density, cross-checked by an
-    exact isomorphism against the generic comma-category colimit."""
+    """Pointwise computation of the classifier density, certified by an
+    isomorphism onto the generic comma-category colimit.
+
+    At c, the closed form's element a#k is the k-th lifting problem against
+    the generator at (c, a).  Pulling a problem at (c', a') back along
+    h: c -> c' gives a problem at (c, h*a'), and the comma relations identify
+    the two, so every element of the generic colimit at c is the class of
+    id_c in exactly one cell, and a#k goes to the class of id_c in the cell
+    of that problem.  The domain side keeps the problems against the
+    maximal sieve, the only generators whose domain contains id_c.  The
+    isomorphism is built from these classes and then checked: natural, a
+    commuting square, and bijective on both sides."""
     omega = t.target
     base = omega.base
     ambient = PresheafAmbient(base)
     if f.ambient != ambient:
         raise MalformedInput("map does not live over the classifier's base")
     u = subobject_classifier_diagram(ambient)
-    elcat, labels = psh.element_category(omega)
-    arr = u.arr
+    elcat, _ = psh.element_category(omega)
     # pointwise values: all squares from the classified subobject into f
     values = {name: lifting_problems(u, name, f, cap=cap)
               for name in elcat.objects}
-    # reassemble over the classifier: at c, the disjoint union over Omega(c)
-    at = {}
+    # reassemble over the classifier: at c, the disjoint union over Omega(c);
+    # the structure map to the classifier remembers which element each
+    # block came from, and cells[c] names the comma object of each element
+    at, cells, proj_comps = {}, {}, {}
     for c in base.objects:
-        lbls = []
-        for a_lbl in omega.at(c).labels:
+        lbls, names, table = [], [], []
+        for a, a_lbl in enumerate(omega.at(c).labels):
             name = psh.element_object_name(c, a_lbl)
-            lbls.extend(f"{a_lbl}#{k}" for k in range(len(values[name])))
+            for k in range(len(values[name])):
+                lbls.append(f"{a_lbl}#{k}")
+                names.append(f"{name}#{k}")
+                table.append(a)
         at[c] = FinSet(tuple(lbls))
+        cells[c] = names
+        proj_comps[c] = FinFunction(at[c], omega.at(c), tuple(table))
     restrict = {}
     for m in base.non_identity_morphisms():
         r_omega = omega.restrict(m.name)
@@ -456,165 +477,29 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
         restrict[m.name] = FinFunction(at[arrow.cod], at[arrow.dom],
                                        tuple(table))
     reassembled = psh.Presheaf(base, at, restrict)
-    # the structure map to the classifier remembers which element each
-    # block came from
-    proj_comps = {}
-    for c in base.objects:
-        table = []
-        for a, a_lbl in enumerate(omega.at(c).labels):
-            name = psh.element_object_name(c, a_lbl)
-            table.extend([a] * len(values[name]))
-        proj_comps[c] = FinFunction(at[c], omega.at(c), tuple(table))
     proj = psh.PresheafMap(reassembled, omega, proj_comps)
     closed = ArrowObj(ambient, psh.pullback_classify(t, proj))
     generic = density_comonad(u, f, cap=cap)
-    iso = find_arrow_iso(ambient, closed, generic.den)
-    if iso is None:
-        raise NoIsoFound("closed form does not match the generic density; "
-                         "this is a bug")
+    mismatch = "closed form does not match the generic density; this is a bug"
+    try:
+        top, bottom = [], []
+        for c in base.objects:
+            legs = [generic.legs[n] for n in cells[c]]
+            ident = identity_name(c)
+            bottom.append(tuple(
+                leg.bottom.at(c)(leg.source.cod.at(c).index_of(ident))
+                for leg in legs))
+            top.append(tuple(
+                legs[i].top.at(c)(legs[i].source.dom.at(c).index_of(ident))
+                for i in closed.mor.at(c).table))
+        iso = Square(closed, generic.den,
+                     ambient.from_tables(closed.dom, generic.den.dom, top),
+                     ambient.from_tables(closed.cod, generic.den.cod, bottom))
+    except (GarnetError, LookupError, ValueError) as exc:
+        raise NoIsoFound(mismatch) from exc
+    if not (ambient.is_iso(iso.top) and ambient.is_iso(iso.bottom)):
+        raise NoIsoFound(mismatch)
     return ClosedFormResult(closed, generic, iso)
-
-
-# -- iso search between arrows --------------------------------------------------
-
-ISO_SEARCH_STEPS = 1_000_000  # find_arrow_iso's backtracking budget
-
-
-def _levels(ambient, f: ArrowObj):
-    """Flatten an arrow into named levels with unary structure maps; the
-    level names come in the order of the ambient's ``tables``."""
-    if isinstance(ambient, FinSetAmbient):
-        sets = {(0, "*"): f.dom, (1, "*"): f.cod}
-        funs = [("arr", (0, "*"), (1, "*"), f.mor)]
-        return ("*",), sets, funs
-    assert isinstance(ambient, PresheafAmbient)
-    base = ambient.base
-    sets = {}
-    funs = []
-    for c in base.objects:
-        sets[(0, c)] = f.dom.at(c)
-        sets[(1, c)] = f.cod.at(c)
-        funs.append((f"arr@{c}", (0, c), (1, c), f.mor.at(c)))
-    for m in base.non_identity_morphisms():
-        arrow = base.morphism(m.name)
-        funs.append((f"r0@{m.name}", (0, arrow.cod), (0, arrow.dom),
-                     f.dom.restrict(m.name)))
-        funs.append((f"r1@{m.name}", (1, arrow.cod), (1, arrow.dom),
-                     f.cod.restrict(m.name)))
-    return base.objects, sets, funs
-
-
-def _refine(sets, funs, colors):
-    """One round of color refinement over the unary structure maps."""
-    out_sig = {n: [] for n in colors}
-    in_sig = {n: [] for n in colors}
-    for tag, src, dst, fun in funs:
-        for i in range(sets[src].size):
-            out_sig[(src, i)].append((tag, colors[(dst, fun(i))]))
-            in_sig[(dst, fun(i))].append((tag, colors[(src, i)]))
-    return {n: (colors[n], tuple(sorted(out_sig[n])),
-                tuple(sorted(in_sig[n])))
-            for n in colors}
-
-
-def find_arrow_iso(ambient, a: ArrowObj, b: ArrowObj) -> Square | None:
-    """Search for an isomorphism a -> b in the arrow category.
-
-    Levels are first partitioned by iterated color refinement over all the
-    structure maps; backtracking then only matches nodes of equal color.
-    """
-    names, sets_a, funs_a = _levels(ambient, a)
-    _, sets_b, funs_b = _levels(ambient, b)
-    if set(sets_a) != set(sets_b):
-        return None
-    for slot in sets_a:
-        if sets_a[slot].size != sets_b[slot].size:
-            return None
-    nodes_a = [(slot, i) for slot in sorted(sets_a)
-               for i in range(sets_a[slot].size)]
-    nodes_b = [(slot, i) for slot in sorted(sets_b)
-               for i in range(sets_b[slot].size)]
-    colors_a = {n: n[0] for n in nodes_a}
-    colors_b = {n: n[0] for n in nodes_b}
-    for _ in range(len(nodes_a) + 1):
-        new_a = _refine(sets_a, funs_a, colors_a)
-        new_b = _refine(sets_b, funs_b, colors_b)
-        # canonicalize jointly so equal structure gets equal color names
-        palette = {}
-        for value in sorted(set(new_a.values()) | set(new_b.values()),
-                            key=repr):
-            palette[value] = len(palette)
-        next_a = {n: palette[new_a[n]] for n in nodes_a}
-        next_b = {n: palette[new_b[n]] for n in nodes_b}
-        if len(set(next_a.values())) == len(set(colors_a.values())) \
-                and sorted(next_a.values()) == sorted(next_b.values()):
-            colors_a, colors_b = next_a, next_b
-            break
-        colors_a, colors_b = next_a, next_b
-    histogram_a = sorted(colors_a.values())
-    histogram_b = sorted(colors_b.values())
-    if histogram_a != histogram_b:
-        return None
-    by_color_b: dict = {}
-    for n in nodes_b:
-        by_color_b.setdefault((n[0], colors_b[n]), []).append(n)
-    order = sorted(nodes_a, key=lambda n: (
-        len(by_color_b.get((n[0], colors_a[n]), ())), n))
-    assignment: dict = {}
-    used: set = set()
-    fun_by_src_a: dict = {}
-    for tag, src, dst, fun in funs_a:
-        fun_by_src_a.setdefault(src, []).append((tag, dst, fun))
-    fun_b_lookup = {(tag, src): fun for tag, src, dst, fun in funs_b}
-    steps = [0]
-
-    def consistent(n, m):
-        # structure maps out of n must agree with maps out of m wherever
-        # both ends are already assigned; same for maps into n
-        for tag, src, dst, fun in funs_a:
-            fun_b = fun_b_lookup[(tag, src)]
-            if n[0] == src:
-                img_a = (dst, fun(n[1]))
-                img_b = (dst, fun_b(m[1]))
-                if img_a in assignment and assignment[img_a] != img_b:
-                    return False
-            if n[0] == dst:
-                for i in range(sets_a[src].size):
-                    if fun(i) != n[1]:
-                        continue
-                    pre = (src, i)
-                    if pre in assignment and fun_b(assignment[pre][1]) != m[1]:
-                        return False
-        return True
-
-    def search(k):
-        steps[0] += 1
-        if steps[0] > ISO_SEARCH_STEPS:
-            raise EnumerationCap("iso search exceeded the step cap")
-        if k == len(order):
-            return True
-        n = order[k]
-        for m in by_color_b.get((n[0], colors_a[n]), ()):
-            if m in used:
-                continue
-            if not consistent(n, m):
-                continue
-            assignment[n] = m
-            used.add(m)
-            if search(k + 1):
-                return True
-            del assignment[n]
-            used.discard(m)
-        return False
-
-    if not search(0):
-        return None
-
-    def side(end, x, y):
-        return ambient.from_tables(x, y, [
-            tuple(assignment[((end, c), i)][1]
-                  for i in range(sets_a[(end, c)].size)) for c in names])
-    return Square(a, b, side(0, a.dom, b.dom), side(1, a.cod, b.cod))
 
 
 # -- JSON ------------------------------------------------------------------------

@@ -44,20 +44,15 @@ class Backdrop:
         return self.inner.contains(ambient.inner, m.top)
 
 
-def backdrop_to_json(b: Backdrop):
-    if b.kind == "domain":
-        return {"kind": "domain", "inner": backdrop_to_json(b.inner)}
+def backdrop_to_json(b: Backdrop) -> str:
+    """A trace's backdrop: the base ambient's, "all" or "mono"."""
     return b.kind
 
 
 def backdrop_from_json(data) -> Backdrop:
-    if isinstance(data, str):
-        return Backdrop(data)
-    if isinstance(data, dict) and data.get("kind") == "domain":
-        if "inner" not in data:
-            raise MalformedInput("domain backdrop needs an inner backdrop")
-        return Backdrop("domain", backdrop_from_json(data["inner"]))
-    raise MalformedInput(f"not a backdrop description: {data!r}")
+    if data not in ("all", "mono"):
+        raise MalformedInput("a trace's backdrop must be 'all' or 'mono'")
+    return Backdrop(data)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ class StepResult:
     new: QoppaObject
     g: object  # unit domain component a -> b, equals f after the point
     h: object  # unit codomain component b -> new.b
-    k: object  # induced structure map T(b) -> new.b
     out: object = field(repr=False)    # pushout of the gap against the fold
     # gap and fold leave the pushout P of the point against g
     gap: object = field(repr=False)    # P -> T(b)
@@ -97,14 +91,12 @@ class StageRecord:
     index: int
     x: QoppaObject
     step: StepResult = field(repr=False)
-    coherent: bool | None
 
 
 @dataclass(frozen=True)
 class FreeMonadTrace:
     stages: tuple
     converged_stage: int | None
-    stability: dict | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -138,25 +130,7 @@ def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
         raise BackdropViolation(
             "stage unit codomain component fell outside the backdrop; "
             "cobase change left the configured class")
-    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, k, out, gap,
-                      fold)
-
-
-def step_on_morphism(cfg: FreeMonadConfig, src: StepResult, tgt: StepResult,
-                     a, b):
-    """The step's action on a stage morphism (a, b): the new domain component
-    is b and the new codomain component is the induced map between the step
-    pushouts."""
-    amb, t = cfg.ambient, cfg.t
-    q = amb.compose(tgt.k, t.on_mor(b))
-    r = amb.compose(tgt.h, b)
-    return b, src.out.mediate(q, r)
-
-
-def _coherence(cfg, prev: StageRecord, step: StepResult) -> bool:
-    # applying the step to the previous unit must reproduce this unit
-    _, c = step_on_morphism(cfg, prev.step, step, prev.step.g, prev.step.h)
-    return c == step.h
+    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, out, gap, fold)
 
 
 def free_algebra(cfg: FreeMonadConfig, start,
@@ -174,8 +148,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
     converged = None
     for n in range(max_steps):
         step = qoppa_step(cfg, x)
-        coherent = _coherence(cfg, stages[-1], step) if stages else None
-        stages.append(StageRecord(n, x, step, coherent))
+        stages.append(StageRecord(n, x, step))
         if amb.is_iso(step.g) and amb.is_iso(step.h):
             converged = n
             break
@@ -184,16 +157,12 @@ def free_algebra(cfg: FreeMonadConfig, start,
         err = IterationLimit(f"no convergence within {max_steps} steps")
         err.trace = FreeMonadTrace(tuple(stages), None)
         raise err
-    # stability: one step past detection must again be invertible, and the
-    # two step units compose to the recorded stabilization iso
+    # stability: one step past detection must again be invertible
     step = stages[-1].step
     extra = qoppa_step(cfg, step.new)
-    coherent = _coherence(cfg, stages[-1], extra)
-    extra_iso = (amb.is_iso(extra.g), amb.is_iso(extra.h))
-    stages.append(StageRecord(converged + 1, step.new, extra, coherent))
-    assert extra_iso == (True, True), "converged stage failed to stabilize"
-    stability = {"domain": amb.compose(extra.g, step.g),
-                 "codomain": amb.compose(extra.h, step.h)}
+    stages.append(StageRecord(converged + 1, step.new, extra))
+    assert amb.is_iso(extra.g) and amb.is_iso(extra.h), \
+        "converged stage failed to stabilize"
     at = stages[converged]
     carrier = at.x.a
     structure = amb.compose(amb.inverse(at.step.g), at.x.f)
@@ -203,7 +172,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
         unit = amb.compose(rec.step.g, unit)
     if not cfg.backdrop.contains(amb, unit):
         raise BackdropViolation("the composite unit is outside the backdrop")
-    trace = FreeMonadTrace(tuple(stages), converged, stability)
+    trace = FreeMonadTrace(tuple(stages), converged)
     return FreeAlgebraResult(cfg, start, carrier, structure, unit, trace)
 
 

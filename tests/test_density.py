@@ -1,7 +1,12 @@
 """Density comonads: comma categories, colimits, counits, closed form."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (AMB, PAIR, POINT, arrow, empty_diagram, finite, func,
                       point_inclusion, walking_cospan)
@@ -11,11 +16,12 @@ from garnet.awfs import GeneratedAWFS
 from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             arrow_diagram_to_json, check_mono_compatibility,
                             comma_category, density_action, density_comonad,
-                            density_closed_form_subobject, find_arrow_iso,
+                            density_closed_form_subobject,
                             is_cartesian, lifting_problems,
                             subobject_classifier_diagram, validate_diagram)
-from garnet.errors import EnumerationCap, MalformedInput
-from garnet.fincat import FinCategory
+from garnet import density as density_module
+from garnet.errors import EnumerationCap, MalformedInput, NoIsoFound
+from garnet.fincat import FinCategory, category_from_json
 from garnet.finset import EMPTY, FinFunction, FinSet, identity
 from garnet.presheaf import (Presheaf, PresheafMap, enumerate_maps,
                              presheaf_identity, pullback_classify,
@@ -307,9 +313,129 @@ def test_closed_form_walking_arrow_base():
     assert ambient.is_iso(res.iso.top) and ambient.is_iso(res.iso.bottom)
 
 
+FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+with open(os.path.join(FIX, "graph_base.json")) as _fh:
+    GRAPH = category_from_json(json.load(_fh))
+# a chain x -> y -> z with its composite
+CHAIN = FinCategory(("x", "y", "z"),
+                    (("a", "x", "y"), ("b", "y", "z"), ("ba", "x", "z")),
+                    {("b", "a"): "ba"})
+
+
+def _table(draw, n, m):
+    return tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+
+
+@st.composite
+def _graph(draw):
+    v = finite(draw(st.integers(0, 2)), "v")
+    e = finite(draw(st.integers(0, 2)) if v.size else 0, "e")
+    return Presheaf(GRAPH, {"v": v, "e": e}, {
+        end: FinFunction(e, v, _table(draw, e.size, v.size))
+        for end in ("src", "tgt")})
+
+
+@st.composite
+def _chain(draw):
+    x = finite(draw(st.integers(0, 2)), "x")
+    y = finite(draw(st.integers(0, 2)) if x.size else 0, "y")
+    z = finite(draw(st.integers(0, 2)) if y.size else 0, "z")
+    ra = FinFunction(y, x, _table(draw, y.size, x.size))
+    rb = FinFunction(z, y, _table(draw, z.size, y.size))
+    rba = FinFunction(z, x, tuple(ra(i) for i in rb.table))
+    return Presheaf(CHAIN, {"x": x, "y": y, "z": z},
+                    {"a": ra, "b": rb, "ba": rba})
+
+
+@st.composite
+def _presheaf_map(draw, presheaves):
+    maps = enumerate_maps(draw(presheaves), draw(presheaves))
+    assume(maps)
+    return draw(st.sampled_from(maps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_presheaf_map(_graph()), _presheaf_map(_chain())))
+def test_closed_form_iso_is_built_over_graphs_and_chains(m):
+    # parallel arrows and a composite, beyond the terminal base and the
+    # walking arrow of the acceptance criterion
+    ambient = PresheafAmbient(m.source.base)
+    _, truth = subobject_classifier(m.source.base)
+    f = ArrowObj(ambient, m)
+    res = density_closed_form_subobject(truth, f)
+    assert res.iso.source == res.closed
+    assert res.iso.target == res.generic.den
+    assert ambient.is_iso(res.iso.top) and ambient.is_iso(res.iso.bottom)
+
+
+def _point_map(n, m, *table):
+    base = FinCategory(("x",), (), {})
+    a, b = finite(n, "a"), finite(m, "b")
+    return ArrowObj(PresheafAmbient(base),
+                    _psh_map(base, {"x": a}, {"x": b},
+                             {"x": func(a, b, *table)}))
+
+
+# against the density of a map with fewer problems a cell is missing; with
+# more, the built map is not onto
+@pytest.mark.parametrize("other", [(2, 2, 0, 1), (2, 4, 0, 1)],
+                         ids=["fewer-cells", "more-cells"])
+def test_closed_form_against_another_density_raises(monkeypatch, other):
+    f, g = _point_map(2, 3, 0, 2), _point_map(*other)
+    _, truth = subobject_classifier(f.mor.source.base)
+    real = density_module.density_comonad
+    monkeypatch.setattr(density_module, "density_comonad",
+                        lambda u, _f, cap=None: real(u, g, cap=cap))
+    with pytest.raises(NoIsoFound):
+        density_closed_form_subobject(truth, f)
+
+
+CLOSED_FORM_MISMATCH = """
+from garnet import density
+from garnet.arrows import ArrowObj, PresheafAmbient
+from garnet.errors import NoIsoFound
+from garnet.fincat import FinCategory
+from garnet.finset import FinFunction, FinSet
+from garnet.presheaf import Presheaf, PresheafMap, subobject_classifier
+
+base = FinCategory(("x",), (), {})
+_, truth = subobject_classifier(base)
+
+
+def point_map(n, m, *table):
+    a, b = FinSet.fresh(n, "a"), FinSet.fresh(m, "b")
+    return ArrowObj(PresheafAmbient(base), PresheafMap(
+        Presheaf(base, {"x": a}, {}), Presheaf(base, {"x": b}, {}),
+        {"x": FinFunction(a, b, table)}))
+
+
+f = point_map(2, 3, 0, 2)
+real = density.density_comonad
+for other in (point_map(2, 2, 0, 1), point_map(2, 4, 0, 1)):
+    density.density_comonad = lambda u, _f, cap=None: real(u, other, cap=cap)
+    try:
+        density.density_closed_form_subobject(truth, f)
+    except NoIsoFound:
+        continue
+    raise SystemExit("a mismatched closed form did not raise NoIsoFound")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_closed_form_mismatch_raises_also_under_python_O(flags):
+    # python -O strips assert statements; the check must not be one
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, *flags, "-c", CLOSED_FORM_MISMATCH],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_lan_coproduct_decomposition():
     # a diagram split into two discrete pieces: density of the union is the
-    # coproduct of the densities
+    # coproduct of the densities, up to relabeling
     two = finite(2, "c")
     u1 = point_inclusion()
     u2 = ArrowDiagram(AMB, FinCategory(("k",), (), {}),
@@ -321,36 +447,7 @@ def test_lan_coproduct_decomposition():
     den1 = density_comonad(u1, f)
     den2 = density_comonad(u2, f)
     cp = union.arr.coproduct([den1.den, den2.den])
-    iso = find_arrow_iso(AMB, den.den, cp.obj)
-    assert iso is not None
-
-
-def test_find_arrow_iso_positive_relabeling():
-    a, b = finite(3, "a"), finite(2, "b")
-    f = arrow(func(a, b, 0, 0, 1))
-    a2 = FinSet(("p", "q", "r"))
-    b2 = FinSet(("u", "v"))
-    g = arrow(FinFunction(a2, b2, (1, 0, 0)))
-    iso = find_arrow_iso(AMB, f, g)
-    assert iso is not None
-    assert AMB.is_iso(iso.top) and AMB.is_iso(iso.bottom)
-
-
-def test_find_arrow_iso_negative():
-    two = finite(2, "c")
-    f = arrow(identity(two))
-    g = arrow(func(two, two, 0, 0))
-    assert find_arrow_iso(AMB, f, g) is None
-
-
-def test_find_arrow_iso_respects_fiber_structure():
-    three = finite(3, "d")
-    two = finite(2, "e")
-    f = arrow(func(three, two, 0, 0, 1))  # fibers 2, 1
-    g = arrow(func(three, two, 0, 1, 1))  # fibers 1, 2
-    iso = find_arrow_iso(AMB, f, g)
-    assert iso is not None  # swapping the base points matches the fibers
-    assert AMB.compose(g.mor, iso.top) == AMB.compose(iso.bottom, f.mor)
+    assert AMB.skeleton(den.den.mor) == AMB.skeleton(cp.obj.mor)
 
 
 def test_enumeration_cap_propagates():
