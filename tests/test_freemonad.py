@@ -155,22 +155,32 @@ def test_attach_point_free_algebra_shape():
     assert len(fa.trace.stages) == 3
 
 
-def test_step_action_reproduces_units_and_the_tail_stabilizes():
-    # the step applied to a stage unit (b, h) is the induced map between the
-    # step pushouts; it must reproduce the next unit's codomain component,
-    # including at the stability tail, and the two step units past
-    # convergence compose to isos
-    for backdrop, start in ((MONO, PAIR), (ALL, finite(3, "w"))):
-        fa = free_algebra(FreeMonadConfig(AMB, backdrop, MAYBE), start)
-        stages = fa.trace.stages
-        for prev, cur in zip(stages, stages[1:]):
-            assert prev.step.out.mediate(
-                AMB.compose(cur.step.new.f, MAYBE.on_mor(prev.step.h)),
-                AMB.compose(cur.step.h, prev.step.h)) == cur.step.h
-        n = fa.trace.converged_stage
-        at, extra = stages[n].step, stages[n + 1].step
-        assert AMB.is_iso(AMB.compose(extra.g, at.g))
-        assert AMB.is_iso(AMB.compose(extra.h, at.h))
+def _step_action(prev, cur):
+    """The step applied to the stage unit (g, h) of `prev`: the new domain
+    component is h, the new codomain component is the induced map between
+    the step pushouts of `prev` and `cur`."""
+    b = prev.step.h
+    q = AMB.compose(cur.step.new.f, MAYBE.on_mor(b))
+    return b, prev.step.out.mediate(q, AMB.compose(cur.step.h, b))
+
+
+def test_step_coherence_recorded_and_true():
+    # applying the step to each recorded unit reproduces the next one
+    fa = free_algebra(FreeMonadConfig(AMB, MONO, MAYBE), PAIR)
+    stages = fa.trace.stages
+    assert len(stages) == fa.trace.converged_stage + 2
+    for prev, cur in zip(stages, stages[1:]):
+        assert _step_action(prev, cur)[1] == cur.step.h
+
+
+def test_stability_iso_recorded():
+    # the trace records one stage past convergence, and the two step units
+    # there compose to isos
+    fa = free_algebra(FreeMonadConfig(AMB, MONO, MAYBE), PAIR)
+    n = fa.trace.converged_stage
+    at, extra = fa.trace.stages[n].step, fa.trace.stages[n + 1].step
+    assert AMB.is_iso(AMB.compose(extra.g, at.g))
+    assert AMB.is_iso(AMB.compose(extra.h, at.h))
 
 
 def test_unit_is_composite_of_stage_units():
@@ -261,6 +271,17 @@ def test_squash_converges_under_all_backdrop():
     assert fa.carrier.size == 1
     assert fa.trace.converged_stage == 1
     assert fa.unit == func(PAIR, fa.carrier, 0, 0)
+
+
+def test_step_action_composes_with_units():
+    # the step action applied to a stage unit reproduces the next unit's
+    # codomain component, including at the stability tail
+    fa = free_algebra(FreeMonadConfig(AMB, ALL, MAYBE), finite(3, "w"))
+    stages = fa.trace.stages
+    for prev, cur in zip(stages, stages[1:]):
+        b, c = _step_action(prev, cur)
+        assert b == prev.step.h
+        assert c == cur.step.h
 
 
 def _times(k):
