@@ -262,6 +262,14 @@ class Square:
             raise BoundaryMismatch("square does not commute")
 
 
+def square_from_tables(source: ArrowObj, target: ArrowObj, top: tuple,
+                       bottom: tuple) -> Square:
+    """The checked square source -> target whose sides have these tables."""
+    amb = source.ambient
+    return Square(source, target, amb.from_tables(source.dom, target.dom, top),
+                  amb.from_tables(source.cod, target.cod, bottom))
+
+
 def identity_square(f: ArrowObj) -> Square:
     amb = f.ambient
     return Square(f, f, amb.identity(f.dom), amb.identity(f.cod))
@@ -383,30 +391,35 @@ class ArrowAmbient:
     def tables(self, s: Square) -> tuple:
         return self.inner.tables(s.top) + self.inner.tables(s.bottom)
 
-    def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
-        """All squares a -> b, ordered by top, then by bottom, each in the
-        inner hom's order.
+    def boundaries(self, a: ArrowObj, b: ArrowObj, cap=None) -> dict:
+        """Every square a -> b, as an ordered dict from the tables ``(top
+        tables, bottom tables)`` of its sides to the sides ``(top, bottom)``,
+        by top, then by bottom, each in the inner hom's order.
 
         Each inner hom-set is enumerated once: the bottoms are indexed by
-        the tables of the composite ``bottom . a`` they give, and each top
-        picks out the bottoms stored under the tables of ``b . top``.
-        ``cap`` bounds each inner hom; when there is no top the bottoms are
-        never enumerated, so only the tops' hom-set can exceed it.
-        """
+        the tables of ``bottom . a``, and each top picks out the bottoms
+        filed under the tables of ``b . top``, which is the commutation
+        check.  ``cap`` bounds each inner hom; without a top the bottoms are
+        never enumerated, so only the tops' hom-set can exceed it."""
         inner = self.inner
         tops = inner.hom(a.dom, b.dom, cap=cap)
         if not tops:
-            return []
+            return {}
         tables = inner.tables
         a_t, b_t = tables(a.mor), tables(b.mor)
         bottoms: dict = {}
         for bottom in inner.hom(a.cod, b.cod, cap=cap):
             bottoms.setdefault(compose_tables(tables(bottom), a_t),
-                               []).append(bottom)
+                               []).append((tables(bottom), bottom))
+        return {(top_t, bottom_t): (top, bottom)
+                for top, top_t in zip(tops, map(tables, tops))
+                for bottom_t, bottom in bottoms.get(
+                    compose_tables(b_t, top_t), ())}
+
+    def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
+        """All squares a -> b, in the order of ``boundaries``."""
         return [Square(a, b, top, bottom)
-                for top in tops
-                for bottom in bottoms.get(compose_tables(b_t, tables(top)),
-                                          ())]
+                for top, bottom in self.boundaries(a, b, cap=cap).values()]
 
     def pushout(self, s: Square, t: Square, tags=("i0", "i1")):
         if s.source != t.source:

@@ -10,13 +10,15 @@ and a replayable, independently checkable construction trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
-                     compose_squares, compose_tables, identity_square)
+                     compose_squares, compose_tables, identity_square,
+                     square_from_tables)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, comma_category, density_action,
                       density_comonad, hom_shape, lifting_problems,
-                      retarget_density, validate_diagram)
+                      problem_boundaries, retarget_density, validate_diagram)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
@@ -75,11 +77,9 @@ class GeneratedAWFS:
                                    self.t)
 
     def density(self, f: ArrowObj):
-        """The density comonad at f, memoized up to relabeling: the colimit
-        and the comma names, relations, ``over`` and boundary index (the
-        label-free fields of ``DensityResult``) are built once per skeleton
-        of f, its sizes and tables; the problems and the counit are
-        retargeted to f's labels."""
+        """The density comonad at f, memoized up to relabeling: built once
+        per skeleton of f, its sizes and tables, and retargeted to f's
+        labels, which only the counit carries."""
         core = self.session.memo(
             ("density", self.ambient.skeleton(f.mor)),
             lambda: density_comonad(self.generators, f, cap=self.cap))
@@ -334,6 +334,9 @@ def _step_endofunctor(awfs: GeneratedAWFS) -> PointedEndofunctor:
         return awfs.one_step(f).obj
 
     def on_mor(s: Square) -> Square:
+        return awfs.session.memo(("on_mor", s), lambda: _on_mor(s))
+
+    def _on_mor(s: Square) -> Square:
         src = awfs.one_step(s.source)
         tgt = awfs.one_step(s.target)
         act = density_action(awfs.generators, s, src.den, tgt.den)
@@ -418,8 +421,8 @@ def _cell_record(den) -> TraceCell:
     order = den.comma.objects
     return TraceCell(
         den.den, den.counit,
-        tuple((n, den.legs[n]) for n in order),
-        tuple((n,) + den.comma.problems[n] for n in order))
+        tuple((n, den.leg(n)) for n in order),
+        tuple((n, den.comma.problems[n][0], den.problem(n)) for n in order))
 
 
 def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
@@ -535,13 +538,25 @@ def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
 @dataclass(frozen=True)
 class LiftingStructure:
     """A coherent choice of fillers: one per problem, compatible with every
-    generator morphism."""
+    generator morphism.  ``by_key`` files them under the problems' comma
+    keys; ``fillers``, built on first read, under ``(index, square)``."""
     f: ArrowObj
-    fillers: dict
+    by_key: dict
     awfs: GeneratedAWFS = field(repr=False, compare=False)
 
     def __hash__(self):
-        return hash((self.f, tuple(self.fillers.items())))
+        return hash((self.f, tuple(self.by_key.items())))
+
+    @cached_property
+    def fillers(self) -> dict:
+        gen = self.awfs.generators.arrow
+        return {(j, square_from_tables(gen(j), self.f, top, bottom)): s
+                for (j, top, bottom), s in self.by_key.items()}
+
+    def filler(self, key):
+        if key not in self.by_key:
+            raise BoundaryMismatch("not a lifting problem of this structure")
+        return self.by_key[key]
 
 
 def _filler_index(inner, j: str, gen: ArrowObj, f: ArrowObj, cap) -> dict:
@@ -569,16 +584,13 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     """Backtracking search over coherent filler assignments.
 
     The problems, their order and their links are read off the comma
-    category of lifting problems into f: problems are visited in comma
-    object order, and assigning a filler s to the problem n2 immediately
-    forces ``s . u(t).bottom`` on n1 for every relation ``t@n2: n1 -> n2``,
-    which prunes the search and keeps the output order deterministic.  A
-    problem's candidates are looked up under its ``by_boundary`` key in
-    one index of ``hom(gen.cod, f.dom)`` per generator.  No density
-    colimit is built.  The search keeps its branch on an explicit stack, so
-    its depth is not bounded by the interpreter's recursion limit.  mode
-    is "first", "count", or "all"; every hom-set is bounded by the
-    session's cap.
+    category of lifting problems into f, and no density is built: problems
+    are visited in comma object order, and assigning a filler s to the
+    problem n2 forces ``s . u(t).bottom`` on n1 for every relation
+    ``t@n2: n1 -> n2``.  Candidates are looked up by problem key in one
+    index of ``hom(gen.cod, f.dom)`` per generator.  The branch is kept on
+    an explicit stack, not the interpreter's.  mode is "first", "count", or
+    "all"; every hom-set is bounded by the session's cap.
     """
     if mode not in ("first", "count", "all"):
         raise MalformedInput("mode must be first, count, or all")
@@ -587,10 +599,8 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     cap = awfs.cap
     comma = comma_category(u, f, cap=cap)
     problems = list(comma.problems.values())
-    fillers: dict = {}
-    for j, _a in problems:
-        if j not in fillers:
-            fillers[j] = _filler_index(inner, j, u.arrow(j), f, cap)
+    fillers = {j: _filler_index(inner, j, u.arrow(j), f, cap)
+               for j in dict.fromkeys(j for j, _top, _bottom in problems)}
     candidates = [fillers[j].get((top, bottom), [])
                   for j, top, bottom in comma.by_boundary]
     position = {name: k for k, name in enumerate(comma.objects)}
@@ -661,52 +671,46 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
 
 def solve_lifting(structure: LiftingStructure, i: str, alpha: Square):
     """The filler the structure assigns to one problem."""
-    key = (i, alpha)
-    if key not in structure.fillers:
+    tables = structure.f.ambient.tables
+    s = structure.filler((i, tables(alpha.top), tables(alpha.bottom)))
+    if alpha.source != structure.awfs.generators.arrow(i) \
+            or alpha.target != structure.f:
         raise BoundaryMismatch("not a lifting problem of this structure")
-    return structure.fillers[key]
+    return s
 
 
 def compose_structures(outer: LiftingStructure,
                        inner_structure: LiftingStructure) -> LiftingStructure:
     """The structure on the composite arrow, solving against the outer map
-    first and feeding its filler to the inner one."""
+    first and feeding its filler to the inner one, all on problem keys."""
     awfs = outer.awfs
     if awfs is not inner_structure.awfs:
         raise BoundaryMismatch("structures come from different sessions")
     if inner_structure.f.cod != outer.f.dom:
         raise BoundaryMismatch("the two structured arrows do not compose")
     amb = awfs.ambient
+    tables = amb.tables
     u = awfs.generators
     comp = ArrowObj(amb, amb.compose(outer.f.mor, inner_structure.f.mor))
-    fillers = {}
+    first = tables(inner_structure.f.mor)
+    by_key = {}
     for i in u.index.objects:
-        gen = u.arrow(i)
-        for a in lifting_problems(u, i, comp, cap=awfs.cap):
-            outer_problem = Square(gen, outer.f,
-                                   amb.compose(inner_structure.f.mor, a.top),
-                                   a.bottom)
-            through = solve_lifting(outer, i, outer_problem)
-            inner_problem = Square(gen, inner_structure.f, a.top, through)
-            fillers[(i, a)] = solve_lifting(inner_structure, i,
-                                            inner_problem)
-    return LiftingStructure(comp, fillers, awfs)
+        for top, bottom in problem_boundaries(u, i, comp, cap=awfs.cap):
+            through = outer.filler((i, compose_tables(first, top), bottom))
+            by_key[(i, top, bottom)] = inner_structure.filler(
+                (i, top, tables(through)))
+    return LiftingStructure(comp, by_key, awfs)
 
 
 def structure_to_algebra(awfs: GeneratedAWFS,
                          psi: LiftingStructure) -> Square:
     """Glue a structure's fillers into a retraction of the one-step unit."""
     inner = awfs.ambient
-    u = awfs.generators
     f = psi.f
     data = awfs.one_step(f)
-    den = data.den
     target = ArrowObj(inner, inner.identity(f.dom))
-    legs = []
-    for name in den.comma.objects:
-        j, a = den.comma.problems[name]
-        legs.append(Square(u.arrow(j), target, a.top, psi.fillers[(j, a)]))
-    glued = den.mediate(legs, target)
+    glued = data.den.mediate([(key[1], inner.tables(psi.filler(key)))
+                              for key in data.den.comma.by_boundary], target)
     d_top = data.po.mediate(inner.identity(f.dom), glued.bottom)
     return Square(data.obj, f, d_top, inner.identity(f.cod))
 
@@ -721,27 +725,22 @@ def algebra_to_structure(awfs: GeneratedAWFS, f: ArrowObj,
                              "arrow back onto the map")
     if compose_squares(d, data.unit) != identity_square(f):
         raise NotAnAlgebra("the structure square does not retract the unit")
-    fillers = {}
-    for name in data.den.comma.objects:
-        j, a = data.den.comma.problems[name]
-        leg = data.den.legs[name]
-        fillers[(j, a)] = inner.compose(
-            d.top, inner.compose(data.po.right, leg.bottom))
-    return LiftingStructure(f, fillers, awfs)
+    den = data.den
+    # den.cod -> f.dom, which each leg's bottom is composed with
+    back = inner.tables(inner.compose(d.top, data.po.right))
+    by_key = {key: inner.from_tables(den.cells[name].cod, f.dom,
+                                     compose_tables(back, den.legs[name][1]))
+              for name, key in den.comma.problems.items()}
+    return LiftingStructure(f, by_key, awfs)
 
 
 def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
     """True iff every problem against every generator has some filler,
     with no coherence requirement."""
-    inner = u.ambient
-    tables = inner.tables
     for i in u.index.objects:
-        problems = lifting_problems(u, i, f, cap=cap)
-        if not problems:
-            continue
-        fillers = _filler_index(inner, i, u.arrow(i), f, cap)
-        if any((tables(a.top), tables(a.bottom)) not in fillers
-               for a in problems):
+        problems = problem_boundaries(u, i, f, cap)
+        if problems and not problems.keys() <= _filler_index(
+                u.ambient, i, u.arrow(i), f, cap).keys():
             return False
     return True
 
@@ -791,10 +790,8 @@ def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj) -> QuillenResult:
     current = f
     stage_tops: list = []
     while True:
-        probs = []
-        for i in u.index.objects:
-            for a in lifting_problems(u, i, current, cap=awfs.cap):
-                probs.append((i, a))
+        probs = [(i, a) for i in u.index.objects
+                 for a in lifting_problems(u, i, current, cap=awfs.cap)]
         # a first stage is always glued; afterwards stop as soon as
         # every problem has some filler
         if not probs or (stage_tops

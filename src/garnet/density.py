@@ -37,6 +37,7 @@ from .arrows import (
     compose_squares,
     compose_tables,
     identity_square,
+    square_from_tables,
 )
 from .errors import DomainMismatch, EnumerationCap, GarnetError, \
     MalformedInput, NoIsoFound
@@ -105,17 +106,25 @@ def validate_diagram(u: ArrowDiagram) -> list[str]:
     return report
 
 
-def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
-                     cap: int | None = None) -> list[Square]:
-    """All squares from the generator at i into f, in deterministic order."""
+def problem_boundaries(u: ArrowDiagram, i: str, f: ArrowObj,
+                       cap: int | None = None) -> dict:
+    """The lifting problems against the generator at i into f, as the arrow
+    ambient's ``boundaries`` keyed by their sides' tables."""
     gen = u.arrow(i)
     try:
-        return u.arr.hom(gen, f, cap=cap)
+        return u.arr.boundaries(gen, f, cap=cap)
     except EnumerationCap as exc:
         raise EnumerationCap(
             f"{exc}, enumerating the lifting problems at generator {i!r}: "
             f"tops {hom_shape(u.ambient, gen.dom, f.dom)}, bottoms "
             f"{hom_shape(u.ambient, gen.cod, f.cod)}") from exc
+
+
+def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
+                     cap: int | None = None) -> list[Square]:
+    """All squares from the generator at i into f, in deterministic order."""
+    return [Square(u.arrow(i), f, top, bottom)
+            for top, bottom in problem_boundaries(u, i, f, cap).values()]
 
 
 def hom_shape(inner, a, b) -> str:
@@ -127,9 +136,8 @@ def hom_shape(inner, a, b) -> str:
 
 
 def problem_at(index: dict, j: str, top, bottom):
-    """The entry of a boundary-keyed problem index for the problem against
-    the generator at j with these sides.  Callers only look up composites
-    of known problems, which are problems again, so a miss is a bug."""
+    """The entry of a problem index under the key (j, top, bottom).  Callers
+    look up composites of problems, which are problems, so a miss is a bug."""
     try:
         return index[(j, top, bottom)]
     except KeyError:
@@ -140,15 +148,16 @@ def problem_at(index: dict, j: str, top, bottom):
 @dataclass
 class CommaResult:
     """The comma category of lifting problems, presented by its objects and
-    its generating morphisms; the density colimit never composes them."""
+    its generating morphisms; the density colimit never composes them.  A
+    problem is its key ``(index object, top tables, bottom tables)``; a
+    square is built from a key only where a problem leaves the library."""
     # comma object names, in object order
     objects: tuple[str, ...]
     # one (name, dom, cod) per generator morphism into each problem
     relations: list[tuple[str, str, str]]
-    # comma object name -> (index object, problem square), in object order
-    problems: dict[str, tuple[str, Square]]
-    # (index object, top tables, bottom tables) -> comma object name, in
-    # object order; the tables are the inner ambient's ``tables``
+    # comma object name -> problem key, in object order
+    problems: dict[str, tuple[str, tuple, tuple]]
+    # problem key -> comma object name, in object order
     by_boundary: dict[tuple[str, tuple, tuple], str]
     # comma morphism name -> index morphism name
     over: dict[str, str]
@@ -160,13 +169,11 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
     problems are enumerated, keyed and linked.  The density colimit and the
     lifting search both read it."""
     tables = u.ambient.tables
-    problems: dict[str, tuple[str, Square]] = {}
-    by_boundary: dict[tuple[str, tuple, tuple], str] = {}
+    problems: dict[str, tuple[str, tuple, tuple]] = {}
     for j in u.index.objects:
-        for k, alpha in enumerate(lifting_problems(u, j, f, cap=cap)):
-            name = f"{j}#{k}"
-            problems[name] = (j, alpha)
-            by_boundary[(j, tables(alpha.top), tables(alpha.bottom))] = name
+        for k, (top, bottom) in enumerate(problem_boundaries(u, j, f, cap)):
+            problems[f"{j}#{k}"] = (j, top, bottom)
+    by_boundary = {key: name for name, key in problems.items()}
     relations = []
     over = {}
     for t in u.index.non_identity_morphisms():
@@ -190,49 +197,51 @@ class DensityResult:
     """The density value at f: the colimit arrow, its counit, and legs.
 
     The colimit is the coproduct of one cell per lifting problem (a copy of
-    its generating arrow), divided by the relations.  ``cells`` lists the
-    generating arrows in comma object order, and ``classes`` holds, for the
-    domain and then the codomain side, one ``(proj, reps)`` per level of
-    the inner ambient: the class of each element of the coproduct, and the
-    minimal member of each class.  ``mediate`` reads a cocone off these.
+    its generating arrow), divided by the relations.  ``cells`` and ``legs``
+    map each comma object, in order, to its generating arrow and to its leg
+    into ``den`` as ``(top tables, bottom tables)``; ``problem`` and ``leg``
+    build checked squares.  ``classes`` holds, per side and level, the class
+    of each element of the coproduct and the minimal member of each class;
+    ``mediate`` reads a cocone off these.
 
-    Only ``f``, ``counit`` and the comma's ``problems`` have f in their
-    boundary.  The rest -- ``den``, ``legs``, ``cells``, ``classes`` and the
-    comma's ``objects``, ``relations``, ``over`` and ``by_boundary``, whose
-    keys are tables without labels -- depend on f's sizes and tables only,
-    so ``retarget_density`` shares them between relabeled copies of f.
+    Only ``f`` and ``counit`` have f in their boundary.  The rest depend on
+    f's sizes and tables only, so ``retarget_density`` shares them between
+    relabeled copies of f.
     """
     f: ArrowObj
     comma: CommaResult
     den: ArrowObj
     counit: Square
-    legs: dict[str, Square] = field(repr=False)
-    cells: tuple = field(repr=False)
+    legs: dict[str, tuple] = field(repr=False)
+    cells: dict[str, ArrowObj] = field(repr=False)
     classes: tuple = field(repr=False)
 
+    def problem(self, name: str) -> Square:
+        """The lifting problem ``name``: a square from its cell into f."""
+        _j, top, bottom = self.comma.problems[name]
+        return square_from_tables(self.cells[name], self.f, top, bottom)
+
+    def leg(self, name: str) -> Square:
+        """The colimit leg of the cell ``name``: a square into den."""
+        return square_from_tables(self.cells[name], self.den,
+                                  *self.legs[name])
+
     def mediate(self, cocone, cod: ArrowObj) -> Square:
-        """The square den -> cod induced by a cocone: one square from each
-        cell into cod, in comma object order.  Each side's tables are
-        concatenated over the cells and read once per class; a cocone that
-        is not constant on a class, which is to say one that does not
-        respect a relation, raises DomainMismatch."""
-        if len(cocone) != len(self.cells):
-            raise DomainMismatch("a cocone needs one leg per lifting problem")
-        for leg, cell in zip(cocone, self.cells):
-            if leg.source != cell or leg.target != cod:
-                raise DomainMismatch("cocone leg does not go from its cell "
-                                     "to the cocone's arrow")
-        inner = cod.ambient
-        sides = []
-        for side, levels in zip(("top", "bottom"), self.classes):
-            legs = [inner.tables(getattr(leg, side)) for leg in cocone]
-            sides.append([
-                class_values(proj, reps, list(chain.from_iterable(
-                    t[k] for t in legs)))
-                for k, (proj, reps) in enumerate(levels)])
-        return Square(self.den, cod,
-                      inner.from_tables(self.den.dom, cod.dom, sides[0]),
-                      inner.from_tables(self.den.cod, cod.cod, sides[1]))
+        """The square den -> cod induced by a cocone: per cell, in comma
+        object order, the ``(top tables, bottom tables)`` of a square into
+        cod.  Each side's tables are concatenated over the cells and read
+        once per class; a cocone that does not respect a relation raises
+        DomainMismatch.  The square built is checked, and it commutes
+        exactly when every leg does, as the classes cover the cells."""
+        def shape(legs):
+            return [[list(map(len, side)) for side in leg] for leg in legs]
+        if shape(cocone) != shape(self.legs.values()):
+            raise DomainMismatch("a cocone needs one leg out of each cell")
+        sides = [[class_values(proj, reps, list(chain.from_iterable(
+                      leg[side][k] for leg in cocone)))
+                  for k, (proj, reps) in enumerate(levels)]
+                 for side, levels in enumerate(self.classes)]
+        return square_from_tables(self.den, cod, *sides)
 
 
 def density_comonad(u: ArrowDiagram, f: ArrowObj,
@@ -240,7 +249,8 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     """The density comonad at f, built from scratch: the colimit over the
     comma category of lifting problems into f of the generating arrows.
 
-    The coproduct of the cells fixes the labels.  Its domain and codomain
+    The coproducts of the cells' domains and of their codomains fix the
+    labels; each places the cells one after another at every level.  They
     are then divided, level by level, by the relations: a relation
     ``t@n2: n1 -> n2`` identifies each element x of the cell of n1 with
     ``u(t)(x)`` in the cell of n2.  Its label-free fields are listed on
@@ -249,40 +259,36 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     tables = inner.tables
     comma = comma_category(u, f, cap=cap)
     names = comma.objects
-    cells = tuple(u.arrow(comma.problems[n][0]) for n in names)
-    cp = u.arr.coproduct(cells, tags=names)
-    # where each cell sits in the coproduct, per side and level
-    at = {n: (tables(inj.top), tables(inj.bottom))
-          for n, inj in zip(names, cp.injections)}
+    cells = {n: u.arrow(comma.problems[n][0]) for n in names}
+    cps = [inner.coproduct([getattr(c, side) for c in cells.values()],
+                           tags=names) for side in ("dom", "cod")]
+    # where each cell sits in the two coproducts, per level
+    at = {n: tuple(tables(cp.injections[k]) for cp in cps)
+          for k, n in enumerate(names)}
     squares = {t.name: (tables(u.square(t.name).top),
                         tables(u.square(t.name).bottom))
                for t in u.index.non_identity_morphisms()}
-    levels = len(tables(cp.obj.mor))
-    pairs = ([[] for _ in range(levels)], [[] for _ in range(levels)])
+    pairs = tuple([[] for _ in tables(f.mor)] for _side in (0, 1))
     for name, n1, n2 in comma.relations:
         for side in (0, 1):
             for k, ut in enumerate(squares[comma.over[name]][side]):
                 into = at[n2][side][k]
                 pairs[side][k].extend(zip(at[n1][side][k],
                                           map(into.__getitem__, ut)))
-    dom_q = inner.quotient(cp.obj.dom, pairs[0])
-    cod_q = inner.quotient(cp.obj.cod, pairs[1])
+    dom_q, cod_q = map(inner.quotient, (cp.obj for cp in cps), pairs)
     projs = (tables(dom_q.proj), tables(cod_q.proj))
     classes = tuple(tuple((proj, first_members(proj)) for proj in side)
                     for side in projs)
+    legs = {n: tuple(map(compose_tables, projs, at[n])) for n in names}
     # the arrow between the quotients, read at one member of each class
+    mor = [list(chain.from_iterable(level)) for level in zip(*(
+        compose_tables(legs[n][1], tables(cell.mor))
+        for n, cell in cells.items()))] or [[] for _ in projs[0]]
     den = ArrowObj(inner, inner.from_tables(dom_q.obj, cod_q.obj, [
-        tuple(cod_proj[mor[r]] for r in reps)
-        for (_, reps), cod_proj, mor in zip(classes[0], projs[1],
-                                            tables(cp.obj.mor))]))
-    legs = {}
-    for n, cell in zip(names, cells):
-        top, bottom = (compose_tables(projs[side], at[n][side])
-                       for side in (0, 1))
-        legs[n] = Square(cell, den, inner.from_tables(cell.dom, den.dom, top),
-                         inner.from_tables(cell.cod, den.cod, bottom))
+        tuple(map(level.__getitem__, reps))
+        for level, (_, reps) in zip(mor, classes[0])]))
     out = DensityResult(f, comma, den, None, legs, cells, classes)
-    out.counit = out.mediate([comma.problems[n][1] for n in names], f)
+    out.counit = out.mediate([key[1:] for key in comma.by_boundary], f)
     return out
 
 
@@ -291,23 +297,12 @@ def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
     same sizes and tables, other labels).
 
     f's skeleton fixes the order of every hom-set and every table, so the
-    comma names, relations, boundary index and colimit agree with a fresh
-    build at f and are shared.  Each problem square is rebuilt at f from
-    its cell and its ``by_boundary`` key, and the counit from its own
-    tables, so no map is composed to move them.
+    comma and the colimit agree with a fresh build at f and are shared.
+    Only the counit is rebuilt at f, from its own tables.
     """
-    amb = f.ambient
-
-    def onto_f(source, top, bottom):
-        return Square(source, f, amb.from_tables(source.dom, f.dom, top),
-                      amb.from_tables(source.cod, f.cod, bottom))
-    problems = {name: (j, onto_f(cell, top, bottom))
-                for ((j, top, bottom), name), cell
-                in zip(core.comma.by_boundary.items(), core.cells)}
-    comma = replace(core.comma, problems=problems)
-    counit = onto_f(core.den, amb.tables(core.counit.top),
-                    amb.tables(core.counit.bottom))
-    return replace(core, f=f, comma=comma, counit=counit)
+    tables = f.ambient.tables
+    return replace(core, f=f, counit=square_from_tables(
+        core.den, f, tables(core.counit.top), tables(core.counit.bottom)))
 
 
 def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
@@ -436,44 +431,40 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
         raise MalformedInput("map does not live over the classifier's base")
     u = subobject_classifier_diagram(ambient)
     elcat, _ = psh.element_category(omega)
-    # pointwise values: all squares from the classified subobject into f
-    values = {name: lifting_problems(u, name, f, cap=cap)
+    # pointwise values: all problems from the classified subobject into f
+    values = {name: problem_boundaries(u, name, f, cap=cap)
               for name in elcat.objects}
     # reassemble over the classifier: at c, the disjoint union over Omega(c);
     # the structure map to the classifier remembers which element each
-    # block came from, and cells[c] names the comma object of each element
-    at, cells, proj_comps = {}, {}, {}
+    # block came from, cells[c] names the comma object of each element, and
+    # position finds an element from its generator and problem key
+    at, cells, proj_comps, position = {}, {}, {}, {}
     for c in base.objects:
         lbls, names, table = [], [], []
         for a, a_lbl in enumerate(omega.at(c).labels):
             name = psh.element_object_name(c, a_lbl)
-            for k in range(len(values[name])):
+            for k, key in enumerate(values[name]):
+                position[(name, key)] = len(lbls)
                 lbls.append(f"{a_lbl}#{k}")
                 names.append(f"{name}#{k}")
                 table.append(a)
         at[c] = FinSet(tuple(lbls))
         cells[c] = names
         proj_comps[c] = FinFunction(at[c], omega.at(c), tuple(table))
+    # restricting along h pulls each problem back along h@a, on tables
     restrict = {}
     for m in base.non_identity_morphisms():
-        r_omega = omega.restrict(m.name)
-        arrow = base.morphism(m.name)
-        offsets_dom = {}
-        pos = 0
-        for a_lbl in omega.at(arrow.dom).labels:
-            offsets_dom[a_lbl] = pos
-            pos += len(values[psh.element_object_name(arrow.dom, a_lbl)])
+        r_omega, arrow = omega.restrict(m.name), base.morphism(m.name)
         table = []
-        for a2 in range(omega.at(arrow.cod).size):
-            a2_lbl = omega.at(arrow.cod).labels[a2]
-            name2 = psh.element_object_name(arrow.cod, a2_lbl)
-            a1_lbl = omega.at(arrow.dom).labels[r_omega(a2)]
-            name1 = psh.element_object_name(arrow.dom, a1_lbl)
+        for a2, a2_lbl in enumerate(omega.at(arrow.cod).labels):
+            name1 = psh.element_object_name(
+                arrow.dom, omega.at(arrow.dom).labels[r_omega(a2)])
             step = u.square(f"{m.name}@{a2_lbl}")
-            for beta in values[name2]:
-                restricted = compose_squares(beta, step)
-                table.append(offsets_dom[a1_lbl]
-                             + values[name1].index(restricted))
+            step_t = ambient.tables(step.top), ambient.tables(step.bottom)
+            table.extend(position[(name1, (compose_tables(top, step_t[0]),
+                                           compose_tables(bottom, step_t[1])))]
+                         for top, bottom in values[psh.element_object_name(
+                             arrow.cod, a2_lbl)])
         restrict[m.name] = FinFunction(at[arrow.cod], at[arrow.dom],
                                        tuple(table))
     reassembled = psh.Presheaf(base, at, restrict)
@@ -483,18 +474,17 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
     mismatch = "closed form does not match the generic density; this is a bug"
     try:
         top, bottom = [], []
-        for c in base.objects:
-            legs = [generic.legs[n] for n in cells[c]]
+        for k, c in enumerate(base.objects):
             ident = identity_name(c)
             bottom.append(tuple(
-                leg.bottom.at(c)(leg.source.cod.at(c).index_of(ident))
-                for leg in legs))
+                generic.legs[n][1][k][
+                    generic.cells[n].cod.at(c).index_of(ident)]
+                for n in cells[c]))
             top.append(tuple(
-                legs[i].top.at(c)(legs[i].source.dom.at(c).index_of(ident))
-                for i in closed.mor.at(c).table))
-        iso = Square(closed, generic.den,
-                     ambient.from_tables(closed.dom, generic.den.dom, top),
-                     ambient.from_tables(closed.cod, generic.den.cod, bottom))
+                generic.legs[n][0][k][
+                    generic.cells[n].dom.at(c).index_of(ident)]
+                for n in map(cells[c].__getitem__, closed.mor.at(c).table)))
+        iso = square_from_tables(closed, generic.den, top, bottom)
     except (GarnetError, LookupError, ValueError) as exc:
         raise NoIsoFound(mismatch) from exc
     if not (ambient.is_iso(iso.top) and ambient.is_iso(iso.bottom)):

@@ -107,6 +107,17 @@ def test_comma_category_stage_two():
         assert sorted(r[1] for r in incoming) == ["b#0", "bp#0"]
 
 
+def assert_counit_restores_problems(den):
+    """The counit after each leg is that cell's problem, and the problems
+    are the squares ``lifting_problems`` enumerates, in comma order."""
+    want = [(j, alpha) for j in WC.index.objects
+            for alpha in lifting_problems(WC, j, den.f)]
+    assert [(den.comma.problems[n][0], den.problem(n))
+            for n in den.comma.objects] == want
+    for name, (j, alpha) in zip(den.comma.objects, want):
+        assert compose_squares(den.counit, den.leg(name)) == alpha
+
+
 def test_density_empty_diagram():
     f = arrow(func(finite(2), POINT, 0, 0))
     den = density_comonad(empty_diagram(), f)
@@ -121,8 +132,7 @@ def test_density_paper_stage_one():
     assert den.den.cod.size == 2
     assert den.den.cod.labels == ("b#0.pt", "bp#0.pt")
     # counit restores each problem
-    for name, (j, alpha) in den.comma.problems.items():
-        assert compose_squares(den.counit, den.legs[name]) == alpha
+    assert_counit_restores_problems(den)
 
 
 def test_density_paper_stage_two_quotient():
@@ -135,8 +145,7 @@ def test_density_paper_stage_two_quotient():
     assert den.den.cod.size == 3
     assert den.den.cod.labels == ("b#0.pt", "a#0.l", "a#1.l")
     assert den.den.mor.table == (1, 2)
-    for name, (j, alpha) in den.comma.problems.items():
-        assert compose_squares(den.counit, den.legs[name]) == alpha
+    assert_counit_restores_problems(den)
 
 
 def test_density_discrete_is_coproduct_of_problems():
@@ -266,7 +275,7 @@ def test_representable_problem_is_distinguished():
         ident = identity_square(gen)
         name = den.comma.by_boundary[(j, ambient.tables(ident.top),
                                       ambient.tables(ident.bottom))]
-        assert compose_squares(den.counit, den.legs[name]) == \
+        assert compose_squares(den.counit, den.leg(name)) == \
             identity_square(gen)
 
 

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from garnet import finset, presheaf
 from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Square,
-                           compose_squares)
+                           compose_squares, identity_square)
 from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             density_action, density_comonad, problem_at,
                             subobject_classifier_diagram)
 from garnet.errors import DomainMismatch
-from garnet.fincat import category_from_json
+from garnet.fincat import category_from_json, discrete_category
 from garnet.finset import FinFunction, FinSet
 from test_density_memo import finset_maps, graph_maps
 
@@ -106,15 +106,18 @@ def assert_matches_oracle(u, f):
     got, want = density_comonad(u, f), oracle_density(u, f)
     tables = u.ambient.tables
     assert got.den == want.den
-    assert list(got.legs.items()) == list(want.legs.items())
+    assert [(n, got.leg(n)) for n in got.legs] == list(want.legs.items())
     assert got.counit == want.counit
-    assert list(got.comma.problems.items()) == list(want.problems.items())
+    assert [(n, got.comma.problems[n][0], got.problem(n))
+            for n in got.comma.objects] \
+        == [(n, j, alpha) for n, (j, alpha) in want.problems.items()]
     assert got.comma.relations == [r[:3] for r in want.relations]
     assert got.comma.over == {r[0]: r[3] for r in want.relations}
     assert len(got.comma.by_boundary) == len(want.problems)
     for name, (j, alpha) in want.problems.items():
-        assert got.comma.by_boundary[
-            (j, tables(alpha.top), tables(alpha.bottom))] == name
+        key = (j, tables(alpha.top), tables(alpha.bottom))
+        assert got.comma.by_boundary[key] == name
+        assert got.comma.problems[name] == key
     return got, want
 
 
@@ -126,14 +129,17 @@ def assert_action_matches_oracle(u, sigma):
 
 
 def assert_mediate_matches_oracle(u, f, cod, cocone):
+    """``DensityResult.mediate`` reads the cocone's legs as tables."""
     den, want = density_comonad(u, f), oracle_density(u, f)
+    tables = u.ambient.tables
+    legs = [(tables(leg.top), tables(leg.bottom)) for leg in cocone]
     try:
         expected = want.mediate(cocone, cod)
     except DomainMismatch:
         with pytest.raises(DomainMismatch):
-            den.mediate(cocone, cod)
+            den.mediate(legs, cod)
         return False
-    assert den.mediate(cocone, cod) == expected
+    assert den.mediate(legs, cod) == expected
     return True
 
 
@@ -214,6 +220,22 @@ def test_a_cocone_with_the_wrong_number_of_legs_is_refused():
     den = density_comonad(WC, f)
     with pytest.raises(DomainMismatch):
         den.mediate(list(den.legs.values())[:-1], den.den)
+
+
+def test_a_cocone_with_a_leg_off_its_cell_is_refused():
+    # a discrete diagram relates no cells, so every table is constant on
+    # the classes; swapping the legs of the empty-domain cell and the
+    # one-point cell keeps every total length, only the cells' differ
+    pt = FinSet(("pt",))
+    u = ArrowDiagram(AMB, discrete_category(("e", "p")), {
+        "e": ArrowObj(AMB, FinFunction(FinSet(()), pt, ())),
+        "p": ArrowObj(AMB, finset.identity(pt))})
+    den = density_comonad(u, ArrowObj(AMB, finset.identity(pt)))
+    assert den.comma.objects == ("e#0", "p#0") and not den.comma.relations
+    legs = list(den.legs.values())
+    with pytest.raises(DomainMismatch, match="out of each cell"):
+        den.mediate(legs[::-1], den.den)
+    assert den.mediate(legs, den.den) == identity_square(den.den)
 
 
 def test_a_table_key_miss_raises():

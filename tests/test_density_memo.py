@@ -84,9 +84,15 @@ def assert_same_density(got, fresh):
     assert got.den == fresh.den
     assert got.counit == fresh.counit
     assert list(got.legs.items()) == list(fresh.legs.items())
+    assert list(got.cells.items()) == list(fresh.cells.items())
     assert got.comma.objects == fresh.comma.objects
     assert list(got.comma.problems.items()) \
         == list(fresh.comma.problems.items())
+    # the squares handed out of the library, rebuilt from the tables
+    assert [got.leg(n) for n in got.comma.objects] \
+        == [fresh.leg(n) for n in fresh.comma.objects]
+    assert [got.problem(n) for n in got.comma.objects] \
+        == [fresh.problem(n) for n in fresh.comma.objects]
     assert got.comma.by_boundary == fresh.comma.by_boundary
     assert got.comma.relations == fresh.comma.relations
     assert got.comma.over == fresh.comma.over

@@ -6,14 +6,16 @@ tables.  The oracle below is the search it replaced, which enumerated the
 problems itself, keyed them and their fillers by maps, and built each
 problem's links on first use by composing squares: on random finite-set
 and graph maps, with random caps, both must return the same structures in
-the same order, or both must raise EnumerationCap.  Two count guards pin
-the single index: one comma category and no density per search, and no
-composite formed to retarget a density, not even by a rebuilt square's own
-commutation check, which runs on tables.
+the same order, or both must raise EnumerationCap; the oracle's
+structures are its fillers keyed by problem squares, which is what a
+structure's ``fillers`` reads.  Two count guards pin the single index: one
+comma category and no density per search, and one square, the counit, and
+no composite formed to retarget a density.
 """
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +23,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import arrow, func, finite
 from garnet import awfs as awfs_module, density
 from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square
-from garnet.awfs import GeneratedAWFS, LiftingStructure, \
-    find_lifting_structures
+from garnet.awfs import GeneratedAWFS, find_lifting_structures
 from garnet.density import (arrow_diagram_from_json, density_comonad,
                             lifting_problems, retarget_density)
 from garnet.errors import EnumerationCap
@@ -104,8 +105,8 @@ def oracle_lifts(aw, f, mode):
             if mode == "count":
                 count += 1
             else:
-                found.append(LiftingStructure(
-                    f, dict(zip(problems, assignment)), aw))
+                found.append(SimpleNamespace(
+                    f=f, fillers=dict(zip(problems, assignment))))
                 if mode == "first":
                     break
         else:
@@ -243,8 +244,8 @@ def test_retarget_composes_nothing(monkeypatch, u, f):
     monkeypatch.setattr(Square, "__post_init__", counted_check)
     monkeypatch.setattr(density, "compose_squares", no_composite)
     out = retarget_density(core, copy)
-    # one square per problem and the counit; each square checks that it
-    # commutes on tables, so nothing is composed as a map
-    assert len(squares) == len(core.comma.problems) + 1
+    # problems are table keys, so only the counit is rebuilt; it checks
+    # that it commutes on tables, so nothing is composed as a map
+    assert squares == [out.counit]
     assert len(composed) == 0
-    assert out.f == copy and out.den is core.den
+    assert out.f == copy and out.den is core.den and out.comma is core.comma
