@@ -21,6 +21,8 @@ The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 ``mor_from_json``, and these:
 
+- ``tables_to_json`` (the JSON of the map between two objects with the
+  given tables, written without building the map);
 - ``from_tables`` (the checked map between two objects with the given
   tables);
 - ``quotient`` (an object divided by the equivalence closure of pairs of
@@ -119,7 +121,12 @@ class FinSetAmbient:
         return finset.finset_to_json(x)
 
     def mor_to_json(self, m):
-        return finset.function_to_json(m)
+        return self.tables_to_json(m.dom, m.cod, self.tables(m))
+
+    def tables_to_json(self, a, b, tables):
+        (table,) = tables
+        return {"dom": finset.finset_to_json(a),
+                "cod": finset.finset_to_json(b), "table": list(table)}
 
     def mor_from_json(self, data):
         return finset.function_from_json(data)
@@ -205,7 +212,12 @@ class PresheafAmbient:
         return psh.presheaf_to_json(x)
 
     def mor_to_json(self, m):
-        return psh.presheaf_map_to_json(m)
+        return self.tables_to_json(m.source, m.target, self.tables(m))
+
+    def tables_to_json(self, a, b, tables):
+        return {"source": psh.presheaf_to_json(a),
+                "target": psh.presheaf_to_json(b),
+                "components": dict(zip(self.base.objects, map(list, tables)))}
 
     def mor_from_json(self, data):
         return psh.presheaf_map_from_json(data, base=self.base)

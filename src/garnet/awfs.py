@@ -119,19 +119,20 @@ class GeneratedAWFS:
                 for rec in exc.trace.stages))
             err.trace = exc.trace
             raise err from exc
+        # inverse raises unless beta is an iso, and the unit square unless
+        # right . left == f, also under python -O
         beta = fa.unit.bottom
-        assert inner.is_iso(beta)
         left = ArrowObj(inner, fa.unit.top)
         right = ArrowObj(inner, inner.compose(inner.inverse(beta),
                                               fa.carrier.mor))
         midpoint = left.cod
-        assert inner.compose(right.mor, left.mor) == f.mor
         unit = Square(f, right, fa.unit.top, inner.identity(f.cod))
         conj = Square(fa.carrier, right, inner.identity(midpoint),
                       inner.inverse(beta))
         conj_inv = Square(right, fa.carrier, inner.identity(midpoint), beta)
         algebra = compose_squares(
             conj, compose_squares(fa.structure, self.t.on_mor(conj_inv)))
+        # the free algebra's unit law moved along beta: an invariant, no input
         assert compose_squares(algebra, self.t.unit(right)) \
             == identity_square(right)
         trace = self._build_trace(f, fa)
@@ -202,6 +203,7 @@ class GeneratedAWFS:
         ft = self.factorize(sigma.target)
         h = compose_squares(ft.unit, sigma)
         ext = self.extend(fs, (ft.right, ft.algebra), h)
+        # ext restricts to h along a unit with identity bottom: an invariant
         assert ext.bottom == sigma.bottom
         return ext
 
@@ -229,6 +231,7 @@ class GeneratedAWFS:
             algebra_extend(fact2.free, (fact.right, fact.algebra),
                            identity_square(fact.right)),
             self._conj_inv(fact2))
+        # pi extends an identity along such a unit: an invariant, no input
         assert self.ambient.is_identity(pi.bottom)
         return pi.top, pi
 
@@ -247,6 +250,7 @@ class GeneratedAWFS:
         seed = Square(f, composed.f, fact_l.left.mor,
                       inner.identity(f.cod))
         ext = self.extend(fact, (composed.f, d), seed)
+        # ext extends seed, whose bottom is an identity: an invariant
         assert inner.is_identity(ext.bottom)
         delta = ext.top
         sigma = Square(fact.left, fact_l.left, inner.identity(f.dom), delta)
@@ -259,6 +263,7 @@ class GeneratedAWFS:
         delta, _ = self.comultiplication(f)
         fact = self.factorize(f)
         out = Coalgebra(fact.left, delta)
+        # delta is built from f by the comonad laws: an invariant, no input
         assert self.coalgebra_holds(out)
         return out
 
@@ -290,7 +295,9 @@ class GeneratedAWFS:
         section = inner.compose(e_beta,
                                 inner.compose(c.section, alpha.bottom))
         out = Coalgebra(alpha.source, section)
-        assert self.coalgebra_holds(out)
+        if not self.coalgebra_holds(out):
+            raise MalformedInput("the transported section is not a "
+                                 "coalgebra; the given section must be one")
         return out
 
     def law_suite(self, f: ArrowObj) -> dict:
@@ -379,11 +386,59 @@ class Factorization:
 @dataclass(frozen=True)
 class TraceCell:
     """The cell glued at one stage: the colimit arrow, the square back onto
-    the stage arrow, and the full problem bookkeeping."""
+    the stage arrow, and the rows ``(name, leg)`` and ``(name, generator,
+    problem)``, as tuples or as ``TraceRows``."""
     den: ArrowObj
     counit: Square
-    legs: tuple
-    problems: tuple
+    legs: tuple | TraceRows
+    problems: tuple | TraceRows
+
+
+class TraceRows:
+    """The rows of a recorded cell, held as its density's tables and shared
+    with it: name, all but the last two entries of ``sides[name]`` (a leg's
+    tables, or a problem key), and the square from ``cells[name]`` to
+    ``target`` with those two as its sides' tables.  A square is built and
+    checked once, when its row is first read; rows iterate and slice as a
+    tuple does, and equal tuples of the same rows."""
+
+    def __init__(self, names: tuple, cells: dict, target: ArrowObj,
+                 sides: dict):
+        self.names, self.cells, self.target, self.sides = \
+            names, cells, target, sides
+        self._rows = [None] * len(names)
+
+    def flat(self, name: str) -> tuple:
+        """The row of name with its square's source, target and tables."""
+        *head, top, bottom = self.sides[name]
+        return (name, *head, self.cells[name], self.target, top, bottom)
+
+    def __len__(self):
+        return len(self.names)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        if self._rows[k] is None:
+            row = self.flat(self.names[k])
+            self._rows[k] = (*row[:-4], square_from_tables(*row[-4:]))
+        return self._rows[k]
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, TraceRows)) \
+            and _flat_rows(self) == _flat_rows(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def _flat_rows(rows) -> list:
+    """Every row as ``TraceRows.flat`` gives it, with no square built."""
+    if isinstance(rows, TraceRows):
+        return list(map(rows.flat, rows.names))
+    return [(*head, s.source, s.target, *map(s.source.ambient.tables,
+                                              (s.top, s.bottom)))
+            for *head, s in rows]
 
 
 @dataclass(frozen=True)
@@ -418,11 +473,10 @@ class Trace:
 
 
 def _cell_record(den) -> TraceCell:
-    order = den.comma.objects
-    return TraceCell(
-        den.den, den.counit,
-        tuple((n, den.leg(n)) for n in order),
-        tuple((n, den.comma.problems[n][0], den.problem(n)) for n in order))
+    names, cells = den.comma.objects, den.cells
+    return TraceCell(den.den, den.counit,
+                     TraceRows(names, cells, den.den, den.legs),
+                     TraceRows(names, cells, den.f, den.comma.problems))
 
 
 def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
@@ -627,6 +681,7 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     def open_from(pos):
         """The first problem at or after pos that propagation left open."""
         while pos < n and assignment[pos] is not None:
+            # a filler moved along a comma morphism solves that problem
             assert assignment[pos] in candidates[pos]
             pos += 1
         return pos
@@ -800,6 +855,7 @@ def quillen_factorize(awfs: GeneratedAWFS, f: ArrowObj) -> QuillenResult:
             for top in stage_tops:
                 left_mor = inner.compose(top, left_mor)
             left = ArrowObj(inner, left_mor)
+            # each pushout's mediator factors the last map: an invariant
             assert inner.compose(current.mor, left_mor) == f.mor
             return QuillenResult(f, left, current, tuple(stage_tops),
                                  len(stage_tops))
@@ -833,7 +889,7 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
     n_star = _stage_index(trace.converged_stage, trace.stages,
                           "converged_stage")
     used = sorted({j for st in trace.stages
-                   for (_name, j, _a) in st.cell.problems})
+                   for (_name, j, *_a) in _flat_rows(st.cell.problems)})
     missing = [j for j in used if j not in witnesses]
     if missing:
         raise MissingGeneratorWitness(
@@ -900,8 +956,8 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
 
     structure = tuple(
         {"stage": st.index,
-         "cells": tuple({"cell": name, "generator": j}
-                        for (name, j, _a) in st.cell.problems)}
+         "cells": tuple({"cell": name, "generator": j} for (name, j, *_a)
+                        in _flat_rows(st.cell.problems))}
         for st in trace.stages)
     report = {"checks": checks,
               "witnesses": {j: witnesses[j] for j in used},
@@ -911,11 +967,17 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
 
 # -- serialization ---------------------------------------------------------------
 
+def _boundary_to_json(inner, source, target, top, bottom) -> dict:
+    """The JSON of the square source -> target with these side tables."""
+    return {"source": inner.mor_to_json(source.mor),
+            "target": inner.mor_to_json(target.mor),
+            "top": inner.tables_to_json(source.dom, target.dom, top),
+            "bottom": inner.tables_to_json(source.cod, target.cod, bottom)}
+
+
 def _square_to_json(inner, s: Square) -> dict:
-    return {"source": inner.mor_to_json(s.source.mor),
-            "target": inner.mor_to_json(s.target.mor),
-            "top": inner.mor_to_json(s.top),
-            "bottom": inner.mor_to_json(s.bottom)}
+    return _boundary_to_json(inner, s.source, s.target, inner.tables(s.top),
+                             inner.tables(s.bottom))
 
 
 def _square_from_json(inner, data) -> Square:
@@ -928,14 +990,15 @@ def _square_from_json(inner, data) -> Square:
 
 def trace_to_json(trace: Trace) -> dict:
     inner = trace.generators.ambient
+
+    def rows(cell_rows):
+        return [[*row[:-4], _boundary_to_json(inner, *row[-4:])]
+                for row in _flat_rows(cell_rows)]
     stages = []
     for st in trace.stages:
         cell = {"den": inner.mor_to_json(st.cell.den.mor),
                 "counit": _square_to_json(inner, st.cell.counit),
-                "legs": [[n, _square_to_json(inner, sq)]
-                         for n, sq in st.cell.legs],
-                "problems": [[n, j, _square_to_json(inner, sq)]
-                             for n, j, sq in st.cell.problems]}
+                "legs": rows(st.cell.legs), "problems": rows(st.cell.problems)}
         built = None
         if st.built_from is not None:
             rec = st.built_from

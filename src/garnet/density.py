@@ -199,10 +199,11 @@ class DensityResult:
     The colimit is the coproduct of one cell per lifting problem (a copy of
     its generating arrow), divided by the relations.  ``cells`` and ``legs``
     map each comma object, in order, to its generating arrow and to its leg
-    into ``den`` as ``(top tables, bottom tables)``; ``problem`` and ``leg``
-    build checked squares.  ``classes`` holds, per side and level, the class
-    of each element of the coproduct and the minimal member of each class;
-    ``mediate`` reads a cocone off these.
+    into ``den`` as ``(top tables, bottom tables)``, checked to commute; a
+    trace's cell record builds the legs' and problems' squares from them.
+    ``classes`` holds, per side and level, the class of each element of the
+    coproduct and the minimal member of each class; ``mediate`` reads a
+    cocone off these.
 
     Only ``f`` and ``counit`` have f in their boundary.  The rest depend on
     f's sizes and tables only, so ``retarget_density`` shares them between
@@ -215,16 +216,6 @@ class DensityResult:
     legs: dict[str, tuple] = field(repr=False)
     cells: dict[str, ArrowObj] = field(repr=False)
     classes: tuple = field(repr=False)
-
-    def problem(self, name: str) -> Square:
-        """The lifting problem ``name``: a square from its cell into f."""
-        _j, top, bottom = self.comma.problems[name]
-        return square_from_tables(self.cells[name], self.f, top, bottom)
-
-    def leg(self, name: str) -> Square:
-        """The colimit leg of the cell ``name``: a square into den."""
-        return square_from_tables(self.cells[name], self.den,
-                                  *self.legs[name])
 
     def mediate(self, cocone, cod: ArrowObj) -> Square:
         """The square den -> cod induced by a cocone: per cell, in comma
@@ -280,13 +271,18 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     classes = tuple(tuple((proj, first_members(proj)) for proj in side)
                     for side in projs)
     legs = {n: tuple(map(compose_tables, projs, at[n])) for n in names}
-    # the arrow between the quotients, read at one member of each class
-    mor = [list(chain.from_iterable(level)) for level in zip(*(
-        compose_tables(legs[n][1], tables(cell.mor))
-        for n, cell in cells.items()))] or [[] for _ in projs[0]]
-    den = ArrowObj(inner, inner.from_tables(dom_q.obj, cod_q.obj, [
-        tuple(map(level.__getitem__, reps))
-        for level, (_, reps) in zip(mor, classes[0])]))
+    # the arrow between the quotients, read at one member of each class; a
+    # leg commutes when the arrow agrees with it at the other members too
+    paths = [compose_tables(legs[n][1], tables(cell.mor))
+             for n, cell in cells.items()]
+    mor = [list(chain.from_iterable(level)) for level in zip(*paths)] \
+        or [[] for _ in projs[0]]
+    den_t = [tuple(map(level.__getitem__, reps))
+             for level, (_, reps) in zip(mor, classes[0])]
+    den = ArrowObj(inner, inner.from_tables(dom_q.obj, cod_q.obj, den_t))
+    if any(compose_tables(den_t, legs[n][0]) != path
+           for n, path in zip(names, paths)):
+        raise DomainMismatch("a cell's leg does not commute with the arrow")
     out = DensityResult(f, comma, den, None, legs, cells, classes)
     out.counit = out.mediate([key[1:] for key in comma.by_boundary], f)
     return out

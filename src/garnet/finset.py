@@ -341,11 +341,6 @@ def finset_from_json(data) -> FinSet:
     return FinSet(tuple(labels))
 
 
-def function_to_json(f: FinFunction) -> dict:
-    return {"dom": finset_to_json(f.dom), "cod": finset_to_json(f.cod),
-            "table": list(f.table)}
-
-
 def function_from_json(data) -> FinFunction:
     if not isinstance(data, dict):
         raise MalformedInput("map must be an object")

@@ -569,15 +569,6 @@ def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
     return Presheaf(base, at, restrict)
 
 
-def presheaf_map_to_json(f: PresheafMap) -> dict:
-    return {
-        "source": presheaf_to_json(f.source),
-        "target": presheaf_to_json(f.target),
-        "components": {c: list(f.at(c).table)
-                       for c in f.source.base.objects},
-    }
-
-
 def presheaf_map_from_json(data, base: FinCategory | None = None) -> PresheafMap:
     if not isinstance(data, dict):
         raise MalformedInput("presheaf map must be an object")

@@ -20,7 +20,8 @@ from garnet.awfs import (Coalgebra, GeneratedAWFS, LiftingStructure,
                          trace_from_json, trace_to_json, verify_trace)
 from garnet.errors import (BackdropViolation, BoundaryMismatch,
                            ColimitNotPreserved, IterationLimit,
-                           MissingGeneratorWitness, NotARetract, NotDiscrete)
+                           MalformedInput, MissingGeneratorWitness,
+                           NotARetract, NotDiscrete)
 from garnet.finset import EMPTY, FinFunction, FinSet
 from garnet.freemonad import Backdrop
 
@@ -509,6 +510,19 @@ def test_retract_lift_rejects_bad_data():
         aw.retract_lift(c, identity_square(c.f), beta)
 
 
+def test_retract_lift_rejects_a_section_that_is_not_a_coalgebra():
+    # a section the caller made up reaches the coalgebra check, so it
+    # raises, also under python -O, instead of asserting
+    aw = point_awfs()
+    f = arrow(func(EMPTY, PAIR))
+    inv = AMB.inverse(aw.factorize(f).right.mor)
+    mid = inv.cod
+    swapped = Coalgebra(f, AMB.compose(func(mid, mid, 1, 0), inv))
+    assert not aw.coalgebra_holds(swapped)
+    with pytest.raises(MalformedInput):
+        aw.retract_lift(swapped, identity_square(f), identity_square(f))
+
+
 # -- backdrop restriction ---------------------------------------------------------
 
 
@@ -536,7 +550,6 @@ def test_mono_backdrop_rejects_collapsing_generators():
 
 
 def test_backdrop_kind_is_checked():
-    from garnet.errors import MalformedInput
     with pytest.raises(MalformedInput):
         GeneratedAWFS(walking_cospan(), backdrop=Backdrop("epi"))
 
@@ -751,14 +764,12 @@ def test_quillen_iteration_limit_carries_progress():
 
 @pytest.mark.parametrize("steps", [-1, True, 1.5, "3"])
 def test_stage_bound_rejects_what_is_no_count(steps):
-    from garnet.errors import MalformedInput
     with pytest.raises(MalformedInput):
         GeneratedAWFS(point_inclusion(), max_steps=steps)
 
 
 @pytest.mark.parametrize("cap", [-1, True, False, 1.5, "3"])
 def test_cap_rejects_what_is_no_count(cap):
-    from garnet.errors import MalformedInput
     with pytest.raises(MalformedInput):
         GeneratedAWFS(point_inclusion(), cap=cap)
 

@@ -277,18 +277,56 @@ def test_trace_verify_reports_a_cap_too_small_as_the_cap(tmp_path, cap,
     assert where in report["error"]["message"]
 
 
-def test_trace_verify_rejects_a_tampered_cell_as_a_failing_check(tmp_path):
+def _drop_last_leg(cell):
+    cell["legs"].pop()
+
+
+def _drop_last_problem(cell):
+    cell["problems"].pop()
+
+
+def _relabel_leg_source(cell):
+    labels = cell["legs"][0][1]["source"]["cod"]["labels"]
+    labels[0] += "'"
+
+
+def _move_problem_top(cell):
+    top = next(sq["top"] for _n, _j, sq in cell["problems"]
+               if sq["top"]["cod"]["size"] > 1 and sq["top"]["table"])
+    top["table"][0] = (top["table"][0] + 1) % top["cod"]["size"]
+
+
+def _swap_problems(cell):
+    rows = cell["problems"]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+# each row-level tamper of stage 1's cell, with the outcome pinned when the
+# cell records were still eager squares: a failing (stage, check), or the
+# kind of the error that loading the report raised
+@pytest.mark.parametrize("tamper, failed, error", [
+    (_drop_last_leg, [(1, "cell")], None),
+    (_drop_last_problem, [(1, "cell")], None),
+    (_relabel_leg_source, None, "BoundaryMismatch"),
+    (_move_problem_top, [(1, "cell")], None),
+    (_swap_problems, [(1, "cell")], None),
+], ids=["dropped-last-leg", "dropped-last-problem", "relabeled-leg-source",
+        "moved-problem-top", "swapped-problems"])
+def test_trace_verify_rejects_a_tampered_cell_as_a_failing_check(
+        tmp_path, tamper, failed, error):
     data = load(fix(REPORT))
-    cell = data["factorization"]["trace"]["stages"][1]["cell"]
-    cell["legs"] = cell["legs"][:-1]
+    tamper(data["factorization"]["trace"]["stages"][1]["cell"])
     rep, out = tmp_path / "t.json", tmp_path / "r.json"
     rep.write_text(json.dumps(data))
     assert run(["trace-verify", "--report", str(rep),
                 "--output", str(out)]) == 1
     report = load(out)
-    failed = [(it["stage"], it["check"]) for it in report["items"]
-              if not it["pass"]]
-    assert "error" not in report and failed == [(1, "cell")]
+    if error is not None:
+        assert report["error"]["kind"] == error
+        return
+    assert "error" not in report
+    assert [(it["stage"], it["check"]) for it in report["items"]
+            if not it["pass"]] == failed
 
 
 @pytest.mark.parametrize("cmd, where", [

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from garnet import finset, presheaf
 from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Square,
                            compose_squares, identity_square)
+from garnet.awfs import _cell_record
 from garnet.density import (ArrowDiagram, arrow_diagram_from_json,
                             density_action, density_comonad, problem_at,
                             subobject_classifier_diagram)
@@ -106,11 +107,11 @@ def assert_matches_oracle(u, f):
     got, want = density_comonad(u, f), oracle_density(u, f)
     tables = u.ambient.tables
     assert got.den == want.den
-    assert [(n, got.leg(n)) for n in got.legs] == list(want.legs.items())
+    cell = _cell_record(got)
+    assert tuple(cell.legs) == tuple(want.legs.items())
     assert got.counit == want.counit
-    assert [(n, got.comma.problems[n][0], got.problem(n))
-            for n in got.comma.objects] \
-        == [(n, j, alpha) for n, (j, alpha) in want.problems.items()]
+    assert tuple(cell.problems) \
+        == tuple((n, j, alpha) for n, (j, alpha) in want.problems.items())
     assert got.comma.relations == [r[:3] for r in want.relations]
     assert got.comma.over == {r[0]: r[3] for r in want.relations}
     assert len(got.comma.by_boundary) == len(want.problems)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from garnet.arrows import PresheafAmbient
 from garnet.errors import NaturalityViolation, ShapeMismatch, UnknownObject
 from garnet.fincat import FinCategory, discrete_category, validate_category
 from garnet.finset import FinFunction, FinSet
@@ -20,7 +21,6 @@ from garnet.presheaf import (
     presheaf_from_json,
     presheaf_identity,
     presheaf_map_from_json,
-    presheaf_map_to_json,
     presheaf_pushout,
     presheaf_sequential_colimit,
     presheaf_to_json,
@@ -315,4 +315,5 @@ def test_presheaf_json_round_trip():
     base = arrow_base()
     omega, truth = subobject_classifier(base)
     assert presheaf_from_json(presheaf_to_json(omega)) == omega
-    assert presheaf_map_from_json(presheaf_map_to_json(truth)) == truth
+    assert presheaf_map_from_json(
+        PresheafAmbient(base).mor_to_json(truth)) == truth

@@ -10,8 +10,8 @@ arrow ambient's coproduct and its injection squares, every leg is a square,
 ``mediate`` takes a cocone of squares, and fillers are looked up by
 ``(index object, problem square)``.  On random finite-set and graph maps the
 keyed versions must give the same density, counit, ``mediate`` output, trace
-cells and fillers.  A count guard pins how many squares a law suite
-builds.
+cells and fillers.  Count guards pin how many squares a law suite, trace
+JSON, a replay and a read of a cell's rows build.
 """
 
 import json
@@ -23,11 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import arrow, walking_cospan
-from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Square,
-                           compose_tables)
+from garnet.arrows import (ArrowObj, EndoData, FinSetAmbient, PresheafAmbient,
+                           Square, compose_tables)
 from garnet.awfs import (GeneratedAWFS, TraceCell, _cell_record,
-                         compose_structures, find_lifting_structures,
-                         structure_to_algebra)
+                         _square_to_json, compose_structures,
+                         find_lifting_structures, replay,
+                         structure_to_algebra, trace_to_json)
 from garnet.density import (arrow_diagram_from_json, density_comonad,
                             lifting_problems, problem_at,
                             subobject_classifier_diagram)
@@ -196,12 +197,12 @@ def assert_density_matches(u, f):
     assert got.comma.objects == tuple(want.problems)
     assert got.comma.relations == want.relations
     assert got.comma.over == want.over
-    assert [(n, got.leg(n)) for n in got.comma.objects] \
-        == list(want.legs.items())
-    assert [(n, got.comma.problems[n][0], got.problem(n))
-            for n in got.comma.objects] \
-        == [(n, j, a) for n, (j, a) in want.problems.items()]
-    assert _cell_record(got) == oracle_cell(want)
+    # the rows built from the tables, and the rows compared on the tables
+    cell = _cell_record(got)
+    assert tuple(cell.legs) == tuple(want.legs.items())
+    assert tuple(cell.problems) \
+        == tuple((n, j, a) for n, (j, a) in want.problems.items())
+    assert cell == oracle_cell(want)
     return got, want
 
 
@@ -369,9 +370,8 @@ def test_two_loops_onto_one_match_the_square_oracle():
 
 # -- count guards --------------------------------------------------------------
 
-def _law_suite_squares(monkeypatch, n):
-    """Squares checked by one walking-cospan law suite at the 2-to-1
-    surjection n -> n/2."""
+def _squares_built(monkeypatch) -> list:
+    """A one-item list counting the squares checked from now on."""
     count = [0]
     check = Square.__post_init__
 
@@ -379,17 +379,62 @@ def _law_suite_squares(monkeypatch, n):
         count[0] += 1
         check(self)
     monkeypatch.setattr(Square, "__post_init__", counted)
+    return count
+
+
+def _surjection(n):
+    """The 2-to-1 surjection n -> n/2."""
     m = n // 2
-    f = arrow(FinFunction(FinSet.fresh(n, "a"), FinSet.fresh(m, "b"),
-                          tuple(i * m // n for i in range(n))))
-    assert GeneratedAWFS(walking_cospan()).law_suite(f)["pass"]
-    return count[0]
+    return arrow(FinFunction(FinSet.fresh(n, "a"), FinSet.fresh(m, "b"),
+                             tuple(i * m // n for i in range(n))))
 
 
 # When problems were squares, the law suite built 10,112 squares at 8 -> 4
-# and 37,200 at 16 -> 8, one per problem per use.  Now the trace cell
-# records are nearly all of them (3,136 at 8 -> 4, 11,840 at 16 -> 8):
-# they stay eager, validated squares.
-@pytest.mark.parametrize("n, most", [(8, 4_000), (16, 14_000)])
+# and 37,200 at 16 -> 8, one per problem per use.  When problems became
+# keys, the eagerly built trace cell records were nearly all that was left
+# (3,136 of 3,596 at 8 -> 4, 11,840 of 12,300 at 16 -> 8).  The cell records
+# now keep their rows as the density's tables and build a row's square only
+# when it is read, which the law suite never does: 465 squares at each size,
+# 5 of them for building the generators.
+@pytest.mark.parametrize("n, most", [(8, 600), (16, 600), (24, 600)])
 def test_law_suite_square_count(monkeypatch, n, most):
-    assert _law_suite_squares(monkeypatch, n) <= most
+    f = _surjection(n)
+    count = _squares_built(monkeypatch)
+    assert GeneratedAWFS(walking_cospan()).law_suite(f)["pass"]
+    assert count[0] <= most
+
+
+def test_trace_json_is_written_from_tables(monkeypatch):
+    trace = GeneratedAWFS(walking_cospan()).factorize(_surjection(16)).trace
+    count = _squares_built(monkeypatch)
+    data = trace_to_json(trace)
+    assert count[0] == 0
+    # and it is the JSON of the rows' squares
+    stage = trace.stages[-1]
+    assert data["stages"][-1]["cell"]["problems"] == [
+        [n, j, _square_to_json(AMB, a)] for n, j, a in stage.cell.problems]
+
+
+def test_replay_reads_the_rows_without_their_squares(monkeypatch):
+    aw = GeneratedAWFS(walking_cospan())
+    trace = aw.factorize(_surjection(8)).trace
+    identity = EndoData(AMB, lambda x: x, lambda m: m)
+    witnesses = {j: aw.generators.arrow(j) for j in aw.generators.index.objects}
+    count = _squares_built(monkeypatch)
+    _, report = replay(trace, identity, witnesses)
+    assert count[0] == 0
+    assert [[(c["cell"], c["generator"]) for c in st["cells"]]
+            for st in report["structure"]] \
+        == [[row[:2] for row in st.cell.problems] for st in trace.stages]
+
+
+def test_reading_a_cell_builds_each_row_once(monkeypatch):
+    trace = GeneratedAWFS(walking_cospan()).factorize(_surjection(16)).trace
+    cell = trace.stages[-1].cell
+    count = _squares_built(monkeypatch)
+    rows = tuple(cell.problems)
+    assert count[0] == len(rows) > 0
+    # a second read, a slice and a comparison reuse the rows already built
+    assert tuple(cell.problems) == rows and cell.problems[:-1] == rows[:-1]
+    assert cell.problems == rows and cell.problems != rows[:-1]
+    assert count[0] == len(rows)
