@@ -30,7 +30,10 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   after and ordered by their minimal members, and the result has ``proj``
   and ``mediate``);
 - ``skeleton``, for working up to relabeling: a hashable key of a map's
-  sizes and tables, without its labels.
+  sizes and tables, without its labels;
+- ``diagonals`` (for maps a and b, a function from the side tables
+  ``(top, bottom)`` of a square a -> b to the tables of its diagonals, in
+  hom order, as a sized iterable; the cap bounds what is generated).
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -87,6 +90,10 @@ class FinSetAmbient:
 
     def hom(self, a, b, cap=None):
         return finset.enumerate_functions(a, b, cap=cap)
+
+    def diagonals(self, a, b, cap=None):
+        # generated fibre by fibre, each square's diagonals on their own
+        return finset.diagonals(a, b, cap=cap)
 
     def pushout(self, f, g, tags=("i0", "i1")):
         return finset.pushout(f, g, tags=tags)
@@ -173,6 +180,16 @@ class PresheafAmbient:
 
     def hom(self, a, b, cap=None):
         return psh.enumerate_maps(a, b, cap=cap)
+
+    def diagonals(self, a, b, cap=None):
+        # one index of the whole hom-set, by the tables of the two composites
+        tables = self.tables
+        a_t, b_t = tables(a), tables(b)
+        index: dict = {}
+        for d_t in map(tables, self.hom(a.target, b.source, cap=cap)):
+            index.setdefault((compose_tables(d_t, a_t),
+                              compose_tables(b_t, d_t)), []).append(d_t)
+        return lambda top, bottom: index.get((top, bottom), ())
 
     def pushout(self, f, g, tags=("i0", "i1")):
         return psh.presheaf_pushout(f, g, tags=tags)

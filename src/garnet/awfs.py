@@ -23,7 +23,7 @@ from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
                      NotARetract, NotDiscrete)
-from .finset import json_object
+from .finset import equivalence_classes, json_object
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
@@ -613,64 +613,71 @@ class LiftingStructure:
         return self.by_key[key]
 
 
-def _filler_index(inner, j: str, gen: ArrowObj, f: ArrowObj, cap) -> dict:
-    """Every diagonal s: gen.cod -> f.dom for the generator gen at j, filed
-    under the tables of the problem it solves, ``(s . gen, f . s)``, in hom
-    order; with j in front, that is the problem's ``by_boundary`` key."""
-    try:
-        diagonals = inner.hom(gen.cod, f.dom, cap=cap)
-    except EnumerationCap as exc:
-        raise EnumerationCap(
-            f"{exc}, enumerating the fillers at generator {j!r}: "
-            f"diagonals {hom_shape(inner, gen.cod, f.dom)}") from exc
-    tables = inner.tables
-    gen_t, f_t = tables(gen.mor), tables(f.mor)
-    index: dict = {}
-    for s in diagonals:
-        s_t = tables(s)
-        index.setdefault((compose_tables(s_t, gen_t),
-                          compose_tables(f_t, s_t)), []).append(s)
-    return index
+def _fillers(u: ArrowDiagram, f: ArrowObj, keys, cap):
+    """The fillers of each problem key ``(j, top, bottom)`` in keys, lazily:
+    the tables of the diagonals the base ambient's ``diagonals`` gives for
+    the problem, in hom order, as a sized iterable.  A cap hit names the
+    generator and the diagonals' hom-set."""
+    inner = u.ambient
+    solvers: dict = {}
+    for j, top, bottom in keys:
+        try:
+            if j not in solvers:
+                solvers[j] = inner.diagonals(u.arrow(j).mor, f.mor, cap=cap)
+            fillers = solvers[j](top, bottom)
+        except EnumerationCap as exc:
+            raise EnumerationCap(
+                f"{exc}, enumerating the fillers at generator {j!r}: "
+                f"diagonals {hom_shape(inner, u.arrow(j).cod, f.dom)}"
+            ) from exc
+        yield fillers
 
 
 def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
                             mode: str = "all"):
-    """Backtracking search over coherent filler assignments.
+    """Backtracking search over coherent filler assignments, on tables.
 
     The problems, their order and their links are read off the comma
     category of lifting problems into f, and no density is built: problems
     are visited in comma object order, and assigning a filler s to the
     problem n2 forces ``s . u(t).bottom`` on n1 for every relation
-    ``t@n2: n1 -> n2``.  Candidates are looked up by problem key in one
-    index of ``hom(gen.cod, f.dom)`` per generator.  The branch is kept on
-    an explicit stack, not the interpreter's.  mode is "first", "count", or
-    "all"; every hom-set is bounded by the session's cap.
+    ``t@n2: n1 -> n2``.  A problem's candidates are the tables of its own
+    fillers (``_fillers``), and forcing composes tables; a map is built once
+    per problem and filler, and only for a structure that is returned.  The
+    branch is kept on an explicit stack, not the interpreter's.
+
+    mode is "first", "count", or "all".  Propagation only joins problems
+    that relations link, so "count" multiplies the counts of the linked
+    components, searched one at a time; a lone problem with no links counts
+    its fillers without a search.  The session's cap bounds every hom-set
+    enumerated and each problem's fillers.
     """
     if mode not in ("first", "count", "all"):
         raise MalformedInput("mode must be first, count, or all")
     u = awfs.generators
     inner = awfs.ambient
-    cap = awfs.cap
-    comma = comma_category(u, f, cap=cap)
+    tables = inner.tables
+    comma = comma_category(u, f, cap=awfs.cap)
     problems = list(comma.problems.values())
-    fillers = {j: _filler_index(inner, j, u.arrow(j), f, cap)
-               for j in dict.fromkeys(j for j, _top, _bottom in problems)}
-    candidates = [fillers[j].get((top, bottom), [])
-                  for j, top, bottom in comma.by_boundary]
+    candidates = list(_fillers(u, f, problems, awfs.cap))
     position = {name: k for k, name in enumerate(comma.objects)}
-    # links[k]: (position of n1, u(t).bottom) per relation t@k: n1 -> k
+    # links[k]: (position of n1, u(t).bottom tables) per relation t@k: n1 -> k
     links: list = [[] for _ in problems]
     for name, n1, n2 in comma.relations:
         links[position[n2]].append(
-            (position[n1], u.square(comma.over[name]).bottom))
-    n = len(problems)
-    assignment: list = [None] * n
-    found: list = []
-    count = 0
+            (position[n1], tables(u.square(comma.over[name]).bottom)))
+    gen_t = {j: tables(u.arrow(j).mor) for j in u.index.objects}
+    f_t = tables(f.mor)
+    assignment: list = [None] * len(problems)
+
+    def solves(k, value):
+        j, top, bottom = problems[k]
+        return compose_tables(value, gen_t[j]) == top \
+            and compose_tables(f_t, value) == bottom
 
     def propagate(k, value, touched):
         for other, bottom in links[k]:
-            want = inner.compose(value, bottom)
+            want = compose_tables(value, bottom)
             if assignment[other] is None:
                 assignment[other] = want
                 touched.append(other)
@@ -678,49 +685,83 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
                 return False
         return True
 
-    def open_from(pos):
-        """The first problem at or after pos that propagation left open."""
-        while pos < n and assignment[pos] is not None:
-            # a filler moved along a comma morphism solves that problem
-            assert assignment[pos] in candidates[pos]
-            pos += 1
-        return pos
+    def leaves(order):
+        """Stop at every coherent assignment of the problems at the
+        positions in order, which relations link to no other position."""
+        m = len(order)
 
-    # one frame per open problem on the current branch: its position, its
-    # untried candidates, and the positions the current choice assigned
-    stack: list = []
-    pos = open_from(0)
-    while True:
-        if pos == n:
-            if mode == "count":
-                count += 1
+        def open_from(i):
+            """The first problem at or after order[i] that propagation left
+            open."""
+            while i < m and assignment[order[i]] is not None:
+                # a filler moved along a comma morphism solves that problem
+                assert solves(order[i], assignment[order[i]])
+                i += 1
+            return i
+
+        # one frame per open problem on the current branch: its index in
+        # order, its untried candidates, and the positions the current
+        # choice assigned
+        stack: list = []
+        i = open_from(0)
+        while True:
+            if i == m:
+                yield
             else:
-                found.append(LiftingStructure(
-                    f, dict(zip(problems, assignment)), awfs))
-                if mode == "first":
+                stack.append((i, iter(candidates[order[i]]), []))
+            # undo the deepest choice and try its next candidate, popping
+            # the frames that have none left
+            while stack:
+                i, untried, touched = stack[-1]
+                for other in touched:
+                    assignment[other] = None
+                touched.clear()
+                value = next(untried, None)
+                if value is None:
+                    stack.pop()
+                    continue
+                k = order[i]
+                assignment[k] = value
+                touched.append(k)
+                if propagate(k, value, touched):
+                    i = open_from(i + 1)
                     break
-        else:
-            stack.append((pos, iter(candidates[pos]), []))
-        # undo the deepest choice and try its next candidate, popping the
-        # frames that have none left
-        while stack:
-            k, untried, touched = stack[-1]
-            for other in touched:
-                assignment[other] = None
-            touched.clear()
-            value = next(untried, None)
-            if value is None:
-                stack.pop()
-                continue
-            assignment[k] = value
-            touched.append(k)
-            if propagate(k, value, touched):
-                pos = open_from(k + 1)
-                break
-        else:
-            break  # every branch is exhausted
+            else:
+                return  # every branch is exhausted
+
     if mode == "count":
+        classes, reps = equivalence_classes(len(problems), (
+            (position[n1], position[n2]) for _name, n1, n2 in comma.relations))
+        components: list = [[] for _ in reps]
+        for k, c in enumerate(classes):
+            components[c].append(k)
+        count = 1
+        for order in components:
+            if len(order) == 1 and not links[order[0]]:
+                count *= len(candidates[order[0]])
+            else:
+                count *= sum(1 for _ in leaves(order))
+            if not count:
+                break
         return count
+
+    built: dict = {}
+
+    def structure():
+        by_key = {}
+        for key, value in zip(problems, assignment):
+            s = built.get((key, value))
+            if s is None:
+                s = built[(key, value)] = inner.from_tables(
+                    u.arrow(key[0]).cod, f.dom, value)
+            by_key[key] = s
+        return LiftingStructure(f, by_key, awfs)
+
+    found = []
+    for _ in leaves(range(len(problems))):
+        found.append(structure())
+        if mode == "first":
+            break
     return found
 
 
@@ -791,11 +832,11 @@ def algebra_to_structure(awfs: GeneratedAWFS, f: ArrowObj,
 
 def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
     """True iff every problem against every generator has some filler,
-    with no coherence requirement."""
+    with no coherence requirement; a generator's diagonals are looked at
+    only if it has a problem, and only until one has no filler."""
     for i in u.index.objects:
-        problems = problem_boundaries(u, i, f, cap)
-        if problems and not problems.keys() <= _filler_index(
-                u.ambient, i, u.arrow(i), f, cap).keys():
+        keys = ((i, *key) for key in problem_boundaries(u, i, f, cap))
+        if not all(_fillers(u, f, keys, cap)):
             return False
     return True
 
@@ -1111,9 +1152,12 @@ def factorization_to_json(fact: Factorization) -> dict:
 
 
 def structure_to_json(psi: LiftingStructure) -> dict:
+    """The structure's JSON, each problem written from its key's tables."""
     inner = psi.f.ambient
+    gen = psi.awfs.generators.arrow
     return {"f": inner.mor_to_json(psi.f.mor),
-            "fillers": [{"index": i,
-                         "problem": _square_to_json(inner, a),
+            "fillers": [{"index": j,
+                         "problem": _boundary_to_json(inner, gen(j), psi.f,
+                                                      top, bottom),
                          "filler": inner.mor_to_json(s)}
-                        for (i, a), s in psi.fillers.items()]}
+                        for (j, top, bottom), s in psi.by_key.items()]}

@@ -9,6 +9,7 @@ inputs always produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,6 +35,22 @@ EXIT_LIMIT = 2
 EXIT_NO_STRUCTURE = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
+
+
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift the interpreter's limit on converting ints of more than 4,300
+    digits to text, where it has one, so that an exact count prints; the
+    limit is restored on the way out."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _read_json(path):
@@ -150,7 +167,9 @@ def _cmd_lift(args):
     out = find_lifting_structures(aw, f, mode=args.mode)
     if args.mode == "count":
         report = {"mode": "count", "count": out}
-        return EXIT_OK, report, [f"{out} coherent lifting structure(s)"]
+        with _exact_ints():
+            human = [f"{out} coherent lifting structure(s)"]
+        return EXIT_OK, report, human
     if args.mode == "first":
         if not out:
             report = {"mode": "first", "found": False}
@@ -379,7 +398,8 @@ def _emit(args, code, report, human):
     for line in human:
         print(line)
     if args.output:
-        blob = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        with _exact_ints():
+            blob = json.dumps(body, indent=2, sort_keys=True) + "\n"
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(blob)
     return code

@@ -202,8 +202,8 @@ class DensityResult:
     into ``den`` as ``(top tables, bottom tables)``, checked to commute; a
     trace's cell record builds the legs' and problems' squares from them.
     ``classes`` holds, per side and level, the class of each element of the
-    coproduct and the minimal member of each class; ``mediate`` reads a
-    cocone off these.
+    coproduct and the minimal member of each class, and ``shape`` the
+    lengths of the legs' tables; ``mediate`` reads a cocone off these.
 
     Only ``f`` and ``counit`` have f in their boundary.  The rest depend on
     f's sizes and tables only, so ``retarget_density`` shares them between
@@ -216,6 +216,7 @@ class DensityResult:
     legs: dict[str, tuple] = field(repr=False)
     cells: dict[str, ArrowObj] = field(repr=False)
     classes: tuple = field(repr=False)
+    shape: list = field(repr=False)
 
     def mediate(self, cocone, cod: ArrowObj) -> Square:
         """The square den -> cod induced by a cocone: per cell, in comma
@@ -224,15 +225,18 @@ class DensityResult:
         once per class; a cocone that does not respect a relation raises
         DomainMismatch.  The square built is checked, and it commutes
         exactly when every leg does, as the classes cover the cells."""
-        def shape(legs):
-            return [[list(map(len, side)) for side in leg] for leg in legs]
-        if shape(cocone) != shape(self.legs.values()):
+        if leg_shape(cocone) != self.shape:
             raise DomainMismatch("a cocone needs one leg out of each cell")
         sides = [[class_values(proj, reps, list(chain.from_iterable(
                       leg[side][k] for leg in cocone)))
                   for k, (proj, reps) in enumerate(levels)]
                  for side, levels in enumerate(self.classes)]
         return square_from_tables(self.den, cod, *sides)
+
+
+def leg_shape(legs) -> list:
+    """The lengths of the tables of each leg, side by side."""
+    return [[list(map(len, side)) for side in leg] for leg in legs]
 
 
 def density_comonad(u: ArrowDiagram, f: ArrowObj,
@@ -283,7 +287,8 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     if any(compose_tables(den_t, legs[n][0]) != path
            for n, path in zip(names, paths)):
         raise DomainMismatch("a cell's leg does not commute with the arrow")
-    out = DensityResult(f, comma, den, None, legs, cells, classes)
+    out = DensityResult(f, comma, den, None, legs, cells, classes,
+                        leg_shape(legs.values()))
     out.counit = out.mediate([key[1:] for key in comma.by_boundary], f)
     return out
 

@@ -12,6 +12,8 @@ byte-identical results.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,6 +138,51 @@ def enumerate_functions(a: FinSet, b: FinSet,
             for t in itertools.product(range(b.size), repeat=a.size)]
 
 
+class Choices:
+    """The tuples of a lexicographic product, one tuple of choices per
+    position, each as a one-level table tuple ``(table,)``; its length is
+    read off the choices, without enumerating them."""
+    __slots__ = ("choices", "size")
+
+    def __init__(self, choices: Sequence[Sequence[int]]):
+        self.choices = choices
+        self.size = math.prod(map(len, choices))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return zip(itertools.product(*self.choices))
+
+
+def diagonals(a: FinFunction, b: FinFunction, cap: int | None = None):
+    """The diagonals of the squares from a to b, by the squares' sides.
+
+    The function returned takes the tables ``(top, bottom)`` of a square's
+    sides and gives the tables of every d: a.cod -> b.dom with d . a = top
+    and b . d = bottom, lazily and in the lexicographic order of
+    ``enumerate_functions``: d is forced on the image of a and ranges over
+    b's fibre over the bottom elsewhere, so only solutions are generated.
+    cap bounds each square's diagonals, not the hom-set they live in, and
+    so does ``sys.maxsize``, since ``len`` gives their number.
+    """
+    cap = min(DEFAULT_CAP if cap is None else cap, sys.maxsize)
+    fibres: list = [[] for _ in b.cod.labels]
+    for x, y in enumerate(b.table):
+        fibres[y].append(x)
+
+    def solve(top_t: tuple, bottom_t: tuple) -> Choices:
+        (top,), (bottom,) = top_t, bottom_t
+        choices = [fibres[y] for y in bottom]
+        for x, t in zip(a.table, top):
+            choices[x] = (t,) if t in choices[x] else ()
+        out = Choices(choices)
+        if out.size > cap:
+            raise EnumerationCap(f"{out.size} diagonals exceed cap {cap}")
+        return out
+    return solve
+
+
 class _UnionFind:
     """Union-find whose class representative is the minimal member index."""
 
@@ -158,8 +205,8 @@ class _UnionFind:
         self.parent[hi] = lo
 
 
-def _quotient(n: int, pairs: Iterable[tuple[int, int]]
-              ) -> tuple[list[int], list[int]]:
+def equivalence_classes(n: int, pairs: Iterable[tuple[int, int]]
+                        ) -> tuple[list[int], list[int]]:
     """The class of each element, and the minimal member of each class, for
     the equivalence closure of pairs.
 
@@ -267,7 +314,7 @@ class QuotientResult:
 
 def quotient(x: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientResult:
     """x divided by the equivalence closure of pairs of element indices."""
-    table, reps = _quotient(x.size, pairs)
+    table, reps = equivalence_classes(x.size, pairs)
     obj = FinSet(tuple(x.labels[r] for r in reps))
     return QuotientResult(obj, FinFunction(x, obj, tuple(table)), tuple(reps))
 

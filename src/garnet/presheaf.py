@@ -10,6 +10,7 @@ decidable bases it coincides with the levelwise complemented one.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from . import finset
@@ -129,8 +130,7 @@ class PresheafMap:
         failing = _unnatural_along(source, target, self.components)
         if failing is not None:
             raise NaturalityViolation(f"naturality fails along {failing!r}")
-        self._key = (source, target,
-                     tuple((x, self.components[x]) for x in base.objects))
+        self._key = _map_key(source, target, self.components)
 
     def at(self, x: str) -> FinFunction:
         return self.components[x]
@@ -154,6 +154,21 @@ class PresheafMap:
 
     def __repr__(self):
         return f"PresheafMap({self.source!r} -> {self.target!r})"
+
+
+def _map_key(source: Presheaf, target: Presheaf, components: dict) -> tuple:
+    return (source, target,
+            tuple((x, components[x]) for x in source.base.objects))
+
+
+def _natural_map(source: Presheaf, target: Presheaf,
+                 components: dict) -> PresheafMap:
+    """The map with these components, which the caller built typed and
+    natural, without checking them again."""
+    out = object.__new__(PresheafMap)
+    out.source, out.target, out.components = source, target, components
+    out._key = _map_key(source, target, components)
+    return out
 
 
 def presheaf_identity(p: Presheaf) -> PresheafMap:
@@ -380,9 +395,24 @@ def element_category(p: Presheaf) -> tuple[FinCategory, dict]:
 
 # -- natural transformation enumeration --------------------------------------
 
+def _narrow(current, allowed):
+    """The values in current (all of them when None) that allowed has."""
+    return allowed if current is None \
+        else tuple(v for v in current if v in allowed)
+
+
 def enumerate_maps(source: Presheaf, target: Presheaf,
                    cap: int | None = None) -> list[PresheafMap]:
-    """All natural transformations, in levelwise lexicographic order."""
+    """All natural transformations, in levelwise lexicographic order.
+
+    The levels (the base objects) are assigned one at a time, each a table
+    in lexicographic order.  Naturality along a base morphism between two
+    levels is checked as soon as both are assigned: an element's value at
+    the later level is drawn only from the values that agree with the
+    earlier one, and an endomorphism is checked on its level's table.  So
+    every family reached is natural, and its map is built without checking
+    it again.  cap bounds the product of the levels' hom-set sizes.
+    """
     if source.base != target.base:
         raise ShapeMismatch("presheaves live on different bases")
     base = source.base
@@ -392,24 +422,67 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
         total *= target.at(c).size ** source.at(c).size
         if total > cap:
             raise EnumerationCap(f"{total}+ candidate families exceed cap {cap}")
-    per_object = [finset.enumerate_functions(source.at(c), target.at(c), cap=cap)
-                  for c in base.objects]
+    objects = base.objects
+    depth = {c: k for k, c in enumerate(objects)}
+    # naturality along m: x -> y, with s and t the restriction tables of
+    # source and target along m, is comp[x][s[e]] == t[comp[y][e]] for
+    # every element e of source at y; it is filed under the later of the
+    # two levels, as an edge from the earlier one
+    later_cod = [[] for _ in objects]     # y later: (x, s, t's fibres)
+    later_dom = [[] for _ in objects]     # x later: (y, s, t)
+    endo = [[] for _ in objects]          # x == y: (s, t)
+    for m in base.non_identity_morphisms():
+        s, t = source.restrict(m.name).table, target.restrict(m.name).table
+        x, y = depth[m.dom], depth[m.cod]
+        if x < y:
+            over = [[] for _ in target.at(m.dom).labels]
+            for v, w in enumerate(t):
+                over[w].append(v)
+            later_cod[y].append((x, s, over))
+        elif y < x:
+            later_dom[x].append((y, s, t))
+        else:
+            endo[x].append((s, t))
+    comps: list = [None] * len(objects)
+
+    def tables_at(k):
+        choices = [None] * source.at(objects[k]).size
+        for x, s, over in later_cod[k]:
+            at_x = comps[x].table
+            for e, d in enumerate(s):
+                choices[e] = _narrow(choices[e], over[at_x[d]])
+        for y, s, t in later_dom[k]:
+            at_y = comps[y].table
+            for e, d in enumerate(s):
+                choices[d] = _narrow(choices[d], (t[at_y[e]],))
+        values = range(target.at(objects[k]).size)
+        tables = itertools.product(*(values if ch is None else ch
+                                     for ch in choices))
+        if endo[k]:
+            tables = (tab for tab in tables
+                      if all(tab[d] == t[tab[e]] for s, t in endo[k]
+                             for e, d in enumerate(s)))
+        return tables
+
+    if not objects:
+        return [_natural_map(source, target, {})]
     out = []
-    for combo in _product(per_object):
-        components = dict(zip(base.objects, combo))
-        if _unnatural_along(source, target, components) is None:
-            out.append(PresheafMap(source, target, components))
+    # one iterator of tables per assigned level, on an explicit stack
+    stack = [tables_at(0)]
+    while stack:
+        table = next(stack[-1], None)
+        if table is None:
+            stack.pop()
+            continue
+        k = len(stack) - 1
+        c = objects[k]
+        comps[k] = FinFunction(source.at(c), target.at(c), table)
+        if k + 1 < len(objects):
+            stack.append(tables_at(k + 1))
+        else:
+            out.append(_natural_map(source, target,
+                                    dict(zip(objects, comps))))
     return out
-
-
-def _product(columns):
-    if not columns:
-        yield ()
-        return
-    head, *rest = columns
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
 
 
 # -- levelwise colimits -------------------------------------------------------

@@ -12,6 +12,7 @@ built without composing or creating a single map, and a subprocess test
 pins that the value-layer checks raise also under ``python -O``.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from garnet.arrows import ArrowAmbient, ArrowObj, FinSetAmbient, \
     PresheafAmbient, Square
 from garnet.errors import BoundaryMismatch, CodomainMismatch, \
     DomainMismatch, NaturalityViolation
-from garnet.fincat import category_from_json
+from garnet.fincat import FinCategory, category_from_json
 from garnet.finset import FinFunction, FinSet, compose
 from garnet.presheaf import Presheaf, PresheafMap, _unnatural_along, \
     enumerate_maps
@@ -258,8 +259,43 @@ def test_enumerate_maps_filter_matches_oracle(g, h):
     levels = [finset.enumerate_functions(g.at(c), h.at(c))
               for c in GRAPH.objects]
     want = [dict(zip(GRAPH.objects, combo))
-            for combo in presheaf._product(levels)
+            for combo in itertools.product(*levels)
             if oracle_natural(g, h, dict(zip(GRAPH.objects, combo)))]
+    assert [m.components for m in enumerate_maps(g, h)] == want
+
+
+# the graph base with its objects listed edges first, so that naturality
+# narrows the later level through its restrictions' codomain, and the base
+# of one idempotent, whose naturality is along an endomorphism
+FLIPPED = FinCategory(("e", "v"), GRAPH.non_identity_morphisms(), {})
+IDEMPOTENT = FinCategory(("*",), [("p", "*", "*")], {("p", "p"): "p"})
+
+
+def on_base(p, base):
+    return Presheaf(base, {c: p.at(c) for c in base.objects},
+                    {m.name: p.restrict(m.name)
+                     for m in base.non_identity_morphisms()})
+
+
+@st.composite
+def idempotent_sets(draw, prefix=""):
+    x = draw(finsets(prefix + "x", 0, 3))
+    return Presheaf(IDEMPOTENT, {"*": x},
+                    {"p": FinFunction(x, x, draw(tables(x, x)))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(graphs(), graphs("w")).map(
+        lambda gh: tuple(on_base(p, FLIPPED) for p in gh)),
+    st.tuples(idempotent_sets(), idempotent_sets("w"))))
+def test_enumerate_maps_on_other_bases_matches_oracle(pair):
+    g, h = pair
+    objects = g.base.objects
+    levels = [finset.enumerate_functions(g.at(c), h.at(c)) for c in objects]
+    want = [dict(zip(objects, combo))
+            for combo in itertools.product(*levels)
+            if oracle_natural(g, h, dict(zip(objects, combo)))]
     assert [m.components for m in enumerate_maps(g, h)] == want
 
 
