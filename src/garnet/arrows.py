@@ -23,6 +23,9 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 
 - ``tables_to_json`` (the JSON of the map between two objects with the
   given tables, written without building the map);
+- an optional ``memo`` on the JSON readers and writers: a dict kept for one
+  document, so that each distinct object in it is read and checked, or
+  written, once (see ``finset.memoized``);
 - ``from_tables`` (the checked map between two objects with the given
   tables);
 - ``quotient`` (an object divided by the equivalence closure of pairs of
@@ -124,19 +127,19 @@ class FinSetAmbient:
     def skeleton(self, m):
         return (m.dom.size, m.cod.size, m.table)
 
-    def obj_to_json(self, x):
-        return finset.finset_to_json(x)
+    def obj_to_json(self, x, memo=None):
+        return finset.finset_to_json(x, memo)
 
-    def mor_to_json(self, m):
-        return self.tables_to_json(m.dom, m.cod, self.tables(m))
+    def mor_to_json(self, m, memo=None):
+        return self.tables_to_json(m.dom, m.cod, self.tables(m), memo)
 
-    def tables_to_json(self, a, b, tables):
+    def tables_to_json(self, a, b, tables, memo=None):
         (table,) = tables
-        return {"dom": finset.finset_to_json(a),
-                "cod": finset.finset_to_json(b), "table": list(table)}
+        return {"dom": finset.finset_to_json(a, memo),
+                "cod": finset.finset_to_json(b, memo), "table": list(table)}
 
-    def mor_from_json(self, data):
-        return finset.function_from_json(data)
+    def mor_from_json(self, data, memo=None):
+        return finset.function_from_json(data, memo)
 
 
 class PresheafAmbient:
@@ -225,19 +228,19 @@ class PresheafAmbient:
                        m.target.restrict(r.name).table)
                       for r in self.base.non_identity_morphisms()))
 
-    def obj_to_json(self, x):
-        return psh.presheaf_to_json(x)
+    def obj_to_json(self, x, memo=None):
+        return psh.presheaf_to_json(x, memo)
 
-    def mor_to_json(self, m):
-        return self.tables_to_json(m.source, m.target, self.tables(m))
+    def mor_to_json(self, m, memo=None):
+        return self.tables_to_json(m.source, m.target, self.tables(m), memo)
 
-    def tables_to_json(self, a, b, tables):
-        return {"source": psh.presheaf_to_json(a),
-                "target": psh.presheaf_to_json(b),
+    def tables_to_json(self, a, b, tables, memo=None):
+        return {"source": psh.presheaf_to_json(a, memo),
+                "target": psh.presheaf_to_json(b, memo),
                 "components": dict(zip(self.base.objects, map(list, tables)))}
 
-    def mor_from_json(self, data):
-        return psh.presheaf_map_from_json(data, base=self.base)
+    def mor_from_json(self, data, memo=None):
+        return psh.presheaf_map_from_json(data, base=self.base, memo=memo)
 
 
 @dataclass(frozen=True)

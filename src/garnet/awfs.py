@@ -23,7 +23,7 @@ from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
                      NotARetract, NotDiscrete)
-from .finset import equivalence_classes, json_object
+from .finset import equivalence_classes, json_object, memoized
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
@@ -843,11 +843,18 @@ def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
 
 def find_filler(inner, left_mor, right_mor, top, bottom,
                 cap: int | None = None):
-    """A diagonal for one square from left_mor to right_mor, or None."""
-    for s in inner.hom(inner.cod(left_mor), inner.dom(right_mor), cap=cap):
-        if inner.compose(s, left_mor) == top \
-                and inner.compose(right_mor, s) == bottom:
-            return s
+    """A diagonal for one square from left_mor to right_mor, or None: the
+    first in hom order, read off the base ambient's ``diagonals``, so only
+    the square's own diagonals are generated and the cap bounds them.
+    Sides of the wrong type have none."""
+    dom, cod = inner.dom, inner.cod
+    if (dom(top), cod(top), dom(bottom), cod(bottom)) != (
+            dom(left_mor), dom(right_mor), cod(left_mor), cod(right_mor)):
+        return None
+    tables = inner.tables
+    for d in inner.diagonals(left_mor, right_mor, cap)(tables(top),
+                                                        tables(bottom)):
+        return inner.from_tables(cod(left_mor), dom(right_mor), d)
     return None
 
 
@@ -1008,56 +1015,67 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
 
 # -- serialization ---------------------------------------------------------------
 
-def _boundary_to_json(inner, source, target, top, bottom) -> dict:
+def _boundary_to_json(inner, source, target, top, bottom, memo) -> dict:
     """The JSON of the square source -> target with these side tables."""
-    return {"source": inner.mor_to_json(source.mor),
-            "target": inner.mor_to_json(target.mor),
-            "top": inner.tables_to_json(source.dom, target.dom, top),
-            "bottom": inner.tables_to_json(source.cod, target.cod, bottom)}
+    return {"source": inner.mor_to_json(source.mor, memo),
+            "target": inner.mor_to_json(target.mor, memo),
+            "top": inner.tables_to_json(source.dom, target.dom, top, memo),
+            "bottom": inner.tables_to_json(source.cod, target.cod, bottom,
+                                           memo)}
 
 
-def _square_to_json(inner, s: Square) -> dict:
+def _square_to_json(inner, s: Square, memo=None) -> dict:
     return _boundary_to_json(inner, s.source, s.target, inner.tables(s.top),
-                             inner.tables(s.bottom))
+                             inner.tables(s.bottom), memo)
 
 
-def _square_from_json(inner, data) -> Square:
+def _square_from_json(inner, data, memo) -> Square:
     data = json_object(data, "square")
-    return Square(ArrowObj(inner, inner.mor_from_json(data["source"])),
-                  ArrowObj(inner, inner.mor_from_json(data["target"])),
-                  inner.mor_from_json(data["top"]),
-                  inner.mor_from_json(data["bottom"]))
+    source, target, top, bottom = (inner.mor_from_json(data[k], memo) for k
+                                   in ("source", "target", "top", "bottom"))
+    return memoized(memo, ("square", source, target, top, bottom),
+                    lambda: Square(ArrowObj(inner, source),
+                                   ArrowObj(inner, target), top, bottom))
 
 
 def trace_to_json(trace: Trace) -> dict:
+    return _trace_to_json(trace, {})
+
+
+def _trace_to_json(trace: Trace, memo: dict) -> dict:
+    """The trace's JSON, written with the memo of the document it is in."""
     inner = trace.generators.ambient
 
+    def mor(m):
+        return inner.mor_to_json(m, memo)
+
+    def square(s):
+        return _square_to_json(inner, s, memo)
+
     def rows(cell_rows):
-        return [[*row[:-4], _boundary_to_json(inner, *row[-4:])]
+        return [[*row[:-4], _boundary_to_json(inner, *row[-4:], memo)]
                 for row in _flat_rows(cell_rows)]
     stages = []
     for st in trace.stages:
-        cell = {"den": inner.mor_to_json(st.cell.den.mor),
-                "counit": _square_to_json(inner, st.cell.counit),
+        cell = {"den": mor(st.cell.den.mor), "counit": square(st.cell.counit),
                 "legs": rows(st.cell.legs), "problems": rows(st.cell.problems)}
         built = None
         if st.built_from is not None:
             rec = st.built_from
-            built = {"span": [inner.mor_to_json(rec.span[0]),
-                              inner.mor_to_json(rec.span[1])],
+            built = {"span": [mor(rec.span[0]), mor(rec.span[1])],
                      "tags": list(rec.tags),
-                     "left": inner.mor_to_json(rec.left),
-                     "right": inner.mor_to_json(rec.right),
+                     "left": mor(rec.left),
+                     "right": mor(rec.right),
                      "into": rec.into}
         stages.append({"index": st.index,
-                       "arrow": inner.mor_to_json(st.arrow.mor),
+                       "arrow": mor(st.arrow.mor),
                        "cell": cell,
                        "built_from": built,
-                       "composite": _square_to_json(inner, st.composite),
-                       "transition": _square_to_json(inner, st.transition),
+                       "composite": square(st.composite),
+                       "transition": square(st.transition),
                        "certificates": list(st.certificates)})
-    return {"f": inner.mor_to_json(trace.f.mor),
-            "generators": arrow_diagram_to_json(trace.generators),
+    return {"f": mor(trace.f.mor),
+            "generators": arrow_diagram_to_json(trace.generators, memo),
             "backdrop": backdrop_to_json(trace.backdrop),
             "converged_stage": trace.converged_stage,
             "stages": stages}
@@ -1097,9 +1115,16 @@ def _certificate(value) -> dict:
 
 def trace_from_json(data, inner) -> Trace:
     """The trace a factorize report records; a part of the wrong JSON type
-    raises MalformedInput, and verify_trace checks the values."""
-    u = arrow_diagram_from_json(data["generators"], inner)
-    mor = inner.mor_from_json
+    raises MalformedInput, and verify_trace checks the values.  Each
+    distinct object or map in it is parsed and checked once."""
+    memo: dict = {}
+
+    def mor(d):
+        return inner.mor_from_json(d, memo)
+
+    def square(d):
+        return _square_from_json(inner, d, memo)
+    u = arrow_diagram_from_json(data["generators"], inner, memo)
     backdrop = backdrop_from_json(data["backdrop"])
     raw = _json_list(data["stages"], "trace 'stages'")
     stages = []
@@ -1108,10 +1133,10 @@ def trace_from_json(data, inner) -> Trace:
         cd = json_object(sd["cell"], "stage 'cell'")
         cell = TraceCell(
             ArrowObj(inner, mor(cd["den"])),
-            _square_from_json(inner, cd["counit"]),
-            tuple((n, _square_from_json(inner, sq))
+            square(cd["counit"]),
+            tuple((n, square(sq))
                   for n, sq in _rows(cd["legs"], 2, "cell 'legs'")),
-            tuple((n, j, _square_from_json(inner, sq))
+            tuple((n, j, square(sq))
                   for n, j, sq in _rows(cd["problems"], 3,
                                         "cell 'problems'")))
         built = None
@@ -1132,32 +1157,33 @@ def trace_from_json(data, inner) -> Trace:
         stages.append(TraceStage(
             _stage_index(sd["index"], raw, "stage 'index'"),
             ArrowObj(inner, mor(sd["arrow"])), cell, built,
-            _square_from_json(inner, sd["composite"]),
-            _square_from_json(inner, sd["transition"]), certs))
+            square(sd["composite"]), square(sd["transition"]), certs))
     return Trace(ArrowObj(inner, mor(data["f"])), u, backdrop,
                  tuple(stages), data["converged_stage"])
 
 
 def factorization_to_json(fact: Factorization) -> dict:
     inner = fact.f.ambient
-    return {"f": inner.mor_to_json(fact.f.mor),
-            "left": inner.mor_to_json(fact.left.mor),
-            "right": inner.mor_to_json(fact.right.mor),
-            "midpoint": inner.obj_to_json(fact.midpoint),
+    memo: dict = {}
+    return {"f": inner.mor_to_json(fact.f.mor, memo),
+            "left": inner.mor_to_json(fact.left.mor, memo),
+            "right": inner.mor_to_json(fact.right.mor, memo),
+            "midpoint": inner.obj_to_json(fact.midpoint, memo),
             "midpoint_size": inner.obj_size(fact.midpoint),
             "converged_stage": fact.converged_stage,
-            "unit": _square_to_json(inner, fact.unit),
-            "algebra": _square_to_json(inner, fact.algebra),
-            "trace": trace_to_json(fact.trace)}
+            "unit": _square_to_json(inner, fact.unit, memo),
+            "algebra": _square_to_json(inner, fact.algebra, memo),
+            "trace": _trace_to_json(fact.trace, memo)}
 
 
 def structure_to_json(psi: LiftingStructure) -> dict:
     """The structure's JSON, each problem written from its key's tables."""
     inner = psi.f.ambient
     gen = psi.awfs.generators.arrow
-    return {"f": inner.mor_to_json(psi.f.mor),
+    memo: dict = {}
+    return {"f": inner.mor_to_json(psi.f.mor, memo),
             "fillers": [{"index": j,
                          "problem": _boundary_to_json(inner, gen(j), psi.f,
-                                                      top, bottom),
-                         "filler": inner.mor_to_json(s)}
+                                                      top, bottom, memo),
+                         "filler": inner.mor_to_json(s, memo)}
                         for (j, top, bottom), s in psi.by_key.items()]}

@@ -495,18 +495,20 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
 
 # -- JSON ------------------------------------------------------------------------
 
-def arrow_diagram_to_json(u: ArrowDiagram) -> dict:
-    arr = {j: u.ambient.mor_to_json(u.arrow(j).mor) for j in u.index.objects}
+def arrow_diagram_to_json(u: ArrowDiagram, memo: dict | None = None) -> dict:
+    arr = {j: u.ambient.mor_to_json(u.arrow(j).mor, memo)
+           for j in u.index.objects}
     squares = {}
     for m in u.index.non_identity_morphisms():
         s = u.square(m.name)
-        squares[m.name] = {"top": u.ambient.mor_to_json(s.top),
-                           "bottom": u.ambient.mor_to_json(s.bottom)}
+        squares[m.name] = {"top": u.ambient.mor_to_json(s.top, memo),
+                           "bottom": u.ambient.mor_to_json(s.bottom, memo)}
     return {"index": category_to_json(u.index), "arrows": arr,
             "squares": squares}
 
 
-def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
+def arrow_diagram_from_json(data, ambient,
+                            memo: dict | None = None) -> ArrowDiagram:
     if data == "subobject_classifier" or (
             isinstance(data, dict)
             and data.get("generators") == "subobject_classifier"):
@@ -515,7 +517,7 @@ def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
         raise MalformedInput("diagram file needs an 'index' category")
     index = category_from_json(data["index"])
     arrows = json_object(data.get("arrows", {}), "diagram 'arrows'")
-    on_objects = {j: ArrowObj(ambient, ambient.mor_from_json(spec))
+    on_objects = {j: ArrowObj(ambient, ambient.mor_from_json(spec, memo))
                   for j, spec in arrows.items()}
     on_morphisms = {}
     for name, spec in json_object(data.get("squares", {}),
@@ -526,8 +528,8 @@ def arrow_diagram_from_json(data, ambient) -> ArrowDiagram:
         m = index.morphism(name)
         on_morphisms[name] = Square(
             on_objects[m.dom], on_objects[m.cod],
-            ambient.mor_from_json(spec["top"]),
-            ambient.mor_from_json(spec["bottom"]))
+            ambient.mor_from_json(spec["top"], memo),
+            ambient.mor_from_json(spec["bottom"], memo))
     u = ArrowDiagram(ambient, index, on_objects, on_morphisms)
     problems = validate_diagram(u)
     if problems:

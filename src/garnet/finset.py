@@ -370,12 +370,46 @@ def sequential_colimit(maps: Sequence[FinFunction]):
 
 
 # -- serialization ----------------------------------------------------------
+#
+# The readers and writers below take an optional memo, a dict that lives for
+# one document: a caller that reads or writes a whole document (a trace)
+# passes the same memo to every call, so each distinct object is parsed and
+# checked, or written, once.  A reader keys an entry by the JSON it read
+# only after checking the JSON types exactly (``true`` and ``1.0`` are not
+# ``1``), and JSON that fails that check is parsed as without a memo, so it
+# raises what it raises there; a writer keys by the value written.
 
-def finset_to_json(x: FinSet) -> dict:
+
+def memoized(memo: dict, key, build):
+    """memo[key], built by build() the first time key is looked up."""
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = build()
+    return out
+
+
+def typed_list(value, types: set) -> bool:
+    """True if value is a JSON list whose entries have exactly these types
+    (a bool is not an int, nor a float)."""
+    return type(value) is list and set(map(type, value)) <= types
+
+
+def finset_to_json(x: FinSet, memo: dict | None = None) -> dict:
+    if memo is not None:
+        return memoized(memo, x, lambda: finset_to_json(x))
     return {"size": x.size, "labels": list(x.labels)}
 
 
-def finset_from_json(data) -> FinSet:
+def finset_from_json(data, memo: dict | None = None) -> FinSet:
+    if memo is not None and type(data) is dict:
+        # the labels are the key when the size, if any, is their exact
+        # count: then the outcome depends on the labels alone
+        labels = data.get("labels")
+        if typed_list(labels, {str}):
+            size = data.get("size", len(labels))
+            if type(size) is int and size == len(labels):
+                return memoized(memo, ("set", tuple(labels)),
+                                lambda: finset_from_json(data))
     if not isinstance(data, dict) or "labels" not in data:
         raise MalformedInput("finite set needs a labels list")
     labels = data["labels"]
@@ -388,15 +422,15 @@ def finset_from_json(data) -> FinSet:
     return FinSet(tuple(labels))
 
 
-def function_from_json(data) -> FinFunction:
+def function_from_json(data, memo: dict | None = None) -> FinFunction:
     if not isinstance(data, dict):
         raise MalformedInput("map must be an object")
     for key in ("dom", "cod", "table"):
         if key not in data:
             raise MalformedInput(f"map is missing field {key!r}")
-    dom = finset_from_json(data["dom"])
-    cod = finset_from_json(data["cod"])
-    return table_from_json(data["table"], dom, cod)
+    dom = finset_from_json(data["dom"], memo)
+    cod = finset_from_json(data["cod"], memo)
+    return table_from_json(data["table"], dom, cod, memo=memo)
 
 
 def json_object(value, what: str) -> dict:
@@ -406,10 +440,13 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-def table_from_json(table, dom: FinSet, cod: FinSet,
-                    what: str = "table") -> FinFunction:
+def table_from_json(table, dom: FinSet, cod: FinSet, what: str = "table",
+                    memo: dict | None = None) -> FinFunction:
     """The function dom -> cod listed by a JSON table, checked entry by entry
     (booleans are not indices, although Python counts them as ints)."""
+    if memo is not None and typed_list(table, {int}):
+        return memoized(memo, ("table", dom, cod, tuple(table)),
+                        lambda: table_from_json(table, dom, cod, what))
     if not isinstance(table, list) or len(table) != dom.size:
         raise MalformedInput(f"{what} must list one entry per domain element")
     if not all(type(v) is int and 0 <= v < cod.size for v in table):

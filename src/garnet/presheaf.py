@@ -344,6 +344,7 @@ def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
 
 def _sieve_members(omega: Presheaf, c: str, i: int) -> tuple[str, ...]:
     label = omega.at(c).labels[i]
+    # omega is the sieve classifier, whose labels sieve_label wrote
     assert label.startswith("{") and label.endswith("}")
     inner = label[1:-1]
     return tuple(inner.split(",")) if inner else ()
@@ -542,6 +543,7 @@ def presheaf_pushout(f: PresheafMap, g: PresheafMap,
             compose(dst.left, f.target.restrict(m.name)),
             compose(dst.right, g.target.restrict(m.name)))
     obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    # restrictions induced levelwise from functorial ones are functorial
     assert validate_presheaf(obj) == [], "pushout restrictions lost functoriality"
     left = PresheafMap(f.target, obj, {c: level[c].left for c in base.objects})
     right = PresheafMap(g.target, obj, {c: level[c].right for c in base.objects})
@@ -552,7 +554,8 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
                        tags: Sequence[str] | None = None,
                        base: FinCategory | None = None) -> LevelwiseResult:
     if base is None:
-        assert parts, "empty coproduct needs an explicit base"
+        if not parts:
+            raise ShapeMismatch("empty coproduct needs an explicit base")
         base = parts[0].base
     if tags is None:
         tags = [f"i{k}" for k in range(len(parts))]
@@ -566,6 +569,7 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
              for k in range(len(parts))],
             cod=dst.obj)
     obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    # restrictions induced levelwise from functorial ones are functorial
     assert validate_presheaf(obj) == []
     injections = tuple(
         PresheafMap(parts[k], obj,
@@ -588,6 +592,7 @@ def presheaf_quotient(x: Presheaf, pairs) -> LevelwiseResult:
         restrict[m.name] = src.mediate(
             compose(dst.proj, x.restrict(m.name)))
     obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    # restrictions induced levelwise from functorial ones are functorial
     assert validate_presheaf(obj) == []
     proj = PresheafMap(x, obj, {c: level[c].proj for c in base.objects})
     return LevelwiseResult(obj, level, proj=proj)
@@ -608,8 +613,10 @@ def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
 
 # -- serialization ------------------------------------------------------------
 
-def presheaf_to_json(p: Presheaf) -> dict:
+def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
     from .fincat import category_to_json
+    if memo is not None:
+        return finset.memoized(memo, p, lambda: presheaf_to_json(p))
     return {
         "base": category_to_json(p.base),
         "at": {c: finset.finset_to_json(p.at(c)) for c in p.base.objects},
@@ -618,7 +625,16 @@ def presheaf_to_json(p: Presheaf) -> dict:
     }
 
 
-def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
+def _int_tables(tables: dict) -> tuple | None:
+    """The items of a JSON object of tables as a memo key, or None unless
+    every table lists exact ints."""
+    if all(finset.typed_list(t, {int}) for t in tables.values()):
+        return tuple((name, tuple(t)) for name, t in tables.items())
+    return None
+
+
+def presheaf_from_json(data, base: FinCategory | None = None,
+                       memo: dict | None = None) -> Presheaf:
     from .fincat import category_from_json
     if not isinstance(data, dict) or "at" not in data:
         raise MalformedInput("presheaf needs an 'at' table")
@@ -627,34 +643,50 @@ def presheaf_from_json(data, base: FinCategory | None = None) -> Presheaf:
         if not isinstance(raw, dict):
             raise MalformedInput("presheaf base must be inline or preresolved")
         base = category_from_json(raw)
-    at = {c: finset.finset_from_json(v)
+    at = {c: finset.finset_from_json(v, memo)
           for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
-    restrict = {}
-    for name, table in finset.json_object(data.get("restrict", {}),
-                                          "presheaf 'restrict'").items():
-        if not base.has_morphism(name):
-            raise UnknownObject(f"restriction along unknown {name!r}")
-        m = base.morphism(name)
-        if m.cod not in at or m.dom not in at:
-            raise MalformedInput(f"restriction {name!r} lacks endpoints")
-        restrict[name] = finset.table_from_json(
-            table, at[m.cod], at[m.dom], f"restriction {name!r}")
-    return Presheaf(base, at, restrict)
+    given = finset.json_object(data.get("restrict", {}), "presheaf 'restrict'")
+
+    def parse():
+        restrict = {}
+        for name, table in given.items():
+            if not base.has_morphism(name):
+                raise UnknownObject(f"restriction along unknown {name!r}")
+            m = base.morphism(name)
+            if m.cod not in at or m.dom not in at:
+                raise MalformedInput(f"restriction {name!r} lacks endpoints")
+            restrict[name] = finset.table_from_json(
+                table, at[m.cod], at[m.dom], f"restriction {name!r}", memo)
+        return Presheaf(base, at, restrict)
+    key = None if memo is None else _int_tables(given)
+    if key is None:
+        return parse()
+    return finset.memoized(memo, ("presheaf", base, tuple(at.items()), key),
+                           parse)
 
 
-def presheaf_map_from_json(data, base: FinCategory | None = None) -> PresheafMap:
+def presheaf_map_from_json(data, base: FinCategory | None = None,
+                           memo: dict | None = None) -> PresheafMap:
     if not isinstance(data, dict):
         raise MalformedInput("presheaf map must be an object")
     for key in ("source", "target", "components"):
         if key not in data:
             raise MalformedInput(f"presheaf map is missing field {key!r}")
-    source = presheaf_from_json(data["source"], base=base)
-    target = presheaf_from_json(data["target"], base=base)
-    comps = {}
-    for c, table in finset.json_object(data["components"],
-                                       "presheaf map 'components'").items():
-        if c not in source.base.objects:
-            raise UnknownObject(f"component at unknown object {c!r}")
-        comps[c] = finset.table_from_json(table, source.at(c), target.at(c),
-                                          f"component at {c!r}")
-    return PresheafMap(source, target, comps)
+    source = presheaf_from_json(data["source"], base=base, memo=memo)
+    target = presheaf_from_json(data["target"], base=base, memo=memo)
+    given = finset.json_object(data["components"],
+                               "presheaf map 'components'")
+
+    def parse():
+        comps = {}
+        for c, table in given.items():
+            if c not in source.base.objects:
+                raise UnknownObject(f"component at unknown object {c!r}")
+            comps[c] = finset.table_from_json(
+                table, source.at(c), target.at(c), f"component at {c!r}",
+                memo)
+        return PresheafMap(source, target, comps)
+    key = None if memo is None else _int_tables(given)
+    if key is None:
+        return parse()
+    return finset.memoized(memo, ("presheaf map", source, target, key), parse)

@@ -16,7 +16,9 @@ reads.  Count guards pin the single index (one comma category and no
 density per search), the retarget (one square, the counit, and no
 composite), and the structure JSON (no square).  The 4-to-1 surjection
 40 -> 10 against the generator 0 -> 4 has 10,000 problems of 256 fillers
-each, which the search handles under the default cap.
+each, which the search handles under the default cap.  ``find_filler``
+reads one square's diagonals the same way; the filter of the whole hom-set
+that it replaced is its oracle, and raises the cap on that square.
 """
 
 import contextlib
@@ -287,6 +289,69 @@ def test_four_to_one_surjection_from_the_command_line(tmp_path):
         assert json.loads(out.read_text())["count"] == 256 ** 10_000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_four_to_one_surjection_has_a_filler_under_the_default_cap():
+    gen, f = _four_to_one()
+    top = FinFunction(FinSet(()), f.dom, ())
+    bottom = FinFunction(gen.cod, f.cod, (0, 1, 2, 3))
+    # the old filter enumerated all 40**4 maps 4 -> 40
+    with pytest.raises(EnumerationCap):
+        oracle_filler(AMB, gen.mor, f.mor, top, bottom)
+    s = awfs_module.find_filler(AMB, gen.mor, f.mor, top, bottom)
+    # the first of the square's 256 diagonals in hom order
+    assert s.table == (0, 4, 8, 12)
+
+
+# -- find_filler: one square's diagonals -----------------------------------------
+
+def oracle_filler(inner, left, right, top, bottom, cap=None):
+    """find_filler before it read diagonals: the first map of the whole
+    hom-set cod left -> dom right that solves the square."""
+    for s in inner.hom(inner.cod(left), inner.dom(right), cap=cap):
+        if inner.compose(s, left) == top and inner.compose(right, s) == bottom:
+            return s
+    return None
+
+
+def _any_map(draw, dom, cod):
+    if not dom.size:
+        return FinFunction(dom, cod, ())
+    return FinFunction(dom, cod, tuple(draw(st.lists(
+        st.integers(0, cod.size - 1), min_size=dom.size,
+        max_size=dom.size))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(finset_maps(most=4), finset_maps(most=4), st.data())
+def test_find_filler_matches_the_hom_filter(left, right, data):
+    left, right = left.mor, right.mor
+    draw = data.draw
+    if left.dom.size and not right.dom.size:
+        return  # no top side exists
+    kind = draw(st.sampled_from(("solvable", "any", "mistyped")))
+    if kind == "solvable" and (right.dom.size or not left.cod.size):
+        d = _any_map(draw, left.cod, right.dom)
+        top = AMB.compose(d, left)
+        bottom = AMB.compose(right, d)
+    else:
+        cod = right.dom
+        if kind == "mistyped":
+            cod = FinSet(tuple(f"{x}'" for x in cod.labels))
+        top = _any_map(draw, left.dom, cod)
+        bottom = _any_map(draw, left.cod, right.cod)
+    assert awfs_module.find_filler(AMB, left, right, top, bottom) \
+        == oracle_filler(AMB, left, right, top, bottom)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph_maps())
+def test_graph_find_filler_matches_the_hom_filter(f):
+    left, right = BOUNDARY.arrow("j").mor, f.mor
+    for top in PAMB.hom(left.source, right.source):
+        for bottom in PAMB.hom(left.target, right.target):
+            assert awfs_module.find_filler(PAMB, left, right, top, bottom) \
+                == oracle_filler(PAMB, left, right, top, bottom)
 
 
 # -- count guards ----------------------------------------------------------------

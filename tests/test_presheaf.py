@@ -1,5 +1,9 @@
 """Presheaf layer tests: Yoneda, sieve classifier, elements, colimits."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +256,30 @@ def test_presheaf_coproduct_and_coequalizer():
     q = presheaf_coequalizer(cp.injections[0], cp.injections[1])
     assert q.obj.at("x").size == 1 and q.obj.at("y").size == 1
     assert validate_presheaf(q.obj) == []
+
+
+EMPTY_COPRODUCT = """
+from garnet.errors import ShapeMismatch
+from garnet.presheaf import presheaf_coproduct
+try:
+    presheaf_coproduct([])
+except ShapeMismatch:
+    raise SystemExit(0)
+raise SystemExit("an empty coproduct without a base did not raise")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_empty_coproduct_without_a_base_raises(flags):
+    # with no part and no base there is no base category to build on; an
+    # assert here would be stripped by python -O and fail on parts[0]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, *flags, "-c", EMPTY_COPRODUCT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_presheaf_chain_colimit_stabilizes():
