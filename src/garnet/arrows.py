@@ -24,8 +24,9 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 - ``tables_to_json`` (the JSON of the map between two objects with the
   given tables, written without building the map);
 - an optional ``memo`` on the JSON readers and writers: a dict kept for one
-  document, so that each distinct object in it is read and checked, or
-  written, once (see ``finset.memoized``);
+  document, in which a reader, having checked an occurrence's JSON, finds
+  the value built for an equal occurrence, and a writer the JSON written
+  for an equal value (see ``finset.memoized``);
 - ``from_tables`` (the checked map between two objects with the given
   tables);
 - ``quotient`` (an object divided by the equivalence closure of pairs of

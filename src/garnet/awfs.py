@@ -1073,7 +1073,7 @@ def _trace_to_json(trace: Trace, memo: dict) -> dict:
                        "built_from": built,
                        "composite": square(st.composite),
                        "transition": square(st.transition),
-                       "certificates": list(st.certificates)})
+                       "certificates": [dict(c) for c in st.certificates]})
     return {"f": mor(trace.f.mor),
             "generators": arrow_diagram_to_json(trace.generators, memo),
             "backdrop": backdrop_to_json(trace.backdrop),

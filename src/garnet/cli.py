@@ -25,7 +25,7 @@ from .errors import (EnumerationCap, GarnetError, IterationLimit,
 from .fincat import category_from_json, category_to_json, validate_category
 from .finset import FinFunction, FinSet, json_object
 from .freemonad import DEFAULT_MAX_STEPS, Backdrop
-from .presheaf import presheaf_from_json, validate_presheaf
+from .presheaf import presheaf_from_json
 
 FORMAT = 1
 
@@ -98,10 +98,7 @@ def _generators(args, inner):
 
 
 def _map(args, inner):
-    data = _read_json(args.map)
-    if isinstance(data, dict) and "mor" in data:
-        data = data["mor"]
-    return ArrowObj(inner, inner.mor_from_json(data))
+    return ArrowObj(inner, inner.mor_from_json(_read_json(args.map)))
 
 
 def _session(args):
@@ -138,8 +135,8 @@ def _cmd_validate(args):
         if not args.base:
             raise MalformedInput("validating a presheaf needs --base")
         base = category_from_json(_read_json(args.base))
-        problems += validate_presheaf(
-            presheaf_from_json(_read_json(args.presheaf), base))
+        # the reader refuses a presheaf that is not functorial
+        presheaf_from_json(_read_json(args.presheaf), base)
         checked.append("presheaf")
     if not checked:
         raise MalformedInput("nothing to validate; pass --generators, "
@@ -398,10 +395,9 @@ def _emit(args, code, report, human):
     for line in human:
         print(line)
     if args.output:
-        with _exact_ints():
-            blob = json.dumps(body, indent=2, sort_keys=True) + "\n"
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+        with open(args.output, "w", encoding="utf-8") as fh, _exact_ints():
+            json.dump(body, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return code
 
 

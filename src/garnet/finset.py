@@ -371,55 +371,40 @@ def sequential_colimit(maps: Sequence[FinFunction]):
 
 # -- serialization ----------------------------------------------------------
 #
-# The readers and writers below take an optional memo, a dict that lives for
-# one document: a caller that reads or writes a whole document (a trace)
-# passes the same memo to every call, so each distinct object is parsed and
-# checked, or written, once.  A reader keys an entry by the JSON it read
-# only after checking the JSON types exactly (``true`` and ``1.0`` are not
-# ``1``), and JSON that fails that check is parsed as without a memo, so it
-# raises what it raises there; a writer keys by the value written.
+# The readers and writers below take an optional memo, a dict kept for one
+# document (a trace), in which each distinct value is built once.  A reader
+# checks every occurrence's JSON, then keys the memo by what it checked (a
+# finite set's labels, a table's endpoints and entries); a writer keys by the
+# value written.
 
 
-def memoized(memo: dict, key, build):
-    """memo[key], built by build() the first time key is looked up."""
+def memoized(memo: dict | None, key, build):
+    """memo[key], built by build() when first looked up; build() if no memo."""
+    if memo is None:
+        return build()
     out = memo.get(key)
     if out is None:
         out = memo[key] = build()
     return out
 
 
-def typed_list(value, types: set) -> bool:
-    """True if value is a JSON list whose entries have exactly these types
-    (a bool is not an int, nor a float)."""
-    return type(value) is list and set(map(type, value)) <= types
-
-
 def finset_to_json(x: FinSet, memo: dict | None = None) -> dict:
-    if memo is not None:
-        return memoized(memo, x, lambda: finset_to_json(x))
-    return {"size": x.size, "labels": list(x.labels)}
+    return memoized(memo, x,
+                    lambda: {"size": x.size, "labels": list(x.labels)})
 
 
 def finset_from_json(data, memo: dict | None = None) -> FinSet:
-    if memo is not None and type(data) is dict:
-        # the labels are the key when the size, if any, is their exact
-        # count: then the outcome depends on the labels alone
-        labels = data.get("labels")
-        if typed_list(labels, {str}):
-            size = data.get("size", len(labels))
-            if type(size) is int and size == len(labels):
-                return memoized(memo, ("set", tuple(labels)),
-                                lambda: finset_from_json(data))
     if not isinstance(data, dict) or "labels" not in data:
         raise MalformedInput("finite set needs a labels list")
     labels = data["labels"]
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+    if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
         raise MalformedInput("labels must be strings")
     if len(set(labels)) != len(labels):
         raise MalformedInput("labels must be distinct")
     if "size" in data and data["size"] != len(labels):
         raise MalformedInput("size field disagrees with labels")
-    return FinSet(tuple(labels))
+    key = tuple(labels)
+    return memoized(memo, ("set", key), lambda: FinSet(key))
 
 
 def function_from_json(data, memo: dict | None = None) -> FinFunction:
@@ -440,15 +425,20 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def json_table(table, dom: FinSet, cod: FinSet, what: str = "table") -> tuple:
+    """The entries of a JSON table of a function dom -> cod, checked: one per
+    domain element, each an exact int (not a bool) indexing the codomain."""
+    if not isinstance(table, list) or len(table) != len(dom.labels):
+        raise MalformedInput(f"{what} must list one entry per domain element")
+    if not set(map(type, table)) <= {int} \
+            or table and (min(table) < 0 or max(table) >= len(cod.labels)):
+        raise MalformedInput(f"{what} entries must index the codomain")
+    return tuple(table)
+
+
 def table_from_json(table, dom: FinSet, cod: FinSet, what: str = "table",
                     memo: dict | None = None) -> FinFunction:
-    """The function dom -> cod listed by a JSON table, checked entry by entry
-    (booleans are not indices, although Python counts them as ints)."""
-    if memo is not None and typed_list(table, {int}):
-        return memoized(memo, ("table", dom, cod, tuple(table)),
-                        lambda: table_from_json(table, dom, cod, what))
-    if not isinstance(table, list) or len(table) != dom.size:
-        raise MalformedInput(f"{what} must list one entry per domain element")
-    if not all(type(v) is int and 0 <= v < cod.size for v in table):
-        raise MalformedInput(f"{what} entries must index the codomain")
-    return FinFunction(dom, cod, tuple(table))
+    """The function dom -> cod listed by a JSON table (see json_table)."""
+    t = json_table(table, dom, cod, what)
+    return memoized(memo, ("table", dom, cod, t),
+                    lambda: FinFunction(dom, cod, t))

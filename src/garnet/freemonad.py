@@ -124,7 +124,7 @@ def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
     fold = mid.mediate(x.f, amb.identity(x.b))
     out = amb.pushout(gap, fold)
     k, h = out.left, out.right
-    # the point of the new stage is h, on the nose
+    # invariant: k . gap = h . fold, and on b gap is the unit, fold the id
     assert amb.compose(k, t.unit(x.b)) == h
     if not cfg.backdrop.contains(amb, h):
         raise BackdropViolation(
@@ -157,7 +157,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
         err = IterationLimit(f"no convergence within {max_steps} steps")
         err.trace = FreeMonadTrace(tuple(stages), None)
         raise err
-    # stability: one step past detection must again be invertible
+    # invariant: one step on, g is the iso h and h a cobase change of an iso
     step = stages[-1].step
     extra = qoppa_step(cfg, step.new)
     stages.append(StageRecord(converged + 1, step.new, extra))
@@ -166,6 +166,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
     at = stages[converged]
     carrier = at.x.a
     structure = amb.compose(amb.inverse(at.step.g), at.x.f)
+    # invariant: g = f . unit, so g^-1 . f retracts the unit
     assert amb.compose(structure, t.unit(carrier)) == amb.identity(carrier)
     unit = amb.identity(start)
     for rec in stages[:converged]:
@@ -199,7 +200,10 @@ def algebra_extend(free: FreeAlgebraResult, target, h):
         rec = free.trace.stages[n]
         u, v = v, rec.step.out.mediate(amb.compose(d, t.on_mor(v)), v)
     at = free.trace.stages[free.trace.converged_stage]
+    # invariant: the last mediator's cocone equation along the stage map
     assert amb.compose(v, at.x.f) == amb.compose(d, t.on_mor(u))
+    # invariant: each v . g = d . T(u) . unit = u, by d's unit law (checked)
     assert amb.compose(u, free.unit) == h
+    # invariant: u . g^-1 = v at the converged stage, then the first check
     assert amb.compose(u, free.structure) == amb.compose(d, t.on_mor(u))
     return u

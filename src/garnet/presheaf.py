@@ -615,22 +615,12 @@ def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
 
 def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
     from .fincat import category_to_json
-    if memo is not None:
-        return finset.memoized(memo, p, lambda: presheaf_to_json(p))
-    return {
+    return finset.memoized(memo, p, lambda: {
         "base": category_to_json(p.base),
         "at": {c: finset.finset_to_json(p.at(c)) for c in p.base.objects},
         "restrict": {m.name: list(p.restrict(m.name).table)
                      for m in p.base.non_identity_morphisms()},
-    }
-
-
-def _int_tables(tables: dict) -> tuple | None:
-    """The items of a JSON object of tables as a memo key, or None unless
-    every table lists exact ints."""
-    if all(finset.typed_list(t, {int}) for t in tables.values()):
-        return tuple((name, tuple(t)) for name, t in tables.items())
-    return None
+    })
 
 
 def presheaf_from_json(data, base: FinCategory | None = None,
@@ -645,24 +635,29 @@ def presheaf_from_json(data, base: FinCategory | None = None,
         base = category_from_json(raw)
     at = {c: finset.finset_from_json(v, memo)
           for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
-    given = finset.json_object(data.get("restrict", {}), "presheaf 'restrict'")
+    tables = {}
+    for name, table in finset.json_object(data.get("restrict", {}),
+                                          "presheaf 'restrict'").items():
+        if not base.has_morphism(name):
+            raise UnknownObject(f"restriction along unknown {name!r}")
+        m = base.morphism(name)
+        if m.cod not in at or m.dom not in at:
+            raise MalformedInput(f"restriction {name!r} lacks endpoints")
+        tables[name] = finset.json_table(table, at[m.cod], at[m.dom],
+                                         f"restriction {name!r}")
 
-    def parse():
-        restrict = {}
-        for name, table in given.items():
-            if not base.has_morphism(name):
-                raise UnknownObject(f"restriction along unknown {name!r}")
-            m = base.morphism(name)
-            if m.cod not in at or m.dom not in at:
-                raise MalformedInput(f"restriction {name!r} lacks endpoints")
-            restrict[name] = finset.table_from_json(
-                table, at[m.cod], at[m.dom], f"restriction {name!r}", memo)
-        return Presheaf(base, at, restrict)
-    key = None if memo is None else _int_tables(given)
-    if key is None:
-        return parse()
-    return finset.memoized(memo, ("presheaf", base, tuple(at.items()), key),
-                           parse)
+    def build():
+        ends = {name: base.morphism(name) for name in tables}
+        p = Presheaf(base, at, {
+            name: FinFunction(at[ends[name].cod], at[ends[name].dom], t)
+            for name, t in tables.items()})
+        # input is checked to be functorial, once per distinct presheaf
+        problems = validate_presheaf(p)
+        if problems:
+            raise MalformedInput("; ".join(problems))
+        return p
+    return finset.memoized(memo, ("presheaf", base, tuple(at.items()),
+                                  tuple(tables.items())), build)
 
 
 def presheaf_map_from_json(data, base: FinCategory | None = None,
@@ -674,19 +669,15 @@ def presheaf_map_from_json(data, base: FinCategory | None = None,
             raise MalformedInput(f"presheaf map is missing field {key!r}")
     source = presheaf_from_json(data["source"], base=base, memo=memo)
     target = presheaf_from_json(data["target"], base=base, memo=memo)
-    given = finset.json_object(data["components"],
-                               "presheaf map 'components'")
-
-    def parse():
-        comps = {}
-        for c, table in given.items():
-            if c not in source.base.objects:
-                raise UnknownObject(f"component at unknown object {c!r}")
-            comps[c] = finset.table_from_json(
-                table, source.at(c), target.at(c), f"component at {c!r}",
-                memo)
-        return PresheafMap(source, target, comps)
-    key = None if memo is None else _int_tables(given)
-    if key is None:
-        return parse()
-    return finset.memoized(memo, ("presheaf map", source, target, key), parse)
+    tables = {}
+    for c, table in finset.json_object(data["components"],
+                                       "presheaf map 'components'").items():
+        if c not in source.base.objects:
+            raise UnknownObject(f"component at unknown object {c!r}")
+        tables[c] = finset.json_table(table, source.at(c), target.at(c),
+                                      f"component at {c!r}")
+    return finset.memoized(
+        memo, ("presheaf map", source, target, tuple(tables.items())),
+        lambda: PresheafMap(source, target, {
+            c: FinFunction(source.at(c), target.at(c), t)
+            for c, t in tables.items()}))

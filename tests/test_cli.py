@@ -424,6 +424,26 @@ def _edited(data, path, value):
     return data
 
 
+# a base a -> b -> c with g . f = h, and a natural map into the point from
+# a presheaf over it whose restrictions compose as the base does
+CHAIN_BASE = {"objects": ["a", "b", "c"],
+              "morphisms": [{"name": "f", "dom": "a", "cod": "b"},
+                            {"name": "g", "dom": "b", "cod": "c"},
+                            {"name": "h", "dom": "a", "cod": "c"}],
+              "compose": [{"g": "g", "f": "f", "eq": "h"}]}
+
+
+def _chain_presheaf(n, prefix, f, g, h):
+    return {"base": CHAIN_BASE,
+            "at": {c: {"size": n, "labels": [f"{prefix}{i}" for i in range(n)]}
+                   for c in ("a", "b", "c")},
+            "restrict": {"f": f, "g": g, "h": h}}
+
+
+CHAIN_MAP = {"source": _chain_presheaf(2, "x", [0, 1], [0, 1], [0, 1]),
+             "target": _chain_presheaf(1, "p", [0], [0], [0]),
+             "components": {c: [0, 0] for c in ("a", "b", "c")}}
+
 # a factorize report, the input of trace-verify and replay
 REPORT = os.path.join("golden", "factorize_walking_cospan.json")
 TRACE = ("factorization", "trace")
@@ -437,6 +457,13 @@ MALFORMED = {
     "bool-restriction": ("graph_edge_to_loop.json",
                          ("source", "restrict", "tgt"), [True]),
     "bool-entry": ("f_2_to_1.json", ("table",), [0, False]),
+    # the map file is the map itself, not wrapped in an object
+    "map-wrapped-in-mor": ("f_2_to_1.json", (), {"mor": {
+        "dom": {"size": 2, "labels": ["x0", "x1"]},
+        "cod": {"size": 1, "labels": ["pt"]}, "table": [0, 0]}}),
+    # h restricts by the swap where f and g restrict by the identity
+    "non-functorial-restriction": ("chain_map.json",
+                                   ("source", "restrict", "h"), [1, 0]),
     "at-not-object": ("graph_edge_to_loop.json", ("source", "at"), []),
     "restrict-not-object": ("graph_edge_to_loop.json",
                             ("target", "restrict"), [[0]]),
@@ -493,6 +520,8 @@ def _malformed_commands(tmp_path, case):
     name, path, value = MALFORMED[case]
     if name == "problem.json":
         data = json.loads(json.dumps(PROBLEM))
+    elif name == "chain_map.json":
+        data = json.loads(json.dumps(CHAIN_MAP))
     elif name == "witnesses.json":
         data = load(fix("walking_cospan.json"))["arrows"]
     else:
@@ -508,6 +537,16 @@ def _malformed_commands(tmp_path, case):
                 ["replay", "--report", bad]]
     if name == "witnesses.json":
         return [["replay", "--report", fix(REPORT), "--witnesses", bad]]
+    if name == "chain_map.json":
+        base = tmp_path / "chain_base.json"
+        base.write_text(json.dumps(CHAIN_BASE))
+        source = tmp_path / "chain_presheaf.json"
+        edited = json.loads(written.read_text())
+        source.write_text(json.dumps(edited["source"]))
+        return [["factorize", "--ambient", "presheaf", "--base", str(base),
+                 "--generators", "subobject_classifier", "--map", bad],
+                ["validate", "--ambient", "presheaf", "--base", str(base),
+                 "--presheaf", str(source)]]
     if name == "walking_cospan.json":
         return [["factorize", "--generators", bad,
                  "--map", fix("f_0_to_1.json")]]
@@ -528,12 +567,29 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
         out.unlink()
 
 
+def test_a_non_functorial_presheaf_is_refused_where_it_is_read(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(CHAIN_MAP))
+    cmds = _malformed_commands(tmp_path, "non-functorial-restriction")
+    factorize = [good if a.endswith("chain_map.json") else a
+                 for a in cmds[0]]
+    assert run([*map(str, factorize), "--output", str(tmp_path / "ok.json")]) \
+        == 0
+    for cmd in cmds:
+        out = tmp_path / "r.json"
+        assert run([*cmd, "--output", str(out)]) == 1
+        assert load(out)["error"] == {
+            "kind": "MalformedInput",
+            "message": "restriction fails functoriality at ('g', 'f')"}
+
+
 @pytest.mark.parametrize("case", [
     "component-out-of-range", "report-not-object",
     "report-ambient-not-object", "report-factorization-not-object",
     "report-trace-not-object", "trace-stages-not-list",
     "certificate-morphism-not-string", "witnesses-not-object",
-    "index-morphisms-not-list", "gluing-into-not-a-leg"])
+    "index-morphisms-not-list", "gluing-into-not-a-leg",
+    "non-functorial-restriction"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here
