@@ -6,8 +6,13 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 - ``dom``, ``cod``, ``identity``, ``compose``, ``inverse``;
 - ``is_mono``, ``is_iso``;
 - ``hom`` (all maps between two objects, in a fixed order);
-- ``pushout``, ``coproduct``, ``coequalizer`` and ``sequential_colimit``,
-  each returning a result with a ``mediate`` method.
+- ``pushout``, ``coproduct`` and ``coequalizer``, each returning a colimit
+  with ``obj``, its ``legs`` (also read as a pushout's ``left`` and
+  ``right``, a coproduct's ``injections``, a coequalizer's ``proj``) and
+  ``mediate(*legs, cod=None)``: a list argument contributes its members,
+  and ``cod`` is the codomain of an empty cocone;
+- ``sequential_colimit``, whose result's ``mediate`` takes the cocone as
+  one list (see ``chain_colimit``).
 
 Every ambient also has ``tables``, a per-level view of a map for code that
 works on integer tables: the map's tables, one per level in a fixed level
@@ -31,8 +36,8 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   tables);
 - ``quotient`` (an object divided by the equivalence closure of pairs of
   element indices, given per level in the same order; classes are named
-  after and ordered by their minimal members, and the result has ``proj``
-  and ``mediate``);
+  after and ordered by their minimal members, and the result is a colimit
+  as above);
 - ``skeleton``, for working up to relabeling: a hashable key of a map's
   sizes and tables, without its labels;
 - ``diagonals`` (for maps a and b, a function from the side tables
@@ -454,43 +459,36 @@ class ArrowAmbient:
         return [Square(a, b, top, bottom)
                 for top, bottom in self.boundaries(a, b, cap=cap).values()]
 
+    def _colimit(self, feet: Sequence[ArrowObj], dom_col, cod_col):
+        """The colimit of the arrows feet, given the inner colimits of their
+        domains and of their codomains: its arrow is induced from the feet's
+        arrows, and its legs are the squares of the two colimits' legs."""
+        inner = self.inner
+        arrow = ArrowObj(inner, dom_col.mediate(
+            [inner.compose(leg, foot.mor)
+             for leg, foot in zip(cod_col.legs, feet)], cod=cod_col.obj))
+        legs = tuple(Square(foot, arrow, top, bottom) for foot, top, bottom
+                     in zip(feet, dom_col.legs, cod_col.legs))
+        return _ArrLevelwise(arrow, {"dom": dom_col, "cod": cod_col}, legs)
+
     def pushout(self, s: Square, t: Square, tags=("i0", "i1")):
         if s.source != t.source:
             raise DomainMismatch("pushout needs a span with a shared apex")
-        dom_po = self.inner.pushout(s.top, t.top, tags=tags)
-        cod_po = self.inner.pushout(s.bottom, t.bottom, tags=tags)
-        b, c = s.target, t.target
-        arrow = ArrowObj(self.inner, dom_po.mediate(
-            self.inner.compose(cod_po.left, b.mor),
-            self.inner.compose(cod_po.right, c.mor)))
-        left = Square(b, arrow, dom_po.left, cod_po.left)
-        right = Square(c, arrow, dom_po.right, cod_po.right)
-        return _ArrLevelwise(arrow, {"dom": dom_po, "cod": cod_po},
-                             left=left, right=right)
+        return self._colimit((s.target, t.target),
+                             self.inner.pushout(s.top, t.top, tags=tags),
+                             self.inner.pushout(s.bottom, t.bottom, tags=tags))
 
     def coproduct(self, parts: Sequence[ArrowObj], tags=None):
-        dom_cp = self.inner.coproduct([p.dom for p in parts], tags=tags)
-        cod_cp = self.inner.coproduct([p.cod for p in parts], tags=tags)
-        arrow = ArrowObj(self.inner, dom_cp.mediate(
-            [self.inner.compose(cod_cp.injections[k], parts[k].mor)
-             for k in range(len(parts))],
-            cod=cod_cp.obj))
-        injections = tuple(
-            Square(parts[k], arrow, dom_cp.injections[k], cod_cp.injections[k])
-            for k in range(len(parts)))
-        return _ArrLevelwise(arrow, {"dom": dom_cp, "cod": cod_cp},
-                             injections=injections)
+        return self._colimit(
+            parts, self.inner.coproduct([p.dom for p in parts], tags=tags),
+            self.inner.coproduct([p.cod for p in parts], tags=tags))
 
     def coequalizer(self, s: Square, t: Square):
         if s.source != t.source or s.target != t.target:
             raise DomainMismatch("coequalizer needs a parallel pair")
-        dom_ce = self.inner.coequalizer(s.top, t.top)
-        cod_ce = self.inner.coequalizer(s.bottom, t.bottom)
-        arrow = ArrowObj(self.inner, dom_ce.mediate(
-            self.inner.compose(cod_ce.proj, s.target.mor)))
-        proj = Square(s.target, arrow, dom_ce.proj, cod_ce.proj)
-        return _ArrLevelwise(arrow, {"dom": dom_ce, "cod": cod_ce},
-                             proj=proj)
+        return self._colimit((s.target,),
+                             self.inner.coequalizer(s.top, t.top),
+                             self.inner.coequalizer(s.bottom, t.bottom))
 
     def sequential_colimit(self, maps: Sequence[Square]):
         return chain_colimit(self, maps)

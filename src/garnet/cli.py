@@ -19,10 +19,10 @@ from .awfs import (GeneratedAWFS, factorization_to_json,
                    find_lifting_structures, has_rlp, quillen_factorize,
                    replay, require_count, solve_lifting, structure_to_json,
                    trace_from_json, verify_trace)
-from .density import arrow_diagram_from_json, validate_diagram
+from .density import arrow_diagram_from_json
 from .errors import (EnumerationCap, GarnetError, IterationLimit,
                      MalformedInput)
-from .fincat import category_from_json, category_to_json, validate_category
+from .fincat import category_from_json, category_to_json
 from .finset import FinFunction, FinSet, json_object
 from .freemonad import DEFAULT_MAX_STEPS, Backdrop
 from .presheaf import presheaf_from_json
@@ -120,31 +120,27 @@ def _shape(inner, g: ArrowObj) -> str:
 
 
 def _cmd_validate(args):
-    problems = []
+    # each reader refuses what it checks: a diagram that is not functorial,
+    # a category that breaks the laws, a presheaf that is not functorial
     checked = []
     if args.generators:
         inner, _spec = _ambient(args)
-        u = _generators(args, inner)
-        problems += validate_diagram(u)
+        _generators(args, inner)
         checked.append("generators")
     if args.category:
-        problems += validate_category(category_from_json(
-            _read_json(args.category)))
+        category_from_json(_read_json(args.category))
         checked.append("category")
     if args.presheaf:
         if not args.base:
             raise MalformedInput("validating a presheaf needs --base")
         base = category_from_json(_read_json(args.base))
-        # the reader refuses a presheaf that is not functorial
         presheaf_from_json(_read_json(args.presheaf), base)
         checked.append("presheaf")
     if not checked:
         raise MalformedInput("nothing to validate; pass --generators, "
                              "--category, or --presheaf")
-    report = {"checked": checked, "ok": not problems, "problems": problems}
-    human = ["valid" if not problems else
-             f"{len(problems)} problem(s): " + "; ".join(problems)]
-    return (EXIT_OK if not problems else EXIT_INVALID), report, human
+    return EXIT_OK, {"checked": checked, "ok": True, "problems": []}, \
+        ["valid"]
 
 
 def _cmd_factorize(args):

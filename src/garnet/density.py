@@ -526,6 +526,13 @@ def arrow_diagram_from_json(data, ambient,
             raise MalformedInput(f"square at unknown morphism {name!r}")
         spec = json_object(spec, f"square at {name!r}")
         m = index.morphism(name)
+        for j in (m.dom, m.cod):
+            if j not in on_objects:
+                raise MalformedInput(f"no arrow at index object {j!r}")
+        for key in ("top", "bottom"):
+            if key not in spec:
+                raise MalformedInput(f"square at {name!r} is missing field "
+                                     f"{key!r}")
         on_morphisms[name] = Square(
             on_objects[m.dom], on_objects[m.cod],
             ambient.mor_from_json(spec["top"], memo),

@@ -4,7 +4,8 @@ Index categories for generator diagrams and base categories for presheaves
 are tiny, so categories are stored extensionally: every morphism is listed,
 identities are explicit under the reserved names ``id_<object>``, and
 composition is a total table on composable pairs.  Law checking is
-exhaustive and report-valued; constructors only reject dangling references.
+exhaustive and report-valued; constructors only reject dangling references,
+and the JSON reader refuses a category that breaks the laws.
 """
 
 from __future__ import annotations
@@ -190,7 +191,11 @@ def category_from_json(data) -> FinCategory:
             raise MalformedInput(f"bad compose entry {entry!r}")
         g, f, h = names
         compose[(g, f)] = h
-    return FinCategory(data["objects"], morphisms, compose)
+    cat = FinCategory(data["objects"], morphisms, compose)
+    problems = validate_category(cat)
+    if problems:
+        raise MalformedInput("; ".join(problems))
+    return cat
 
 
 def _names(entry, keys):

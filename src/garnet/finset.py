@@ -3,10 +3,10 @@
 This is the computational substrate for every ambient category in the
 package.  A function's checks (totality and range) run on its integer table
 with ``len``, ``min`` and ``max``, and raise, so ``python -O`` keeps them.
-All quotients are built by union-find with minimal-index representatives,
-and every colimit labels its elements by provenance strings derived from
-the input labels, so running the same construction twice yields
-byte-identical results.
+Every colimit here is one ``colimit``: a quotient of the coproduct of its
+feet, built by union-find with minimal-index representatives and labelled
+by provenance strings derived from the input labels, so running the same
+construction twice yields byte-identical results.
 """
 
 from __future__ import annotations
@@ -252,74 +252,109 @@ def class_values(proj: Sequence[int], reps: Sequence[int],
     return out
 
 
-@dataclass(frozen=True)
-class CoproductResult:
-    obj: FinSet
-    injections: tuple[FinFunction, ...]
+def cocone(legs: Sequence) -> list:
+    """The maps of a cocone given as ``mediate``'s arguments, in order: a
+    list or tuple argument contributes its members, any other argument
+    itself."""
+    return [m for leg in legs
+            for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
 
-    def mediate(self, legs: Sequence[FinFunction],
-                cod: FinSet | None = None) -> FinFunction:
-        if len(legs) != len(self.injections):
-            raise DomainMismatch("a cocone needs one leg per summand")
-        if legs:
-            if len({leg.cod for leg in legs}) != 1:
-                raise CodomainMismatch("coproduct legs must share a codomain")
-            cod = legs[0].cod
+
+class LegNames:
+    """The names by which callers read a colimit's ``legs``: a pushout's
+    ``left`` and ``right``, a coproduct's ``injections`` and a quotient's
+    or coequalizer's ``proj``."""
+
+    left = property(lambda self: self.legs[0])
+    right = property(lambda self: self.legs[1])
+    proj = left
+    injections = property(lambda self: self.legs)
+
+
+@dataclass(frozen=True)
+class Colimit(LegNames):
+    """The feet placed one after another and divided into classes.
+
+    ``classes`` gives the class of each element of the feet, foot after
+    foot, and ``reps[k]`` the minimal member of class k, whose label the
+    class carries.  The leg out of a foot is its stretch of ``classes``;
+    it is built when first read.
+    """
+    obj: FinSet
+    feet: tuple[FinSet, ...]
+    classes: tuple[int, ...]
+    reps: tuple[int, ...]
+
+    @property
+    def legs(self) -> tuple[FinFunction, ...]:
+        legs = self.__dict__.get("_legs")
+        if legs is None:
+            out, start = [], 0
+            for foot in self.feet:
+                stop = start + len(foot.labels)
+                out.append(FinFunction(foot, self.obj,
+                                       self.classes[start:stop]))
+                start = stop
+            legs = tuple(out)
+            object.__setattr__(self, "_legs", legs)
+        return legs
+
+    def mediate(self, *legs, cod: FinSet | None = None) -> FinFunction:
+        """The map out of ``obj`` through which a cocone factors: one leg
+        out of each foot (see ``cocone``), all into one codomain, which
+        ``cod`` gives when there is no leg.  Legs that disagree on a class
+        are no cocone: they raise DomainMismatch."""
+        maps = cocone(legs)
+        if len(maps) != len(self.feet) \
+                or any(m.dom != foot for m, foot in zip(maps, self.feet)):
+            raise DomainMismatch("a cocone needs one leg out of each foot")
+        if maps:
+            cod = maps[0].cod
+            if any(m.cod != cod for m in maps):
+                raise CodomainMismatch("cocone legs must share a codomain")
         elif cod is None:
-            raise CodomainMismatch("empty coproduct mediator needs a codomain")
-        table = []
-        for inj, leg in zip(self.injections, legs):
-            if inj.dom != leg.dom:
-                raise DomainMismatch("leg domain differs from summand")
-            table.extend(leg.table)
-        return FinFunction(self.obj, cod, tuple(table))
+            raise CodomainMismatch("an empty cocone needs a codomain")
+        return FinFunction(self.obj, cod, class_values(
+            self.classes, self.reps, [v for m in maps for v in m.table]))
+
+
+def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple[int, int]] = (),
+            tags: Sequence[str] | None = None) -> Colimit:
+    """The coproduct of the feet divided by the equivalence closure of
+    pairs of indices into it, the feet placed one after another.
+
+    A class is labelled by its minimal member: ``tag.label`` with the tag
+    of the member's foot, or the bare label without tags.
+    """
+    feet = tuple(feet)
+    if tags is not None and len(tags) != len(feet):
+        raise DomainMismatch("a colimit needs one tag per foot")
+    starts = list(itertools.accumulate((len(x.labels) for x in feet),
+                                       initial=0))
+    classes, reps = equivalence_classes(starts[-1], pairs)
+    labels, k = [], 0
+    for r in reps:
+        while r >= starts[k + 1]:
+            k += 1
+        label = feet[k].labels[r - starts[k]]
+        labels.append(label if tags is None else f"{tags[k]}.{label}")
+    return Colimit(FinSet(tuple(labels)), feet, tuple(classes), tuple(reps))
 
 
 def coproduct(parts: Sequence[FinSet],
-              tags: Sequence[str] | None = None) -> CoproductResult:
+              tags: Sequence[str] | None = None) -> Colimit:
     """Disjoint union with provenance-tagged labels tag.label."""
     if tags is None:
         tags = [f"i{k}" for k in range(len(parts))]
-    if len(tags) != len(parts):
-        raise DomainMismatch("a coproduct needs one tag per summand")
-    labels: list[str] = []
-    injections = []
-    offset = 0
-    for part, tag in zip(parts, tags):
-        labels.extend(f"{tag}.{lbl}" for lbl in part.labels)
-    obj = FinSet(tuple(labels))
-    for part in parts:
-        injections.append(FinFunction(
-            part, obj, tuple(range(offset, offset + part.size))))
-        offset += part.size
-    return CoproductResult(obj, tuple(injections))
+    return colimit(parts, tags=tags)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    """A finite set divided by an equivalence relation: ``proj`` sends each
-    element to its class, and ``reps[k]`` is the minimal member of class k,
-    whose label the class carries."""
-    obj: FinSet
-    proj: FinFunction
-    reps: tuple[int, ...]
-
-    def mediate(self, h: FinFunction) -> FinFunction:
-        if h.dom != self.proj.dom:
-            raise DomainMismatch("cocone leg must start at the quotiented "
-                                 "set")
-        return FinFunction(self.obj, h.cod,
-                           class_values(self.proj.table, self.reps, h.table))
-
-
-def quotient(x: FinSet, pairs: Iterable[tuple[int, int]]) -> QuotientResult:
+def quotient(x: FinSet, pairs: Iterable[tuple[int, int]]) -> Colimit:
     """x divided by the equivalence closure of pairs of element indices."""
-    table, reps = equivalence_classes(x.size, pairs)
-    obj = FinSet(tuple(x.labels[r] for r in reps))
-    return QuotientResult(obj, FinFunction(x, obj, tuple(table)), tuple(reps))
+    return colimit((x,), pairs)
 
 
-def coequalizer(f: FinFunction, g: FinFunction) -> QuotientResult:
+def coequalizer(f: FinFunction, g: FinFunction) -> Colimit:
     """The quotient of the shared codomain by f(i) ~ g(i); a map out of it
     is a map constant on the classes, which is to say one that
     coequalizes f and g."""
@@ -328,40 +363,15 @@ def coequalizer(f: FinFunction, g: FinFunction) -> QuotientResult:
     return quotient(f.cod, zip(f.table, g.table))
 
 
-@dataclass(frozen=True)
-class PushoutResult:
-    obj: FinSet
-    left: FinFunction    # B -> P
-    right: FinFunction   # C -> P
-    _classes: QuotientResult  # of B + C
-
-    def mediate(self, q: FinFunction, r: FinFunction) -> FinFunction:
-        if q.dom != self.left.dom or r.dom != self.right.dom:
-            raise DomainMismatch("cocone legs must start at the span feet")
-        if q.cod != r.cod:
-            raise CodomainMismatch("cocone legs must share a codomain")
-        # constant on the classes of B + C exactly when q . f == r . g
-        quo = self._classes
-        return FinFunction(self.obj, q.cod, class_values(
-            quo.proj.table, quo.reps, q.table + r.table))
-
-
 def pushout(f: FinFunction, g: FinFunction,
-            tags: tuple[str, str] = ("i0", "i1")) -> PushoutResult:
-    """Pushout of the span f: A -> B, g: A -> C.
-
-    Elements are minimal-index representatives of the equivalence closure
-    on B + C generated by f(a) ~ g(a).  The coproduct is the special case
-    A empty.
-    """
+            tags: tuple[str, str] = ("i0", "i1")) -> Colimit:
+    """Pushout of the span f: A -> B, g: A -> C: B + C divided by
+    f(a) ~ g(a).  The coproduct is the special case A empty."""
     if f.dom != g.dom:
         raise DomainMismatch("pushout needs a span with a shared apex")
-    cp = coproduct([f.cod, g.cod], tags=tags)
-    in_b, in_c = cp.injections
-    quo = quotient(cp.obj, ((in_b(f(a)), in_c(g(a)))
-                            for a in range(f.dom.size)))
-    return PushoutResult(quo.obj, compose(quo.proj, in_b),
-                         compose(quo.proj, in_c), quo)
+    n = len(f.cod.labels)
+    return colimit((f.cod, g.cod), zip(f.table, (n + c for c in g.table)),
+                   tags)
 
 
 def sequential_colimit(maps: Sequence[FinFunction]):

@@ -1,8 +1,9 @@
 """Finite-set-valued presheaves on a finite base category.
 
 Everything is levelwise over the substrate in finset: colimits are computed
-object by object and reassembled, with naturality of the induced maps
-re-verified afterwards.  Naturality and functoriality are checked on the
+object by object and reassembled.  Their restrictions are induced through
+the level colimits, which makes the legs natural, so the legs are not
+checked again.  Naturality and functoriality are checked on the
 restriction and component tables, without building composite maps.  The
 subobject classifier is the full sieve classifier; on these finite, fully
 decidable bases it coincides with the levelwise complemented one.
@@ -488,20 +489,19 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
 
 # -- levelwise colimits -------------------------------------------------------
 
-class LevelwiseResult:
+class LevelwiseResult(finset.LegNames):
     """A colimit computed one level at a time and reassembled.
 
-    ``level`` maps each level to the colimit computed there; the legs
-    (``left``/``right``, ``injections`` or ``proj``) are already
-    reassembled, and a mediator out of ``obj`` is reassembled from the
-    level mediators of the legs' parts.  Levels are the objects of the base
-    category here.
+    ``level`` maps each level to the colimit computed there, and ``legs``
+    are the reassembled legs; a mediator out of ``obj`` is reassembled from
+    the level mediators of the legs' parts.  Levels are the objects of the
+    base category here.
     """
 
-    def __init__(self, obj, level, **legs):
+    def __init__(self, obj, level, legs):
         self.obj = obj
         self._level = level
-        self.__dict__.update(legs)
+        self.legs = legs
 
     @staticmethod
     def _part(x, c):
@@ -512,42 +512,47 @@ class LevelwiseResult:
         return PresheafMap(source, target, parts)
 
     def mediate(self, *legs, cod=None):
-        """Pushout (q, r), coproduct (legs, cod=None), or coequalizer or
-        quotient (h)."""
-        maps = [m for leg in legs
-                for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
+        """The map out of ``obj`` through which a cocone factors, legs as
+        for ``finset.Colimit.mediate``."""
+        maps = finset.cocone(legs)
         target = maps[0].target if maps else cod
         if target is None:
-            raise CodomainMismatch("empty coproduct mediator needs a codomain")
-        parts = {}
-        for c, res in self._level.items():
-            args = [[self._part(m, c) for m in leg]
-                    if isinstance(leg, (list, tuple)) else self._part(leg, c)
-                    for leg in legs]
-            extra = {} if cod is None else {"cod": self._part(cod, c)}
-            parts[c] = res.mediate(*args, **extra)
+            raise CodomainMismatch("an empty cocone needs a codomain")
+        parts = {c: res.mediate([self._part(m, c) for m in maps],
+                                cod=None if cod is None
+                                else self._part(cod, c))
+                 for c, res in self._level.items()}
         return self._assemble(self.obj, target, parts)
+
+
+def _levelwise(base: FinCategory, feet: Sequence[Presheaf],
+               level) -> LevelwiseResult:
+    """The colimit of presheaves on base whose set at each object c is
+    ``level(c)``, a colimit of the feet's sets at c.  Each restriction is
+    induced through the level colimits from the feet's, which is what
+    makes every leg natural; the legs are not checked again."""
+    cols = {c: level(c) for c in base.objects}
+    restrict = {}
+    for m in base.non_identity_morphisms():
+        dst = cols[m.dom]
+        restrict[m.name] = cols[m.cod].mediate(
+            [compose(leg, foot.restrict(m.name))
+             for leg, foot in zip(dst.legs, feet)], cod=dst.obj)
+    obj = Presheaf(base, {c: cols[c].obj for c in base.objects}, restrict)
+    # restrictions induced levelwise from functorial ones are functorial
+    assert validate_presheaf(obj) == [], "restrictions lost functoriality"
+    legs = tuple(_natural_map(foot, obj, {c: cols[c].legs[k]
+                                          for c in base.objects})
+                 for k, foot in enumerate(feet))
+    return LevelwiseResult(obj, cols, legs)
 
 
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
                      tags: tuple[str, str] = ("i0", "i1")) -> LevelwiseResult:
     if f.source != g.source:
         raise ShapeMismatch("pushout needs a span with a shared apex")
-    base = f.source.base
-    level = {c: finset.pushout(f.at(c), g.at(c), tags=tags)
-             for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        src, dst = level[m.cod], level[m.dom]
-        restrict[m.name] = src.mediate(
-            compose(dst.left, f.target.restrict(m.name)),
-            compose(dst.right, g.target.restrict(m.name)))
-    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
-    # restrictions induced levelwise from functorial ones are functorial
-    assert validate_presheaf(obj) == [], "pushout restrictions lost functoriality"
-    left = PresheafMap(f.target, obj, {c: level[c].left for c in base.objects})
-    right = PresheafMap(g.target, obj, {c: level[c].right for c in base.objects})
-    return LevelwiseResult(obj, level, left=left, right=right)
+    return _levelwise(f.source.base, (f.target, g.target),
+                      lambda c: finset.pushout(f.at(c), g.at(c), tags=tags))
 
 
 def presheaf_coproduct(parts: Sequence[Presheaf],
@@ -557,25 +562,8 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
         if not parts:
             raise ShapeMismatch("empty coproduct needs an explicit base")
         base = parts[0].base
-    if tags is None:
-        tags = [f"i{k}" for k in range(len(parts))]
-    level = {c: finset.coproduct([p.at(c) for p in parts], tags=tags)
-             for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        src, dst = level[m.cod], level[m.dom]
-        restrict[m.name] = src.mediate(
-            [compose(dst.injections[k], parts[k].restrict(m.name))
-             for k in range(len(parts))],
-            cod=dst.obj)
-    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
-    # restrictions induced levelwise from functorial ones are functorial
-    assert validate_presheaf(obj) == []
-    injections = tuple(
-        PresheafMap(parts[k], obj,
-                    {c: level[c].injections[k] for c in base.objects})
-        for k in range(len(parts)))
-    return LevelwiseResult(obj, level, injections=injections)
+    return _levelwise(base, parts, lambda c: finset.coproduct(
+        [p.at(c) for p in parts], tags=tags))
 
 
 def presheaf_quotient(x: Presheaf, pairs) -> LevelwiseResult:
@@ -583,19 +571,8 @@ def presheaf_quotient(x: Presheaf, pairs) -> LevelwiseResult:
     ``pairs[c]``, pairs of element indices.  The restrictions are induced,
     so the pairs must be closed under them: otherwise inducing them raises
     DomainMismatch."""
-    base = x.base
-    level = {c: finset.quotient(x.at(c), pairs[c])
-             for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        src, dst = level[m.cod], level[m.dom]
-        restrict[m.name] = src.mediate(
-            compose(dst.proj, x.restrict(m.name)))
-    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
-    # restrictions induced levelwise from functorial ones are functorial
-    assert validate_presheaf(obj) == []
-    proj = PresheafMap(x, obj, {c: level[c].proj for c in base.objects})
-    return LevelwiseResult(obj, level, proj=proj)
+    return _levelwise(x.base, (x,),
+                      lambda c: finset.quotient(x.at(c), pairs[c]))
 
 
 def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:

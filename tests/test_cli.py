@@ -510,6 +510,12 @@ MALFORMED = {
     "index-morphism-name-not-string": ("walking_cospan.json",
                                        ("index", "morphisms", 0, "name"),
                                        ["s"]),
+    "generator-arrow-missing": ("walking_cospan.json", ("arrows", "a"),
+                                _DROP),
+    "square-without-top": ("walking_cospan.json", ("squares", "s", "top"),
+                           _DROP),
+    "square-without-bottom": ("walking_cospan.json",
+                              ("squares", "t", "bottom"), _DROP),
     "witnesses-not-object": ("witnesses.json", (), [1, 2]),
 }
 
@@ -549,7 +555,8 @@ def _malformed_commands(tmp_path, case):
                  "--presheaf", str(source)]]
     if name == "walking_cospan.json":
         return [["factorize", "--generators", bad,
-                 "--map", fix("f_0_to_1.json")]]
+                 "--map", fix("f_0_to_1.json")],
+                ["validate", "--generators", bad]]
     if name.startswith("graph"):
         return [["factorize", "--ambient", "presheaf",
                  "--base", fix("graph_base.json"),
@@ -565,6 +572,24 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
         assert run([*cmd, "--output", str(out)]) == 1, cmd
         assert load(out)["error"]["kind"] == "MalformedInput"
         out.unlink()
+
+
+def test_a_category_that_breaks_the_laws_is_refused_where_it_is_read(
+        tmp_path):
+    # id_e . src = tgt breaks the left identity law at src
+    data = load(fix("graph_base.json"))
+    data["compose"].append({"g": "id_e", "f": "src", "eq": "tgt"})
+    bad = tmp_path / "base.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    for cmd in (["factorize", "--ambient", "presheaf", "--base", str(bad),
+                 "--generators", fix("graph_boundary.json"),
+                 "--map", fix("graph_edge_to_loop.json")],
+                ["validate", "--category", str(bad)]):
+        assert run([*cmd, "--output", str(out)]) == 1, cmd
+        error = load(out)["error"]
+        assert error["kind"] == "MalformedInput"
+        assert "left identity law fails at 'src'" in error["message"]
 
 
 def test_a_non_functorial_presheaf_is_refused_where_it_is_read(tmp_path):

@@ -1,0 +1,607 @@
+"""Every colimit against the constructions it replaced.
+
+The oracle below keeps the three finite-set result classes (coproduct,
+quotient, pushout), each with its own ``mediate``, and the presheaf and
+arrow colimit bodies that built each kind of colimit on its own.  The one
+``finset.colimit`` and the two levelwise builders must agree with it on the
+object, on every named leg, and on ``mediate``: its value, or the type of
+the exception it raises.  Cocones are drawn both as true ones (a map out of
+the colimit composed with its legs) and as random legs, which mostly are
+none.
+"""
+
+import json
+import os
+from dataclasses import dataclass
+from typing import Sequence
+
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from garnet.arrows import ArrowAmbient, ArrowObj, FinSetAmbient, \
+    PresheafAmbient, Square, compose_squares
+from garnet.errors import CodomainMismatch, DomainMismatch, GarnetError, \
+    ShapeMismatch
+from garnet.fincat import category_from_json
+from garnet.finset import FinFunction, FinSet, class_values, compose, \
+    equivalence_classes
+from garnet import finset
+from garnet.presheaf import Presheaf, PresheafMap, enumerate_maps, \
+    presheaf_coequalizer, presheaf_compose, presheaf_coproduct, \
+    presheaf_pushout, validate_presheaf
+
+FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+with open(os.path.join(FIX, "graph_base.json")) as _fh:
+    GRAPH = category_from_json(json.load(_fh))
+
+ORACLE = settings(max_examples=40, deadline=None,
+                  suppress_health_check=[HealthCheck.filter_too_much,
+                                         HealthCheck.too_slow])
+
+
+# -- oracle: the finite-set result classes -----------------------------------
+
+@dataclass(frozen=True)
+class CoproductResult:
+    obj: FinSet
+    injections: tuple[FinFunction, ...]
+
+    def mediate(self, legs: Sequence[FinFunction],
+                cod: FinSet | None = None) -> FinFunction:
+        if len(legs) != len(self.injections):
+            raise DomainMismatch("a cocone needs one leg per summand")
+        if legs:
+            if len({leg.cod for leg in legs}) != 1:
+                raise CodomainMismatch("coproduct legs must share a codomain")
+            cod = legs[0].cod
+        elif cod is None:
+            raise CodomainMismatch("empty coproduct mediator needs a codomain")
+        table = []
+        for inj, leg in zip(self.injections, legs):
+            if inj.dom != leg.dom:
+                raise DomainMismatch("leg domain differs from summand")
+            table.extend(leg.table)
+        return FinFunction(self.obj, cod, tuple(table))
+
+
+def oracle_coproduct(parts, tags=None) -> CoproductResult:
+    if tags is None:
+        tags = [f"i{k}" for k in range(len(parts))]
+    if len(tags) != len(parts):
+        raise DomainMismatch("a coproduct needs one tag per summand")
+    labels: list[str] = []
+    injections = []
+    offset = 0
+    for part, tag in zip(parts, tags):
+        labels.extend(f"{tag}.{lbl}" for lbl in part.labels)
+    obj = FinSet(tuple(labels))
+    for part in parts:
+        injections.append(FinFunction(
+            part, obj, tuple(range(offset, offset + part.size))))
+        offset += part.size
+    return CoproductResult(obj, tuple(injections))
+
+
+@dataclass(frozen=True)
+class QuotientResult:
+    obj: FinSet
+    proj: FinFunction
+    reps: tuple[int, ...]
+
+    def mediate(self, h: FinFunction) -> FinFunction:
+        if h.dom != self.proj.dom:
+            raise DomainMismatch("cocone leg must start at the quotiented "
+                                 "set")
+        return FinFunction(self.obj, h.cod,
+                           class_values(self.proj.table, self.reps, h.table))
+
+
+def oracle_quotient(x, pairs) -> QuotientResult:
+    table, reps = equivalence_classes(x.size, pairs)
+    obj = FinSet(tuple(x.labels[r] for r in reps))
+    return QuotientResult(obj, FinFunction(x, obj, tuple(table)), tuple(reps))
+
+
+def oracle_coequalizer(f, g) -> QuotientResult:
+    if f.dom != g.dom or f.cod != g.cod:
+        raise DomainMismatch("coequalizer needs a parallel pair")
+    return oracle_quotient(f.cod, zip(f.table, g.table))
+
+
+@dataclass(frozen=True)
+class PushoutResult:
+    obj: FinSet
+    left: FinFunction
+    right: FinFunction
+    _classes: QuotientResult
+
+    def mediate(self, q: FinFunction, r: FinFunction) -> FinFunction:
+        if q.dom != self.left.dom or r.dom != self.right.dom:
+            raise DomainMismatch("cocone legs must start at the span feet")
+        if q.cod != r.cod:
+            raise CodomainMismatch("cocone legs must share a codomain")
+        quo = self._classes
+        return FinFunction(self.obj, q.cod, class_values(
+            quo.proj.table, quo.reps, q.table + r.table))
+
+
+def oracle_pushout(f, g, tags=("i0", "i1")) -> PushoutResult:
+    if f.dom != g.dom:
+        raise DomainMismatch("pushout needs a span with a shared apex")
+    cp = oracle_coproduct([f.cod, g.cod], tags=tags)
+    in_b, in_c = cp.injections
+    quo = oracle_quotient(cp.obj, ((in_b(f(a)), in_c(g(a)))
+                                   for a in range(f.dom.size)))
+    return PushoutResult(quo.obj, compose(quo.proj, in_b),
+                         compose(quo.proj, in_c), quo)
+
+
+# -- oracle: the presheaf colimit bodies --------------------------------------
+
+class LevelwiseResult:
+    def __init__(self, obj, level, **legs):
+        self.obj = obj
+        self._level = level
+        self.__dict__.update(legs)
+
+    @staticmethod
+    def _part(x, c):
+        return x.at(c)
+
+    @staticmethod
+    def _assemble(source, target, parts):
+        return PresheafMap(source, target, parts)
+
+    def mediate(self, *legs, cod=None):
+        maps = [m for leg in legs
+                for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
+        target = maps[0].target if maps else cod
+        if target is None:
+            raise CodomainMismatch("empty coproduct mediator needs a codomain")
+        parts = {}
+        for c, res in self._level.items():
+            args = [[self._part(m, c) for m in leg]
+                    if isinstance(leg, (list, tuple)) else self._part(leg, c)
+                    for leg in legs]
+            extra = {} if cod is None else {"cod": self._part(cod, c)}
+            parts[c] = res.mediate(*args, **extra)
+        return self._assemble(self.obj, target, parts)
+
+
+def oracle_presheaf_pushout(f, g, tags=("i0", "i1")) -> LevelwiseResult:
+    if f.source != g.source:
+        raise ShapeMismatch("pushout needs a span with a shared apex")
+    base = f.source.base
+    level = {c: oracle_pushout(f.at(c), g.at(c), tags=tags)
+             for c in base.objects}
+    restrict = {}
+    for m in base.non_identity_morphisms():
+        src, dst = level[m.cod], level[m.dom]
+        restrict[m.name] = src.mediate(
+            compose(dst.left, f.target.restrict(m.name)),
+            compose(dst.right, g.target.restrict(m.name)))
+    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    assert validate_presheaf(obj) == []
+    left = PresheafMap(f.target, obj, {c: level[c].left for c in base.objects})
+    right = PresheafMap(g.target, obj,
+                        {c: level[c].right for c in base.objects})
+    return LevelwiseResult(obj, level, left=left, right=right)
+
+
+def oracle_presheaf_coproduct(parts, tags=None,
+                              base=None) -> LevelwiseResult:
+    if base is None:
+        if not parts:
+            raise ShapeMismatch("empty coproduct needs an explicit base")
+        base = parts[0].base
+    if tags is None:
+        tags = [f"i{k}" for k in range(len(parts))]
+    level = {c: oracle_coproduct([p.at(c) for p in parts], tags=tags)
+             for c in base.objects}
+    restrict = {}
+    for m in base.non_identity_morphisms():
+        src, dst = level[m.cod], level[m.dom]
+        restrict[m.name] = src.mediate(
+            [compose(dst.injections[k], parts[k].restrict(m.name))
+             for k in range(len(parts))],
+            cod=dst.obj)
+    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    assert validate_presheaf(obj) == []
+    injections = tuple(
+        PresheafMap(parts[k], obj,
+                    {c: level[c].injections[k] for c in base.objects})
+        for k in range(len(parts)))
+    return LevelwiseResult(obj, level, injections=injections)
+
+
+def oracle_presheaf_quotient(x, pairs) -> LevelwiseResult:
+    base = x.base
+    level = {c: oracle_quotient(x.at(c), pairs[c]) for c in base.objects}
+    restrict = {}
+    for m in base.non_identity_morphisms():
+        src, dst = level[m.cod], level[m.dom]
+        restrict[m.name] = src.mediate(
+            compose(dst.proj, x.restrict(m.name)))
+    obj = Presheaf(base, {c: level[c].obj for c in base.objects}, restrict)
+    assert validate_presheaf(obj) == []
+    proj = PresheafMap(x, obj, {c: level[c].proj for c in base.objects})
+    return LevelwiseResult(obj, level, proj=proj)
+
+
+def oracle_presheaf_coequalizer(f, g) -> LevelwiseResult:
+    if f.source != g.source or f.target != g.target:
+        raise ShapeMismatch("coequalizer needs a parallel pair")
+    return oracle_presheaf_quotient(f.target, {
+        c: zip(f.at(c).table, g.at(c).table) for c in f.source.base.objects})
+
+
+# -- oracle: the arrow colimit bodies -----------------------------------------
+
+class FinSetOracle:
+    """The oracle's colimits of finite sets."""
+    pushout = staticmethod(oracle_pushout)
+    coproduct = staticmethod(oracle_coproduct)
+    coequalizer = staticmethod(oracle_coequalizer)
+
+
+class PresheafOracle:
+    """The oracle's colimits of presheaves on one base."""
+
+    def __init__(self, base):
+        self.base = base
+
+    pushout = staticmethod(oracle_presheaf_pushout)
+    coequalizer = staticmethod(oracle_presheaf_coequalizer)
+
+    def coproduct(self, parts, tags=None):
+        return oracle_presheaf_coproduct(parts, tags=tags, base=self.base)
+
+
+class ArrLevelwise(LevelwiseResult):
+    @staticmethod
+    def _part(x, level):
+        if isinstance(x, ArrowObj):
+            return getattr(x, level)
+        return x.top if level == "dom" else x.bottom
+
+    @staticmethod
+    def _assemble(source, target, parts):
+        return Square(source, target, parts["dom"], parts["cod"])
+
+
+def oracle_arrow_pushout(inner, cols, s, t, tags=("i0", "i1")):
+    if s.source != t.source:
+        raise DomainMismatch("pushout needs a span with a shared apex")
+    dom_po = cols.pushout(s.top, t.top, tags=tags)
+    cod_po = cols.pushout(s.bottom, t.bottom, tags=tags)
+    b, c = s.target, t.target
+    arrow = ArrowObj(inner, dom_po.mediate(
+        inner.compose(cod_po.left, b.mor),
+        inner.compose(cod_po.right, c.mor)))
+    left = Square(b, arrow, dom_po.left, cod_po.left)
+    right = Square(c, arrow, dom_po.right, cod_po.right)
+    return ArrLevelwise(arrow, {"dom": dom_po, "cod": cod_po},
+                        left=left, right=right)
+
+
+def oracle_arrow_coproduct(inner, cols, parts, tags=None):
+    dom_cp = cols.coproduct([p.dom for p in parts], tags=tags)
+    cod_cp = cols.coproduct([p.cod for p in parts], tags=tags)
+    arrow = ArrowObj(inner, dom_cp.mediate(
+        [inner.compose(cod_cp.injections[k], parts[k].mor)
+         for k in range(len(parts))],
+        cod=cod_cp.obj))
+    injections = tuple(
+        Square(parts[k], arrow, dom_cp.injections[k], cod_cp.injections[k])
+        for k in range(len(parts)))
+    return ArrLevelwise(arrow, {"dom": dom_cp, "cod": cod_cp},
+                        injections=injections)
+
+
+def oracle_arrow_coequalizer(inner, cols, s, t):
+    if s.source != t.source or s.target != t.target:
+        raise DomainMismatch("coequalizer needs a parallel pair")
+    dom_ce = cols.coequalizer(s.top, t.top)
+    cod_ce = cols.coequalizer(s.bottom, t.bottom)
+    arrow = ArrowObj(inner, dom_ce.mediate(
+        inner.compose(cod_ce.proj, s.target.mor)))
+    proj = Square(s.target, arrow, dom_ce.proj, cod_ce.proj)
+    return ArrLevelwise(arrow, {"dom": dom_ce, "cod": cod_ce}, proj=proj)
+
+
+# -- comparison ---------------------------------------------------------------
+
+def outcome(call):
+    """What call() gives: its value, or the type of the error it raises."""
+    try:
+        return call()
+    except GarnetError as exc:
+        return type(exc)
+
+
+def agree(new, old, names, mediate):
+    """new and old have the same object and named legs, and mediate(result)
+    gives the same value or raises the same type of error on both."""
+    assert new.obj == old.obj
+    for name in names:
+        assert getattr(new, name) == getattr(old, name), name
+    assert outcome(lambda: mediate(new)) == outcome(lambda: mediate(old))
+
+
+# -- finite sets --------------------------------------------------------------
+
+# the codomains of drawn legs: two of them, so that legs may disagree
+TARGETS = (FinSet.fresh(2, "w"), FinSet.fresh(3, "v"))
+
+
+def tables(draw, n, m):
+    return tuple(draw(st.integers(0, m - 1)) for _ in range(n))
+
+
+@st.composite
+def finsets(draw, prefix, low=0):
+    return FinSet.fresh(draw(st.integers(low, 3)), prefix)
+
+
+@st.composite
+def fin_legs(draw, feet, legs):
+    """Legs out of the feet: a true cocone through the colimit's legs, or
+    random maps into either target, now and then out of a wrong domain."""
+    if legs and draw(st.booleans()):
+        w = draw(st.sampled_from(TARGETS))
+        u = FinFunction(legs[0].cod, w, tables(draw, legs[0].cod.size, w.size))
+        return [compose(u, leg) for leg in legs]
+    out = []
+    for foot in feet:
+        w = draw(st.sampled_from(TARGETS))
+        dom = foot if draw(st.integers(0, 7)) \
+            else FinSet.fresh(foot.size + 1, "z")
+        out.append(FinFunction(dom, w, tables(draw, dom.size, w.size)))
+    return out
+
+
+@st.composite
+def fin_maps(draw, dom, cod_prefix):
+    cod = draw(finsets(cod_prefix, low=1 if dom.size else 0))
+    return FinFunction(dom, cod, tables(draw, dom.size, cod.size))
+
+
+@given(st.data())
+@ORACLE
+def test_finset_coproduct_matches_oracle(data):
+    parts = data.draw(st.lists(finsets("x"), max_size=3))
+    tags = data.draw(st.sampled_from(
+        [None, [f"t{k}" for k in range(len(parts))]]))
+    new, old = finset.coproduct(parts, tags), oracle_coproduct(parts, tags)
+    legs = data.draw(fin_legs(parts, old.injections))
+    cod = data.draw(st.sampled_from((None,) + TARGETS))
+
+    def mediate(res):
+        return res.mediate(legs, cod=cod)
+    # domains are checked before codomains now, as the pushout always did:
+    # a cocone with both a wrong domain and two codomains raises the
+    # domain's error, where the oracle's coproduct raised the codomain's
+    if outcome(lambda: mediate(old)) is CodomainMismatch \
+            and any(leg.dom != part for leg, part in zip(legs, parts)):
+        assert outcome(lambda: mediate(new)) is DomainMismatch
+        return
+    agree(new, old, ("injections",), mediate)
+
+
+def test_empty_finset_coproduct_mediates_into_the_given_codomain():
+    new, old = finset.coproduct([]), oracle_coproduct([])
+    w = TARGETS[0]
+    for cod in (None, w):
+        agree(new, old, ("injections",), lambda res: res.mediate([], cod=cod))
+    assert new.mediate([], cod=w) == FinFunction(finset.EMPTY, w, ())
+
+
+@given(st.data())
+@ORACLE
+def test_finset_quotient_matches_oracle(data):
+    x = data.draw(finsets("x"))
+    index = st.integers(0, max(x.size - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=5)) \
+        if x.size else []
+    new, old = finset.quotient(x, pairs), oracle_quotient(x, pairs)
+    (h,) = data.draw(fin_legs((x,), (old.proj,)))
+    agree(new, old, ("proj", "reps"), lambda res: res.mediate(h))
+
+
+@given(st.data())
+@ORACLE
+def test_finset_coequalizer_matches_oracle(data):
+    f = data.draw(fin_maps(data.draw(finsets("a")), "b"))
+    g = FinFunction(f.dom, f.cod, tables(data.draw, f.dom.size, f.cod.size))
+    new, old = finset.coequalizer(f, g), oracle_coequalizer(f, g)
+    (h,) = data.draw(fin_legs((f.cod,), (old.proj,)))
+    agree(new, old, ("proj", "reps"), lambda res: res.mediate(h))
+
+
+@given(st.data())
+@ORACLE
+def test_finset_pushout_matches_oracle(data):
+    a = data.draw(finsets("a"))
+    f, g = data.draw(fin_maps(a, "b")), data.draw(fin_maps(a, "c"))
+    tags = data.draw(st.sampled_from([("i0", "i1"), ("mid", "cell")]))
+    new, old = finset.pushout(f, g, tags), oracle_pushout(f, g, tags)
+    q, r = data.draw(fin_legs((f.cod, g.cod), (old.left, old.right)))
+    agree(new, old, ("left", "right"), lambda res: res.mediate(q, r))
+
+
+# -- graph presheaves ---------------------------------------------------------
+
+def graph(nv, src, tgt, prefix):
+    v, e = FinSet.fresh(nv, prefix + "v"), FinSet.fresh(len(src), prefix + "e")
+    return Presheaf(GRAPH, {"v": v, "e": e},
+                    {"src": FinFunction(e, v, tuple(src)),
+                     "tgt": FinFunction(e, v, tuple(tgt))})
+
+
+# every graph maps to both: the point with a loop, and the two points with
+# an edge between each ordered pair
+LOOP = graph(1, [0], [0], "l")
+BOTH = graph(2, [0, 0, 1, 1], [0, 1, 0, 1], "k")
+GRAPH_TARGETS = (LOOP, BOTH)
+
+
+@st.composite
+def graphs(draw, prefix):
+    nv = draw(st.integers(0, 2))
+    ne = draw(st.integers(0, 2)) if nv else 0
+    return graph(nv, tables(draw, ne, nv), tables(draw, ne, nv), prefix)
+
+
+@st.composite
+def graph_map(draw, source, target):
+    homs = enumerate_maps(source, target)
+    assume(homs)
+    return draw(st.sampled_from(homs))
+
+
+@st.composite
+def graph_legs(draw, feet, legs):
+    """Maps out of the feet: a true cocone through the legs, or maps drawn
+    into either target graph."""
+    if draw(st.booleans()):
+        u = draw(graph_map(legs[0].target, draw(st.sampled_from(
+            GRAPH_TARGETS))))
+        return [presheaf_compose(u, leg) for leg in legs]
+    return [draw(graph_map(foot, draw(st.sampled_from(GRAPH_TARGETS))))
+            for foot in feet]
+
+
+def natural_as_checked(legs):
+    """Each leg equals the checked map with the same components."""
+    for leg in legs:
+        assert PresheafMap(leg.source, leg.target, leg.components) == leg
+
+
+@given(st.data())
+@ORACLE
+def test_presheaf_pushout_matches_oracle(data):
+    a, b, c = (data.draw(graphs(p)) for p in "abc")
+    f, g = data.draw(graph_map(a, b)), data.draw(graph_map(a, c))
+    new, old = presheaf_pushout(f, g), oracle_presheaf_pushout(f, g)
+    q, r = data.draw(graph_legs((b, c), (old.left, old.right)))
+    agree(new, old, ("left", "right"), lambda res: res.mediate(q, r))
+    natural_as_checked(new.legs)
+
+
+@given(st.data())
+@ORACLE
+def test_presheaf_coproduct_matches_oracle(data):
+    parts = data.draw(st.lists(graphs("x"), max_size=3))
+    new = presheaf_coproduct(parts, base=GRAPH)
+    old = oracle_presheaf_coproduct(parts, base=GRAPH)
+    cod = data.draw(st.sampled_from(GRAPH_TARGETS))
+    legs = data.draw(graph_legs(parts, old.injections)) if parts else []
+    agree(new, old, ("injections",), lambda res: res.mediate(legs, cod=cod))
+    natural_as_checked(new.legs)
+
+
+@given(st.data())
+@ORACLE
+def test_presheaf_coequalizer_matches_oracle(data):
+    a, b = data.draw(graphs("a")), data.draw(graphs("b"))
+    f, g = data.draw(graph_map(a, b)), data.draw(graph_map(a, b))
+    new, old = presheaf_coequalizer(f, g), oracle_presheaf_coequalizer(f, g)
+    (h,) = data.draw(graph_legs((b,), (old.proj,)))
+    agree(new, old, ("proj",), lambda res: res.mediate(h))
+    natural_as_checked(new.legs)
+
+
+# -- arrow ambients -----------------------------------------------------------
+
+AMBIENTS = {
+    "finset": (FinSetAmbient(), FinSetOracle()),
+    "presheaf": (PresheafAmbient(GRAPH), PresheafOracle(GRAPH)),
+}
+
+
+@st.composite
+def inner_objects(draw, inner, prefix):
+    if isinstance(inner, FinSetAmbient):
+        return draw(finsets(prefix, low=1))
+    return draw(graphs(prefix))
+
+
+@st.composite
+def inner_map(draw, inner, source, target):
+    homs = inner.hom(source, target)
+    assume(homs)
+    return draw(st.sampled_from(homs))
+
+
+@st.composite
+def arrows(draw, inner, prefix):
+    a = draw(inner_objects(inner, prefix))
+    b = draw(inner_objects(inner, prefix + "'"))
+    return ArrowObj(inner, draw(inner_map(inner, a, b)))
+
+
+def arrow_targets(inner):
+    """Two arrows every arrow has squares into: an identity, and a map onto
+    the terminal object."""
+    if isinstance(inner, FinSetAmbient):
+        big, point = FinSet.fresh(2, "w"), FinSet.fresh(1, "p")
+    else:
+        big, point = BOTH, LOOP
+    return (ArrowObj(inner, inner.identity(big)),
+            ArrowObj(inner, inner.hom(big, point)[0]))
+
+
+@st.composite
+def square(draw, arr, source, target):
+    homs = arr.hom(source, target)
+    assume(homs)
+    return draw(st.sampled_from(homs))
+
+
+@st.composite
+def squares_out(draw, arr, feet, legs):
+    """Squares out of the feet: a true cocone through the legs, or squares
+    drawn into either target arrow."""
+    targets = arrow_targets(arr.inner)
+    if legs and draw(st.booleans()):
+        u = draw(square(arr, legs[0].target, draw(st.sampled_from(targets))))
+        return [compose_squares(u, leg) for leg in legs]
+    return [draw(square(arr, foot, draw(st.sampled_from(targets))))
+            for foot in feet]
+
+
+@given(st.sampled_from(sorted(AMBIENTS)), st.data())
+@ORACLE
+def test_arrow_pushout_matches_oracle(kind, data):
+    inner, cols = AMBIENTS[kind]
+    arr = ArrowAmbient(inner)
+    x, y, z = (data.draw(arrows(inner, p)) for p in "xyz")
+    s, t = data.draw(square(arr, x, y)), data.draw(square(arr, x, z))
+    new, old = arr.pushout(s, t), oracle_arrow_pushout(inner, cols, s, t)
+    q, r = data.draw(squares_out(arr, (y, z), (old.left, old.right)))
+    agree(new, old, ("left", "right"), lambda res: res.mediate(q, r))
+
+
+@given(st.sampled_from(sorted(AMBIENTS)), st.data())
+@ORACLE
+def test_arrow_coproduct_matches_oracle(kind, data):
+    inner, cols = AMBIENTS[kind]
+    arr = ArrowAmbient(inner)
+    parts = data.draw(st.lists(arrows(inner, "x"), max_size=2))
+    new = arr.coproduct(parts)
+    old = oracle_arrow_coproduct(inner, cols, parts)
+    cod = data.draw(st.sampled_from(arrow_targets(inner)))
+    legs = data.draw(squares_out(arr, parts, old.injections))
+    agree(new, old, ("injections",), lambda res: res.mediate(legs, cod=cod))
+
+
+@given(st.sampled_from(sorted(AMBIENTS)), st.data())
+@ORACLE
+def test_arrow_coequalizer_matches_oracle(kind, data):
+    inner, cols = AMBIENTS[kind]
+    arr = ArrowAmbient(inner)
+    x, y = data.draw(arrows(inner, "x")), data.draw(arrows(inner, "y"))
+    s, t = data.draw(square(arr, x, y)), data.draw(square(arr, x, y))
+    new, old = arr.coequalizer(s, t), oracle_arrow_coequalizer(inner, cols,
+                                                               s, t)
+    (h,) = data.draw(squares_out(arr, (y,), (old.proj,)))
+    agree(new, old, ("proj",), lambda res: res.mediate(h))
