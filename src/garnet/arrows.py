@@ -10,9 +10,10 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
   with ``obj``, its ``legs`` (also read as a pushout's ``left`` and
   ``right``, a coproduct's ``injections``, a coequalizer's ``proj``) and
   ``mediate(*legs, cod=None)``: a list argument contributes its members,
-  and ``cod`` is the codomain of an empty cocone;
-- ``sequential_colimit``, whose result's ``mediate`` takes the cocone as
-  one list (see ``chain_colimit``).
+  and ``cod`` is the codomain of an empty cocone; legs into different
+  objects raise CodomainMismatch;
+- ``sequential_colimit``, whose result's ``mediate(*legs)`` takes its legs
+  the same way (see ``chain_colimit``).
 
 Every ambient also has ``tables``, a per-level view of a map for code that
 works on integer tables: the map's tables, one per level in a fixed level
@@ -34,10 +35,9 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   for an equal value (see ``finset.memoized``);
 - ``from_tables`` (the checked map between two objects with the given
   tables);
-- ``quotient`` (an object divided by the equivalence closure of pairs of
-  element indices, given per level in the same order; classes are named
-  after and ordered by their minimal members, and the result is a colimit
-  as above);
+- ``colimit(feet, pairs, tags)`` (the feet glued along the pairs given
+  per level in the same order, as for ``finset.colimit``: a colimit as
+  above whose ``levels`` are its finite-set colimits in ``tables`` order);
 - ``skeleton``, for working up to relabeling: a hashable key of a map's
   sizes and tables, without its labels;
 - ``diagonals`` (for maps a and b, a function from the side tables
@@ -116,9 +116,9 @@ class FinSetAmbient:
     def sequential_colimit(self, maps):
         return finset.sequential_colimit(maps)
 
-    def quotient(self, x, pairs):
+    def colimit(self, feet, pairs, tags=None):
         (level,) = pairs
-        return finset.quotient(x, level)
+        return finset.colimit(feet, level, tags)
 
     def tables(self, m):
         return (m.table,)
@@ -212,8 +212,9 @@ class PresheafAmbient:
     def sequential_colimit(self, maps):
         return psh.presheaf_sequential_colimit(maps)
 
-    def quotient(self, x, pairs):
-        return psh.presheaf_quotient(x, dict(zip(self.base.objects, pairs)))
+    def colimit(self, feet, pairs, tags=None):
+        return psh.presheaf_colimit(self.base, feet,
+                                    dict(zip(self.base.objects, pairs)), tags)
 
     def tables(self, m):
         return tuple(m.at(c).table for c in self.base.objects)
@@ -331,7 +332,11 @@ class ChainColimitResult:
     stable_from: int
     ambient: object = field(repr=False)
 
-    def mediate(self, cocone: Sequence):
+    def mediate(self, *legs):
+        """The map out of ``obj`` through which a cocone factors, legs as
+        for ``finset.Colimit.mediate``: the cocone's leg at the stable
+        stage, checked against every other leg."""
+        cocone = finset.cocone(legs)
         if len(cocone) != len(self.legs):
             raise DomainMismatch("a cocone needs one leg per chain object")
         h = cocone[self.stable_from]

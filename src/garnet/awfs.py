@@ -23,7 +23,7 @@ from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
                      NotARetract, NotDiscrete)
-from .finset import equivalence_classes, json_object, memoized
+from .finset import equivalence_classes, json_fields, json_object, memoized
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
@@ -1030,7 +1030,7 @@ def _square_to_json(inner, s: Square, memo=None) -> dict:
 
 
 def _square_from_json(inner, data, memo) -> Square:
-    data = json_object(data, "square")
+    data = json_fields(data, "square", "source", "target", "top", "bottom")
     source, target, top, bottom = (inner.mor_from_json(data[k], memo) for k
                                    in ("source", "target", "top", "bottom"))
     return memoized(memo, ("square", source, target, top, bottom),
@@ -1124,13 +1124,18 @@ def trace_from_json(data, inner) -> Trace:
 
     def square(d):
         return _square_from_json(inner, d, memo)
+    data = json_fields(data, "trace", "f", "generators", "backdrop",
+                       "stages", "converged_stage")
     u = arrow_diagram_from_json(data["generators"], inner, memo)
     backdrop = backdrop_from_json(data["backdrop"])
     raw = _json_list(data["stages"], "trace 'stages'")
     stages = []
     for sd in raw:
-        sd = json_object(sd, "trace stage")
-        cd = json_object(sd["cell"], "stage 'cell'")
+        sd = json_fields(sd, "trace stage", "index", "arrow", "cell",
+                         "built_from", "composite", "transition",
+                         "certificates")
+        cd = json_fields(sd["cell"], "stage 'cell'", "den", "counit", "legs",
+                         "problems")
         cell = TraceCell(
             ArrowObj(inner, mor(cd["den"])),
             square(cd["counit"]),
@@ -1141,7 +1146,8 @@ def trace_from_json(data, inner) -> Trace:
                                         "cell 'problems'")))
         built = None
         if sd["built_from"] is not None:
-            bd = json_object(sd["built_from"], "stage 'built_from'")
+            bd = json_fields(sd["built_from"], "stage 'built_from'", "span",
+                             "tags", "left", "right", "into")
             span = _json_list(bd["span"], "gluing 'span'", 2)
             tags = _json_list(bd["tags"], "gluing 'tags'", 2)
             if not all(isinstance(t, str) for t in tags):

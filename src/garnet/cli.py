@@ -23,7 +23,7 @@ from .density import arrow_diagram_from_json
 from .errors import (EnumerationCap, GarnetError, IterationLimit,
                      MalformedInput)
 from .fincat import category_from_json, category_to_json
-from .finset import FinFunction, FinSet, json_object
+from .finset import FinFunction, FinSet, json_fields, json_object
 from .freemonad import DEFAULT_MAX_STEPS, Backdrop
 from .presheaf import presheaf_from_json
 
@@ -87,7 +87,8 @@ def _ambient_from_spec(spec):
     if spec.get("kind") == "finset":
         return FinSetAmbient()
     if spec.get("kind") == "presheaf":
-        return PresheafAmbient(category_from_json(spec["base"]))
+        return PresheafAmbient(category_from_json(
+            json_fields(spec, "report 'ambient'", "base")["base"]))
     raise MalformedInput("unknown ambient kind in report")
 
 
@@ -223,7 +224,8 @@ def _load_report(path):
         raise MalformedInput("not a factorize report")
     inner = _ambient_from_spec(json_object(data.get("ambient", {}),
                                            "report 'ambient'"))
-    fd = json_object(data["factorization"], "report 'factorization'")
+    fd = json_fields(data["factorization"], "report 'factorization'", "f",
+                     "left", "right", "trace")
     trace = trace_from_json(json_object(fd["trace"], "factorization 'trace'"),
                             inner)
     fact = _ReportedFactorization(
@@ -411,7 +413,8 @@ def main(argv=None) -> int:
                      {"error": {"kind": "IterationLimit",
                                 "message": str(exc)}},
                      [f"iteration limit: {exc}"])
-    except (GarnetError, OSError, KeyError, ValueError) as exc:
+    except (GarnetError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         return _emit(args, EXIT_INVALID,
                      {"error": {"kind": type(exc).__name__,
                                 "message": str(exc)}},

@@ -12,8 +12,8 @@ source and target are fixed, so it is determined by j and the tables of its
 top and bottom.  Problems are keyed by that boundary: the problem a
 generator morphism or a square of maps carries a problem to is found by
 composing the two sides' tables and looking them up, without building a
-map or a square.  The colimit is built on tables too, as one quotient of
-the coproduct of the cells.
+map or a square.  The colimit is built on tables too, as one colimit per
+side of the cells, glued along the relations.
 
 For the subobject-classifier generators the density also has a pointwise
 closed form.  Its isomorphism onto the generic colimit is fixed by the
@@ -43,8 +43,8 @@ from .errors import DomainMismatch, EnumerationCap, GarnetError, \
     MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
     discrete_category, identity_name
-from .finset import EMPTY, FinFunction, FinSet, class_values, \
-    first_members, json_object
+from .finset import EMPTY, FinFunction, FinSet, class_values, json_fields, \
+    json_object
 
 
 class ArrowDiagram:
@@ -196,14 +196,14 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
 class DensityResult:
     """The density value at f: the colimit arrow, its counit, and legs.
 
-    The colimit is the coproduct of one cell per lifting problem (a copy of
-    its generating arrow), divided by the relations.  ``cells`` and ``legs``
-    map each comma object, in order, to its generating arrow and to its leg
-    into ``den`` as ``(top tables, bottom tables)``, checked to commute; a
+    The colimit glues one cell per lifting problem (a copy of its
+    generating arrow) along the relations.  ``cells`` and ``legs`` map each
+    comma object, in order, to its generating arrow and to its leg into
+    ``den`` as ``(top tables, bottom tables)``, checked to commute; a
     trace's cell record builds the legs' and problems' squares from them.
-    ``classes`` holds, per side and level, the class of each element of the
-    coproduct and the minimal member of each class, and ``shape`` the
-    lengths of the legs' tables; ``mediate`` reads a cocone off these.
+    ``levels`` holds each side's level colimits (``classes`` and ``reps``),
+    and ``shape`` the lengths of the legs' tables; ``mediate`` reads a
+    cocone off these.
 
     Only ``f`` and ``counit`` have f in their boundary.  The rest depend on
     f's sizes and tables only, so ``retarget_density`` shares them between
@@ -215,7 +215,7 @@ class DensityResult:
     counit: Square
     legs: dict[str, tuple] = field(repr=False)
     cells: dict[str, ArrowObj] = field(repr=False)
-    classes: tuple = field(repr=False)
+    levels: tuple = field(repr=False)
     shape: list = field(repr=False)
 
     def mediate(self, cocone, cod: ArrowObj) -> Square:
@@ -227,10 +227,10 @@ class DensityResult:
         exactly when every leg does, as the classes cover the cells."""
         if leg_shape(cocone) != self.shape:
             raise DomainMismatch("a cocone needs one leg out of each cell")
-        sides = [[class_values(proj, reps, list(chain.from_iterable(
-                      leg[side][k] for leg in cocone)))
-                  for k, (proj, reps) in enumerate(levels)]
-                 for side, levels in enumerate(self.classes)]
+        sides = [[class_values(col.classes, col.reps, list(
+                      chain.from_iterable(leg[side][k] for leg in cocone)))
+                  for k, col in enumerate(cols)]
+                 for side, cols in enumerate(self.levels)]
         return square_from_tables(self.den, cod, *sides)
 
 
@@ -244,50 +244,46 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     """The density comonad at f, built from scratch: the colimit over the
     comma category of lifting problems into f of the generating arrows.
 
-    The coproducts of the cells' domains and of their codomains fix the
-    labels; each places the cells one after another at every level.  They
-    are then divided, level by level, by the relations: a relation
-    ``t@n2: n1 -> n2`` identifies each element x of the cell of n1 with
-    ``u(t)(x)`` in the cell of n2.  Its label-free fields are listed on
-    ``DensityResult``."""
+    One colimit of the cells' domains and one of their codomains, tagged
+    by the comma objects, glue level by level along the relations: a
+    relation ``t@n2: n1 -> n2`` glues each element x of the cell of n1 to
+    ``u(t)(x)`` in the cell of n2.  A cell's leg is its stretch of each
+    level's classes.  Its label-free fields are listed on ``DensityResult``."""
     inner = u.ambient
     tables = inner.tables
     comma = comma_category(u, f, cap=cap)
     names = comma.objects
     cells = {n: u.arrow(comma.problems[n][0]) for n in names}
-    cps = [inner.coproduct([getattr(c, side) for c in cells.values()],
-                           tags=names) for side in ("dom", "cod")]
-    # where each cell sits in the two coproducts, per level
-    at = {n: tuple(tables(cp.injections[k]) for cp in cps)
-          for k, n in enumerate(names)}
+    foot = {n: k for k, n in enumerate(names)}
     squares = {t.name: (tables(u.square(t.name).top),
                         tables(u.square(t.name).bottom))
                for t in u.index.non_identity_morphisms()}
     pairs = tuple([[] for _ in tables(f.mor)] for _side in (0, 1))
     for name, n1, n2 in comma.relations:
+        i, j = foot[n1], foot[n2]
         for side in (0, 1):
             for k, ut in enumerate(squares[comma.over[name]][side]):
-                into = at[n2][side][k]
-                pairs[side][k].extend(zip(at[n1][side][k],
-                                          map(into.__getitem__, ut)))
-    dom_q, cod_q = map(inner.quotient, (cp.obj for cp in cps), pairs)
-    projs = (tables(dom_q.proj), tables(cod_q.proj))
-    classes = tuple(tuple((proj, first_members(proj)) for proj in side)
-                    for side in projs)
-    legs = {n: tuple(map(compose_tables, projs, at[n])) for n in names}
-    # the arrow between the quotients, read at one member of each class; a
+                pairs[side][k].extend((i, x, j, y) for x, y in enumerate(ut))
+    cols = [inner.colimit([getattr(c, side) for c in cells.values()],
+                          side_pairs, tags=names)
+            for side, side_pairs in zip(("dom", "cod"), pairs)]
+    levels = tuple(col.levels for col in cols)
+    legs = {n: tuple(tuple(col.classes[col.starts[k]:col.starts[k + 1]]
+                           for col in cols) for cols in levels)
+            for k, n in enumerate(names)}
+    # the arrow between the colimits, read at one member of each class; a
     # leg commutes when the arrow agrees with it at the other members too
     paths = [compose_tables(legs[n][1], tables(cell.mor))
              for n, cell in cells.items()]
     mor = [list(chain.from_iterable(level)) for level in zip(*paths)] \
-        or [[] for _ in projs[0]]
-    den_t = [tuple(map(level.__getitem__, reps))
-             for level, (_, reps) in zip(mor, classes[0])]
-    den = ArrowObj(inner, inner.from_tables(dom_q.obj, cod_q.obj, den_t))
+        or [[] for _ in levels[0]]
+    den_t = [tuple(map(level.__getitem__, col.reps))
+             for level, col in zip(mor, levels[0])]
+    den = ArrowObj(inner, inner.from_tables(cols[0].obj, cols[1].obj, den_t))
     if any(compose_tables(den_t, legs[n][0]) != path
            for n, path in zip(names, paths)):
         raise DomainMismatch("a cell's leg does not commute with the arrow")
-    out = DensityResult(f, comma, den, None, legs, cells, classes,
+    out = DensityResult(f, comma, den, None, legs, cells, levels,
                         leg_shape(legs.values()))
     out.counit = out.mediate([key[1:] for key in comma.by_boundary], f)
     return out
@@ -524,15 +520,11 @@ def arrow_diagram_from_json(data, ambient,
                                   "diagram 'squares'").items():
         if not index.has_morphism(name):
             raise MalformedInput(f"square at unknown morphism {name!r}")
-        spec = json_object(spec, f"square at {name!r}")
+        spec = json_fields(spec, f"square at {name!r}", "top", "bottom")
         m = index.morphism(name)
         for j in (m.dom, m.cod):
             if j not in on_objects:
                 raise MalformedInput(f"no arrow at index object {j!r}")
-        for key in ("top", "bottom"):
-            if key not in spec:
-                raise MalformedInput(f"square at {name!r} is missing field "
-                                     f"{key!r}")
         on_morphisms[name] = Square(
             on_objects[m.dom], on_objects[m.cod],
             ambient.mor_from_json(spec["top"], memo),

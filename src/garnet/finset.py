@@ -3,10 +3,10 @@
 This is the computational substrate for every ambient category in the
 package.  A function's checks (totality and range) run on its integer table
 with ``len``, ``min`` and ``max``, and raise, so ``python -O`` keeps them.
-Every colimit here is one ``colimit``: a quotient of the coproduct of its
-feet, built by union-find with minimal-index representatives and labelled
-by provenance strings derived from the input labels, so running the same
-construction twice yields byte-identical results.
+Every colimit here is one ``colimit``: the coproduct of its feet divided
+by pairs of elements, each named by foot and index, built by union-find
+with minimal-index representatives and labelled by provenance strings, so
+the same construction twice yields byte-identical results.
 """
 
 from __future__ import annotations
@@ -227,16 +227,6 @@ def equivalence_classes(n: int, pairs: Iterable[tuple[int, int]]
     return table, roots
 
 
-def first_members(proj: Sequence[int]) -> tuple[int, ...]:
-    """The minimal member of each class, for a quotient's table whose
-    classes are numbered in the order of their minimal members."""
-    reps: list[int] = []
-    for i, q in enumerate(proj):
-        if q == len(reps):
-            reps.append(i)
-    return tuple(reps)
-
-
 def class_values(proj: Sequence[int], reps: Sequence[int],
                  values: Sequence[int]) -> tuple[int, ...]:
     """The value on each class of a table that is constant on the classes.
@@ -275,27 +265,27 @@ class LegNames:
 class Colimit(LegNames):
     """The feet placed one after another and divided into classes.
 
-    ``classes`` gives the class of each element of the feet, foot after
-    foot, and ``reps[k]`` the minimal member of class k, whose label the
-    class carries.  The leg out of a foot is its stretch of ``classes``;
-    it is built when first read.
+    ``classes`` gives the class of each element of the feet, foot k from
+    ``starts[k]`` on, and ``reps[k]`` the minimal member of class k, whose
+    label the class carries.  The leg out of a foot is its stretch of
+    ``classes``, built when first read; ``levels`` is the colimit itself.
     """
     obj: FinSet
     feet: tuple[FinSet, ...]
     classes: tuple[int, ...]
     reps: tuple[int, ...]
+    starts: tuple[int, ...]
+
+    levels = property(lambda self: (self,))
 
     @property
     def legs(self) -> tuple[FinFunction, ...]:
         legs = self.__dict__.get("_legs")
         if legs is None:
-            out, start = [], 0
-            for foot in self.feet:
-                stop = start + len(foot.labels)
-                out.append(FinFunction(foot, self.obj,
-                                       self.classes[start:stop]))
-                start = stop
-            legs = tuple(out)
+            legs = tuple(FinFunction(foot, self.obj,
+                                     self.classes[start:stop])
+                         for foot, start, stop
+                         in zip(self.feet, self.starts, self.starts[1:]))
             object.__setattr__(self, "_legs", legs)
         return legs
 
@@ -318,10 +308,10 @@ class Colimit(LegNames):
             self.classes, self.reps, [v for m in maps for v in m.table]))
 
 
-def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple[int, int]] = (),
+def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple] = (),
             tags: Sequence[str] | None = None) -> Colimit:
-    """The coproduct of the feet divided by the equivalence closure of
-    pairs of indices into it, the feet placed one after another.
+    """The feet placed one after another and divided by the equivalence
+    closure of pairs ``(i, x, j, y)``: element x of foot i ~ y of foot j.
 
     A class is labelled by its minimal member: ``tag.label`` with the tag
     of the member's foot, or the bare label without tags.
@@ -329,16 +319,18 @@ def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple[int, int]] = (),
     feet = tuple(feet)
     if tags is not None and len(tags) != len(feet):
         raise DomainMismatch("a colimit needs one tag per foot")
-    starts = list(itertools.accumulate((len(x.labels) for x in feet),
-                                       initial=0))
-    classes, reps = equivalence_classes(starts[-1], pairs)
+    starts = tuple(itertools.accumulate((len(x.labels) for x in feet),
+                                        initial=0))
+    classes, reps = equivalence_classes(
+        starts[-1], ((starts[i] + x, starts[j] + y) for i, x, j, y in pairs))
     labels, k = [], 0
     for r in reps:
         while r >= starts[k + 1]:
             k += 1
         label = feet[k].labels[r - starts[k]]
         labels.append(label if tags is None else f"{tags[k]}.{label}")
-    return Colimit(FinSet(tuple(labels)), feet, tuple(classes), tuple(reps))
+    return Colimit(FinSet(tuple(labels)), feet, tuple(classes), tuple(reps),
+                   starts)
 
 
 def coproduct(parts: Sequence[FinSet],
@@ -351,7 +343,7 @@ def coproduct(parts: Sequence[FinSet],
 
 def quotient(x: FinSet, pairs: Iterable[tuple[int, int]]) -> Colimit:
     """x divided by the equivalence closure of pairs of element indices."""
-    return colimit((x,), pairs)
+    return colimit((x,), ((0, a, 0, b) for a, b in pairs))
 
 
 def coequalizer(f: FinFunction, g: FinFunction) -> Colimit:
@@ -369,9 +361,8 @@ def pushout(f: FinFunction, g: FinFunction,
     f(a) ~ g(a).  The coproduct is the special case A empty."""
     if f.dom != g.dom:
         raise DomainMismatch("pushout needs a span with a shared apex")
-    n = len(f.cod.labels)
-    return colimit((f.cod, g.cod), zip(f.table, (n + c for c in g.table)),
-                   tags)
+    return colimit((f.cod, g.cod),
+                   ((0, b, 1, c) for b, c in zip(f.table, g.table)), tags)
 
 
 def sequential_colimit(maps: Sequence[FinFunction]):
@@ -418,11 +409,7 @@ def finset_from_json(data, memo: dict | None = None) -> FinSet:
 
 
 def function_from_json(data, memo: dict | None = None) -> FinFunction:
-    if not isinstance(data, dict):
-        raise MalformedInput("map must be an object")
-    for key in ("dom", "cod", "table"):
-        if key not in data:
-            raise MalformedInput(f"map is missing field {key!r}")
+    data = json_fields(data, "map", "dom", "cod", "table")
     dom = finset_from_json(data["dom"], memo)
     cod = finset_from_json(data["cod"], memo)
     return table_from_json(data["table"], dom, cod, memo=memo)
@@ -433,6 +420,16 @@ def json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise MalformedInput(f"{what} must be an object")
     return value
+
+
+def json_fields(value, what: str, *keys: str) -> dict:
+    """value, if it is a JSON object with the given fields; what names it in
+    the error."""
+    data = json_object(value, what)
+    for key in keys:
+        if key not in data:
+            raise MalformedInput(f"{what} is missing field {key!r}")
+    return data
 
 
 def json_table(table, dom: FinSet, cod: FinSet, what: str = "table") -> tuple:

@@ -495,13 +495,16 @@ class LevelwiseResult(finset.LegNames):
     ``level`` maps each level to the colimit computed there, and ``legs``
     are the reassembled legs; a mediator out of ``obj`` is reassembled from
     the level mediators of the legs' parts.  Levels are the objects of the
-    base category here.
+    base category here; ``levels`` lists the finite-set ones in order.
     """
 
     def __init__(self, obj, level, legs):
         self.obj = obj
         self._level = level
         self.legs = legs
+
+    levels = property(lambda self: tuple(
+        level for res in self._level.values() for level in res.levels))
 
     @staticmethod
     def _part(x, c):
@@ -513,7 +516,8 @@ class LevelwiseResult(finset.LegNames):
 
     def mediate(self, *legs, cod=None):
         """The map out of ``obj`` through which a cocone factors, legs as
-        for ``finset.Colimit.mediate``."""
+        for ``finset.Colimit.mediate``.  Legs into different targets raise
+        CodomainMismatch, also where their sets agree at every level."""
         maps = finset.cocone(legs)
         target = maps[0].target if maps else cod
         if target is None:
@@ -522,6 +526,8 @@ class LevelwiseResult(finset.LegNames):
                                 cod=None if cod is None
                                 else self._part(cod, c))
                  for c, res in self._level.items()}
+        if any(m.target != target for m in maps):
+            raise CodomainMismatch("cocone legs must share a codomain")
         return self._assemble(self.obj, target, parts)
 
 
@@ -547,6 +553,16 @@ def _levelwise(base: FinCategory, feet: Sequence[Presheaf],
     return LevelwiseResult(obj, cols, legs)
 
 
+def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
+                     tags: Sequence[str] | None = None) -> LevelwiseResult:
+    """The coproduct of the feet divided, at each base object c, by the
+    equivalence closure of ``pairs[c]``, pairs ``(i, x, j, y)`` as for
+    ``finset.colimit``.  The restrictions are induced, so the pairs must be
+    closed under them: otherwise inducing them raises DomainMismatch."""
+    return _levelwise(base, feet, lambda c: finset.colimit(
+        [p.at(c) for p in feet], pairs[c], tags))
+
+
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
                      tags: tuple[str, str] = ("i0", "i1")) -> LevelwiseResult:
     if f.source != g.source:
@@ -562,24 +578,18 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
         if not parts:
             raise ShapeMismatch("empty coproduct needs an explicit base")
         base = parts[0].base
-    return _levelwise(base, parts, lambda c: finset.coproduct(
-        [p.at(c) for p in parts], tags=tags))
-
-
-def presheaf_quotient(x: Presheaf, pairs) -> LevelwiseResult:
-    """x divided, at each base object c, by the equivalence closure of
-    ``pairs[c]``, pairs of element indices.  The restrictions are induced,
-    so the pairs must be closed under them: otherwise inducing them raises
-    DomainMismatch."""
-    return _levelwise(x.base, (x,),
-                      lambda c: finset.quotient(x.at(c), pairs[c]))
+    if tags is None:
+        tags = [f"i{k}" for k in range(len(parts))]
+    return presheaf_colimit(base, parts, dict.fromkeys(base.objects, ()),
+                            tags)
 
 
 def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("coequalizer needs a parallel pair")
-    return presheaf_quotient(f.target, {
-        c: zip(f.at(c).table, g.at(c).table) for c in f.source.base.objects})
+    return presheaf_colimit(f.source.base, (f.target,), {
+        c: [(0, a, 0, b) for a, b in zip(f.at(c).table, g.at(c).table)]
+        for c in f.source.base.objects})
 
 
 def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
@@ -639,11 +649,8 @@ def presheaf_from_json(data, base: FinCategory | None = None,
 
 def presheaf_map_from_json(data, base: FinCategory | None = None,
                            memo: dict | None = None) -> PresheafMap:
-    if not isinstance(data, dict):
-        raise MalformedInput("presheaf map must be an object")
-    for key in ("source", "target", "components"):
-        if key not in data:
-            raise MalformedInput(f"presheaf map is missing field {key!r}")
+    data = finset.json_fields(data, "presheaf map", "source", "target",
+                              "components")
     source = presheaf_from_json(data["source"], base=base, memo=memo)
     target = presheaf_from_json(data["target"], base=base, memo=memo)
     tables = {}

@@ -5,7 +5,7 @@ import pytest
 from garnet.arrows import (ArrowAmbient, ArrowObj, FinSetAmbient,
                            PresheafAmbient, Session, Square, compose_squares,
                            identity_square)
-from garnet.errors import BoundaryMismatch, DomainMismatch
+from garnet.errors import BoundaryMismatch, CodomainMismatch, DomainMismatch
 from garnet.fincat import FinCategory
 from garnet.finset import EMPTY, FinFunction, FinSet, compose, identity
 from garnet.presheaf import yoneda
@@ -139,6 +139,18 @@ def test_arrow_ambient_coproduct_and_initial():
     assert bang.source == empty.obj and bang.target == f
 
 
+def test_arrow_coproduct_legs_into_different_arrows_raise():
+    # g1 and g2 share their ends and agree on the point both legs hit, so
+    # each level mediates, but the legs land in different arrows
+    pt = arrow(identity(ONE))
+    g1 = arrow(identity(TWO))
+    g2 = arrow(fn(TWO, TWO, 0, 0))
+    into = fn(ONE, TWO, 0)
+    cp = ARR.coproduct([pt, pt])
+    with pytest.raises(CodomainMismatch):
+        cp.mediate([Square(pt, g1, into, into), Square(pt, g2, into, into)])
+
+
 def test_arrow_ambient_coequalizer():
     two = fin(2, "c")
     f = arrow(identity(two))
@@ -165,9 +177,13 @@ def test_arrow_ambient_chain_colimit():
     assert res.obj == f2
     cocone = [compose_squares(s2, s1), s2, s3, s3]
     assert res.mediate(cocone) == s3
+    # its legs are taken like every colimit's: apart, or as lists
+    assert res.mediate(*cocone) == res.mediate(cocone[:2], *cocone[2:]) == s3
     bad = [cocone[0], identity_square(f1), s3, s3]
     with pytest.raises(DomainMismatch):
         res.mediate(bad)
+    with pytest.raises(DomainMismatch):
+        res.mediate(*bad)
 
 
 def test_arrow_ambient_hom_counts():

@@ -517,7 +517,27 @@ MALFORMED = {
     "square-without-bottom": ("walking_cospan.json",
                               ("squares", "t", "bottom"), _DROP),
     "witnesses-not-object": ("witnesses.json", (), [1, 2]),
+    "report-ambient-without-base": (REPORT, ("ambient",),
+                                    {"kind": "presheaf"}),
 }
+
+# a factorize report with one field missing, at each object its readers
+# index: the report is refused as MalformedInput, not as a bare KeyError
+MISSING = {
+    ("factorization",): ("f", "left", "right", "trace"),
+    TRACE: ("f", "generators", "backdrop", "stages", "converged_stage"),
+    TRACE + ("stages", 1): ("index", "arrow", "cell", "built_from",
+                            "composite", "transition", "certificates"),
+    TRACE + ("stages", 1, "cell"): ("den", "counit", "legs", "problems"),
+    TRACE + ("stages", 1, "built_from"): ("span", "tags", "left", "right",
+                                          "into"),
+    TRACE + ("stages", 1, "transition"): ("source", "target", "top",
+                                          "bottom"),
+}
+for _where, _keys in MISSING.items():
+    for _key in _keys:
+        MALFORMED[f"report-without-{'.'.join(map(str, _where))}.{_key}"] = (
+            REPORT, _where + (_key,), _DROP)
 
 
 def _malformed_commands(tmp_path, case):
@@ -571,6 +591,18 @@ def test_malformed_tables_are_invalid_input(tmp_path, case):
         out = tmp_path / "r.json"
         assert run([*cmd, "--output", str(out)]) == 1, cmd
         assert load(out)["error"]["kind"] == "MalformedInput"
+        out.unlink()
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED
+                                  if c.startswith("report-without-")])
+def test_a_report_missing_a_field_names_it(tmp_path, case):
+    key = MALFORMED[case][1][-1]
+    for cmd in _malformed_commands(tmp_path, case):
+        out = tmp_path / "r.json"
+        assert run([*cmd, "--output", str(out)]) == 1, cmd
+        assert load(out)["error"]["message"].endswith(
+            f"is missing field {key!r}")
         out.unlink()
 
 

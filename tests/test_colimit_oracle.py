@@ -26,8 +26,8 @@ from garnet.finset import FinFunction, FinSet, class_values, compose, \
     equivalence_classes
 from garnet import finset
 from garnet.presheaf import Presheaf, PresheafMap, enumerate_maps, \
-    presheaf_coequalizer, presheaf_compose, presheaf_coproduct, \
-    presheaf_pushout, validate_presheaf
+    presheaf_coequalizer, presheaf_colimit, presheaf_compose, \
+    presheaf_coproduct, presheaf_pushout, validate_presheaf
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 with open(os.path.join(FIX, "graph_base.json")) as _fh:
@@ -428,6 +428,39 @@ def test_finset_pushout_matches_oracle(data):
     agree(new, old, ("left", "right"), lambda res: res.mediate(q, r))
 
 
+@st.composite
+def foot_pairs(draw, feet, max_size=5):
+    """Pairs (i, x, j, y) of elements of the feet, mostly of two feet."""
+    elements = [(i, x) for i, foot in enumerate(feet)
+                for x in range(foot.size)]
+    if not elements:
+        return []
+    element = st.sampled_from(elements)
+    return [a + b for a, b in draw(st.lists(st.tuples(element, element),
+                                            max_size=max_size))]
+
+
+@given(st.data())
+@ORACLE
+def test_finset_colimit_glues_across_feet_like_the_oracle(data):
+    feet = data.draw(st.lists(finsets("x"), max_size=3))
+    tags = [f"t{k}" for k in range(len(feet))]
+    pairs = data.draw(foot_pairs(feet))
+    new = finset.colimit(feet, pairs, tags)
+    cp = oracle_coproduct(feet, tags)
+    quo = oracle_quotient(cp.obj, [(cp.injections[i](x), cp.injections[j](y))
+                                   for i, x, j, y in pairs])
+    assert new.obj == quo.obj and new.reps == quo.reps
+    assert new.legs == tuple(compose(quo.proj, inj) for inj in cp.injections)
+    legs = data.draw(fin_legs(feet, new.legs))
+    # as for the coproduct, domains are checked before codomains
+    if any(leg.dom != foot for leg, foot in zip(legs, feet)):
+        assert outcome(lambda: new.mediate(legs)) is DomainMismatch
+        return
+    assert outcome(lambda: new.mediate(legs)) \
+        == outcome(lambda: quo.mediate(cp.mediate(legs)))
+
+
 # -- graph presheaves ---------------------------------------------------------
 
 def graph(nv, src, tgt, prefix):
@@ -508,6 +541,36 @@ def test_presheaf_coequalizer_matches_oracle(data):
     (h,) = data.draw(graph_legs((b,), (old.proj,)))
     agree(new, old, ("proj",), lambda res: res.mediate(h))
     natural_as_checked(new.legs)
+
+
+@given(st.data())
+@ORACLE
+def test_presheaf_colimit_glues_across_feet_like_the_oracle(data):
+    feet = data.draw(st.lists(graphs("x"), max_size=3))
+    # gluing vertices is always closed under the restrictions; gluing edges
+    # is only where their ends are glued too, else both raise DomainMismatch
+    pairs = {c: data.draw(foot_pairs([p.at(c) for p in feet],
+                                     max_size=4 if c == "v" else 1))
+             for c in GRAPH.objects}
+    tags = [f"t{k}" for k in range(len(feet))]
+    cp = oracle_presheaf_coproduct(feet, tags=tags, base=GRAPH)
+
+    def glued(c):
+        inj = [leg.at(c) for leg in cp.injections]
+        return [(inj[i](x), inj[j](y)) for i, x, j, y in pairs[c]]
+    new = outcome(lambda: presheaf_colimit(GRAPH, feet, pairs, tags))
+    quo = outcome(lambda: oracle_presheaf_quotient(
+        cp.obj, {c: glued(c) for c in GRAPH.objects}))
+    if not isinstance(quo, LevelwiseResult):
+        assert new is quo
+        return
+    assert new.obj == quo.obj
+    assert new.legs == tuple(presheaf_compose(quo.proj, inj)
+                             for inj in cp.injections)
+    natural_as_checked(new.legs)
+    legs = data.draw(graph_legs(feet, new.legs)) if feet else []
+    assert outcome(lambda: new.mediate(legs, cod=LOOP)) == outcome(
+        lambda: quo.mediate(cp.mediate(legs, cod=LOOP)))
 
 
 # -- arrow ambients -----------------------------------------------------------

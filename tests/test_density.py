@@ -441,19 +441,20 @@ amb = FinSetAmbient()
 u = ArrowDiagram(amb, FinCategory(("j",), (), {}),
                  {"j": ArrowObj(amb, identity(FinSet.fresh(2, "g")))})
 f = ArrowObj(amb, identity(FinSet.fresh(1, "p")))
-real, calls = FinSetAmbient.quotient, []
+real, calls = FinSetAmbient.colimit, []
 
 
-def forged(self, x, pairs):
+def forged(self, feet, pairs, tags=None):
     # the first call divides the cells' domains: glue all of them together,
     # which the counit still respects (f has one point) but the leg does not
     if not calls:
-        pairs = ([(0, k) for k in range(x.size)],)
-    calls.append(x)
-    return real(self, x, pairs)
+        pairs = ([(0, 0, i, k) for i, x in enumerate(feet)
+                  for k in range(x.size)],)
+    calls.append(feet)
+    return real(self, feet, pairs, tags)
 
 
-FinSetAmbient.quotient = forged
+FinSetAmbient.colimit = forged
 try:
     density_comonad(u, f)
 except DomainMismatch:

@@ -1,4 +1,4 @@
-"""The density colimit, built as one quotient of the cell coproduct, agrees
+"""The density colimit, built as one colimit of the cells per side, agrees
 with the construction it replaced.
 
 The oracle below is that construction: problems looked up by their squares,
@@ -248,7 +248,7 @@ def test_a_table_key_miss_raises():
         problem_at(index, j, top, ((9,),))
 
 
-# -- the colimit is one quotient of the cell coproduct -------------------------
+# -- the colimit is one colimit per side ---------------------------------------
 
 @pytest.mark.parametrize("u, f", [
     (WC, ArrowObj(AMB, FinFunction(FinSet.fresh(2, "m"), FinSet(("pt",)),
@@ -256,7 +256,7 @@ def test_a_table_key_miss_raises():
     (CLASSIFIER, ArrowObj(PAMB, presheaf.presheaf_identity(
         presheaf.terminal_presheaf(GRAPH)))),
 ], ids=["finset", "presheaf"])
-def test_density_takes_two_coproducts_and_no_coequalizer(monkeypatch, u, f):
+def test_density_takes_one_colimit_per_side(monkeypatch, u, f):
     calls = {}
     ambient = type(u.ambient)
 
@@ -268,11 +268,13 @@ def test_density_takes_two_coproducts_and_no_coequalizer(monkeypatch, u, f):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("coproduct", "coequalizer", "quotient", "pushout"):
+    for name in ("coproduct", "coequalizer", "colimit", "pushout"):
         counting(ambient, name)
-    counting(finset, "coequalizer")
-    counting(presheaf, "presheaf_coequalizer")
+    for name in ("coproduct", "quotient", "coequalizer"):
+        counting(finset, name)
+    for name in ("presheaf_coproduct", "presheaf_coequalizer"):
+        counting(presheaf, name)
     den = density_comonad(u, f)
     assert den.comma.relations, "the case must relate some cells"
-    # the cells' domains and codomains, each summed once and divided once
-    assert calls == {"coproduct": 2, "quotient": 2}
+    # the cells' domains and codomains, each glued in one colimit
+    assert calls == {"colimit": 2}

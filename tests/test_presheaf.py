@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from garnet.arrows import PresheafAmbient
-from garnet.errors import NaturalityViolation, ShapeMismatch, UnknownObject
+from garnet.errors import CodomainMismatch, NaturalityViolation, \
+    ShapeMismatch, UnknownObject
 from garnet.fincat import FinCategory, discrete_category, validate_category
 from garnet.finset import FinFunction, FinSet
 from garnet.presheaf import (
@@ -256,6 +257,33 @@ def test_presheaf_coproduct_and_coequalizer():
     q = presheaf_coequalizer(cp.injections[0], cp.injections[1])
     assert q.obj.at("x").size == 1 and q.obj.at("y").size == 1
     assert validate_presheaf(q.obj) == []
+
+
+def test_coproduct_legs_into_different_targets_raise():
+    # w1 and w2 have the same vertices and edge, 0->1 in w1 and 1->0 in w2:
+    # the legs agree at every level's set but not on the target presheaf
+    base = FinCategory(["v", "e"], [("src", "v", "e"), ("tgt", "v", "e")],
+                       {})
+    vertices, edge = fin(2, "n"), fin(1, "a")
+    pt = Presheaf(base, {"v": fin(1, "p"), "e": fin(0)}, {
+        m: FinFunction(fin(0), fin(1, "p"), ()) for m in ("src", "tgt")})
+
+    def graph(s, t):
+        return Presheaf(base, {"v": vertices, "e": edge}, {
+            "src": FinFunction(edge, vertices, (s,)),
+            "tgt": FinFunction(edge, vertices, (t,))})
+
+    def vertex(target, n):
+        return PresheafMap(pt, target, {
+            "v": FinFunction(pt.at("v"), vertices, (n,)),
+            "e": FinFunction(pt.at("e"), edge, ())})
+    w1, w2 = graph(0, 1), graph(1, 0)
+    q, r = vertex(w1, 0), vertex(w2, 1)
+    cp = presheaf_coproduct([pt, pt])
+    with pytest.raises(CodomainMismatch):
+        cp.mediate([q, r])
+    med = cp.mediate([q, vertex(w1, 1)])
+    assert presheaf_compose(med, cp.injections[1]) == vertex(w1, 1)
 
 
 EMPTY_COPRODUCT = """

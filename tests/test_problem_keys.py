@@ -6,7 +6,8 @@ bottom tables)`` and builds a checked ``Square`` only where one leaves it.
 The oracles below are the square-based versions of the comma category, the
 density comonad, ``compose_structures`` and ``structure_to_algebra``: each
 problem is a square from ``ArrowAmbient.hom``, the cells are summed with the
-arrow ambient's coproduct and its injection squares, every leg is a square,
+arrow ambient's coproduct and its injection squares and divided by the
+colimit oracle's quotients, every leg is a square,
 ``mediate`` takes a cocone of squares, and fillers are looked up by
 ``(index object, problem square)``.  On random finite-set and graph maps the
 keyed versions must give the same density, counit, ``mediate`` output, trace
@@ -34,8 +35,9 @@ from garnet.density import (arrow_diagram_from_json, density_comonad,
                             subobject_classifier_diagram)
 from garnet.errors import DomainMismatch
 from garnet.fincat import category_from_json
-from garnet.finset import FinFunction, FinSet, class_values, first_members
+from garnet.finset import FinFunction, FinSet, class_values
 from garnet.presheaf import Presheaf, PresheafMap, enumerate_maps
+from test_colimit_oracle import oracle_presheaf_quotient, oracle_quotient
 from test_density_memo import finset_maps, graph_maps, graphs
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -56,6 +58,25 @@ CLASSIFIER = subobject_classifier_diagram(PAMB)
 
 
 # -- the oracles: problems as squares ------------------------------------------
+
+def first_members(proj):
+    """The minimal member of each class, for a quotient's table whose
+    classes are numbered in the order of their minimal members."""
+    reps = []
+    for i, q in enumerate(proj):
+        if q == len(reps):
+            reps.append(i)
+    return tuple(reps)
+
+
+def quotient(inner, x, pairs):
+    """x divided by pairs of element indices, given per level."""
+    if isinstance(inner, PresheafAmbient):
+        return oracle_presheaf_quotient(x, dict(zip(inner.base.objects,
+                                                    pairs)))
+    (level,) = pairs
+    return oracle_quotient(x, level)
+
 
 def oracle_comma(u, f):
     """Objects, relations, problems (name -> (j, square)) and over."""
@@ -132,8 +153,8 @@ def oracle_density(u, f) -> OracleDensity:
                 into = at[n2][side][k]
                 pairs[side][k].extend(zip(at[n1][side][k],
                                           map(into.__getitem__, ut)))
-    dom_q = inner.quotient(cp.obj.dom, pairs[0])
-    cod_q = inner.quotient(cp.obj.cod, pairs[1])
+    dom_q = quotient(inner, cp.obj.dom, pairs[0])
+    cod_q = quotient(inner, cp.obj.cod, pairs[1])
     projs = (tables(dom_q.proj), tables(cod_q.proj))
     classes = tuple(tuple((proj, first_members(proj)) for proj in side)
                     for side in projs)
