@@ -4,7 +4,8 @@ Given a finite diagram of generating arrows, this module builds the
 one-step gluing endofunctor on the arrow category, runs the free-monad
 iteration on it, and extracts the two factors of every map together
 with their comonad and monad structure, coherent lifting operators,
-and a replayable, independently checkable construction trace.
+and a replayable, independently checkable construction trace, whose
+cells keep their rows as the tables they are compared and written as.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, comma_category, density_action,
                       density_comonad, hom_shape, lifting_problems,
-                      problem_boundaries, retarget_density, validate_diagram)
+                      problem_boundaries, retarget_density)
 from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
@@ -58,10 +59,6 @@ class GeneratedAWFS:
                  backdrop: Backdrop = Backdrop("all"),
                  cap: int | None = None,
                  max_steps: int = DEFAULT_MAX_STEPS):
-        problems = validate_diagram(generators)
-        if problems:
-            raise MalformedInput("generator diagram is invalid: "
-                                 + "; ".join(problems))
         if backdrop.kind not in ("all", "mono"):
             raise MalformedInput("the backdrop over the base ambient must "
                                  "be 'all' or 'mono'")
@@ -385,60 +382,15 @@ class Factorization:
 
 @dataclass(frozen=True)
 class TraceCell:
-    """The cell glued at one stage: the colimit arrow, the square back onto
-    the stage arrow, and the rows ``(name, leg)`` and ``(name, generator,
-    problem)``, as tuples or as ``TraceRows``."""
+    """The cell glued at one stage: the colimit arrow, its counit onto the
+    stage arrow, and per comma object, in order, the leg row ``(name,
+    source, target, top tables, bottom tables)`` into ``den`` and the
+    problem row ``(name, generator, source, target, top tables, bottom
+    tables)`` into the stage arrow, each a square kept as its tables."""
     den: ArrowObj
     counit: Square
-    legs: tuple | TraceRows
-    problems: tuple | TraceRows
-
-
-class TraceRows:
-    """The rows of a recorded cell, held as its density's tables and shared
-    with it: name, all but the last two entries of ``sides[name]`` (a leg's
-    tables, or a problem key), and the square from ``cells[name]`` to
-    ``target`` with those two as its sides' tables.  A square is built and
-    checked once, when its row is first read; rows iterate and slice as a
-    tuple does, and equal tuples of the same rows."""
-
-    def __init__(self, names: tuple, cells: dict, target: ArrowObj,
-                 sides: dict):
-        self.names, self.cells, self.target, self.sides = \
-            names, cells, target, sides
-        self._rows = [None] * len(names)
-
-    def flat(self, name: str) -> tuple:
-        """The row of name with its square's source, target and tables."""
-        *head, top, bottom = self.sides[name]
-        return (name, *head, self.cells[name], self.target, top, bottom)
-
-    def __len__(self):
-        return len(self.names)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(len(self))[k]))
-        if self._rows[k] is None:
-            row = self.flat(self.names[k])
-            self._rows[k] = (*row[:-4], square_from_tables(*row[-4:]))
-        return self._rows[k]
-
-    def __eq__(self, other):
-        return isinstance(other, (tuple, TraceRows)) \
-            and _flat_rows(self) == _flat_rows(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
-def _flat_rows(rows) -> list:
-    """Every row as ``TraceRows.flat`` gives it, with no square built."""
-    if isinstance(rows, TraceRows):
-        return list(map(rows.flat, rows.names))
-    return [(*head, s.source, s.target, *map(s.source.ambient.tables,
-                                              (s.top, s.bottom)))
-            for *head, s in rows]
+    legs: tuple
+    problems: tuple
 
 
 @dataclass(frozen=True)
@@ -473,10 +425,13 @@ class Trace:
 
 
 def _cell_record(den) -> TraceCell:
-    names, cells = den.comma.objects, den.cells
-    return TraceCell(den.den, den.counit,
-                     TraceRows(names, cells, den.den, den.legs),
-                     TraceRows(names, cells, den.f, den.comma.problems))
+    """The cell of a density, its rows sharing the density's tables."""
+    cells = den.cells
+    return TraceCell(
+        den.den, den.counit,
+        tuple((n, cells[n], den.den, *leg) for n, leg in den.legs.items()),
+        tuple((n, j, cells[n], den.f, top, bottom)
+              for n, (j, top, bottom) in den.comma.problems.items()))
 
 
 def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
@@ -936,8 +891,8 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
     inner = trace.f.ambient
     n_star = _stage_index(trace.converged_stage, trace.stages,
                           "converged_stage")
-    used = sorted({j for st in trace.stages
-                   for (_name, j, *_a) in _flat_rows(st.cell.problems)})
+    used = sorted({row[1] for st in trace.stages
+                   for row in st.cell.problems})
     missing = [j for j in used if j not in witnesses]
     if missing:
         raise MissingGeneratorWitness(
@@ -1004,8 +959,8 @@ def replay(trace: Trace, functor: EndoData, witnesses: dict):
 
     structure = tuple(
         {"stage": st.index,
-         "cells": tuple({"cell": name, "generator": j} for (name, j, *_a)
-                        in _flat_rows(st.cell.problems))}
+         "cells": tuple({"cell": name, "generator": j}
+                        for name, j, *_sides in st.cell.problems)}
         for st in trace.stages)
     report = {"checks": checks,
               "witnesses": {j: witnesses[j] for j in used},
@@ -1024,12 +979,16 @@ def _boundary_to_json(inner, source, target, top, bottom, memo) -> dict:
                                            memo)}
 
 
+def _sides(inner, s: Square) -> tuple:
+    """A square as its source, target and sides' tables."""
+    return s.source, s.target, inner.tables(s.top), inner.tables(s.bottom)
+
+
 def _square_to_json(inner, s: Square, memo=None) -> dict:
-    return _boundary_to_json(inner, s.source, s.target, inner.tables(s.top),
-                             inner.tables(s.bottom), memo)
+    return _boundary_to_json(inner, *_sides(inner, s), memo)
 
 
-def _square_from_json(inner, data, memo) -> Square:
+def square_from_json(inner, data, memo=None) -> Square:
     data = json_fields(data, "square", "source", "target", "top", "bottom")
     source, target, top, bottom = (inner.mor_from_json(data[k], memo) for k
                                    in ("source", "target", "top", "bottom"))
@@ -1038,13 +997,12 @@ def _square_from_json(inner, data, memo) -> Square:
                                    ArrowObj(inner, target), top, bottom))
 
 
-def trace_to_json(trace: Trace) -> dict:
-    return _trace_to_json(trace, {})
-
-
-def _trace_to_json(trace: Trace, memo: dict) -> dict:
-    """The trace's JSON, written with the memo of the document it is in."""
+def trace_to_json(trace: Trace, memo: dict | None = None) -> dict:
+    """The trace's JSON, written with the memo of the document it is in;
+    a trace written on its own gets a memo of its own."""
     inner = trace.generators.ambient
+    if memo is None:
+        memo = {}
 
     def mor(m):
         return inner.mor_to_json(m, memo)
@@ -1054,7 +1012,7 @@ def _trace_to_json(trace: Trace, memo: dict) -> dict:
 
     def rows(cell_rows):
         return [[*row[:-4], _boundary_to_json(inner, *row[-4:], memo)]
-                for row in _flat_rows(cell_rows)]
+                for row in cell_rows]
     stages = []
     for st in trace.stages:
         cell = {"den": mor(st.cell.den.mor), "counit": square(st.cell.counit),
@@ -1123,7 +1081,7 @@ def trace_from_json(data, inner) -> Trace:
         return inner.mor_from_json(d, memo)
 
     def square(d):
-        return _square_from_json(inner, d, memo)
+        return square_from_json(inner, d, memo)
     data = json_fields(data, "trace", "f", "generators", "backdrop",
                        "stages", "converged_stage")
     u = arrow_diagram_from_json(data["generators"], inner, memo)
@@ -1139,9 +1097,9 @@ def trace_from_json(data, inner) -> Trace:
         cell = TraceCell(
             ArrowObj(inner, mor(cd["den"])),
             square(cd["counit"]),
-            tuple((n, square(sq))
+            tuple((n, *_sides(inner, square(sq)))
                   for n, sq in _rows(cd["legs"], 2, "cell 'legs'")),
-            tuple((n, j, square(sq))
+            tuple((n, j, *_sides(inner, square(sq)))
                   for n, j, sq in _rows(cd["problems"], 3,
                                         "cell 'problems'")))
         built = None
@@ -1179,7 +1137,7 @@ def factorization_to_json(fact: Factorization) -> dict:
             "converged_stage": fact.converged_stage,
             "unit": _square_to_json(inner, fact.unit, memo),
             "algebra": _square_to_json(inner, fact.algebra, memo),
-            "trace": _trace_to_json(fact.trace, memo)}
+            "trace": trace_to_json(fact.trace, memo)}
 
 
 def structure_to_json(psi: LiftingStructure) -> dict:

@@ -17,8 +17,8 @@ import sys
 from .arrows import ArrowObj, EndoData, FinSetAmbient, PresheafAmbient, Square
 from .awfs import (GeneratedAWFS, factorization_to_json,
                    find_lifting_structures, has_rlp, quillen_factorize,
-                   replay, require_count, solve_lifting, structure_to_json,
-                   trace_from_json, verify_trace)
+                   replay, require_count, solve_lifting, square_from_json,
+                   structure_to_json, trace_from_json, verify_trace)
 from .density import arrow_diagram_from_json
 from .errors import (EnumerationCap, GarnetError, IterationLimit,
                      MalformedInput)
@@ -179,10 +179,8 @@ def _cmd_lift(args):
 
 def _cmd_solve(args):
     inner, _spec, aw, f = _session(args)
-    prob = json_object(_read_json(args.problem), "problem file")
-    for key in ("index", "top", "bottom"):
-        if key not in prob:
-            raise MalformedInput(f"problem is missing field {key!r}")
+    prob = json_fields(json_object(_read_json(args.problem), "problem file"),
+                       "problem", "index", "top", "bottom")
     i = prob["index"]
     if i not in aw.generators.index.objects:
         raise MalformedInput(f"problem names an unknown generator {i!r}")
@@ -218,20 +216,47 @@ class _ReportedFactorization:
         self.midpoint = left.cod
 
 
+def _same_json(a, b) -> bool:
+    """a and b are the same JSON value, with true, 1 and 1.0 told apart."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def _load_report(path):
+    """The ambient, trace and factorization of a factorize report.  The
+    midpoint, unit, algebra and converged stage it states are checked
+    against its factors and trace; the algebra's retraction law is not,
+    as it needs the one-step gluing at the right factor."""
     data = json_object(_read_json(path), "report")
     if "factorization" not in data:
         raise MalformedInput("not a factorize report")
     inner = _ambient_from_spec(json_object(data.get("ambient", {}),
                                            "report 'ambient'"))
     fd = json_fields(data["factorization"], "report 'factorization'", "f",
-                     "left", "right", "trace")
+                     "left", "right", "trace", "unit", "algebra", "midpoint",
+                     "midpoint_size", "converged_stage")
     trace = trace_from_json(json_object(fd["trace"], "factorization 'trace'"),
                             inner)
     fact = _ReportedFactorization(
         ArrowObj(inner, inner.mor_from_json(fd["f"])),
         ArrowObj(inner, inner.mor_from_json(fd["left"])),
         ArrowObj(inner, inner.mor_from_json(fd["right"])))
+    if not (_same_json(fd["midpoint"], inner.obj_to_json(fact.midpoint))
+            and _same_json(fd["midpoint_size"],
+                           inner.obj_size(fact.midpoint))):
+        raise MalformedInput("the report's midpoint is not the left "
+                             "factor's codomain")
+    if not _same_json(fd["converged_stage"], trace.converged_stage):
+        raise MalformedInput("the report's converged stage is not its "
+                             "trace's")
+    unit = Square(fact.f, fact.right, fact.left.mor,
+                  inner.identity(fact.f.cod))
+    if square_from_json(inner, fd["unit"]) != unit:
+        raise MalformedInput("the report's unit is not the square from the "
+                             "map to its right factor")
+    algebra = square_from_json(inner, fd["algebra"])
+    if algebra.target != fact.right or not inner.is_identity(algebra.bottom):
+        raise MalformedInput("the report's algebra is not a square into its "
+                             "right factor with an identity bottom")
     return inner, trace, fact
 
 
@@ -303,7 +328,7 @@ def _cmd_quillen(args):
 
 def _cmd_rlp(args):
     inner, _spec, aw, f = _session(args)
-    answer = has_rlp(f, aw.generators, cap=_cap(args))
+    answer = has_rlp(f, aw.generators, cap=aw.cap)
     report = {"has_rlp": answer}
     human = ["every problem has a filler" if answer
              else "some problem has no filler"]

@@ -48,7 +48,8 @@ from .finset import EMPTY, FinFunction, FinSet, class_values, json_fields, \
 
 
 class ArrowDiagram:
-    """A functor from a finite index category into the arrow category."""
+    """A functor from a finite index category into the arrow category;
+    one that is not functorial is refused where it is built."""
 
     def __init__(self, ambient, index: FinCategory, on_objects,
                  on_morphisms=None):
@@ -82,6 +83,9 @@ class ArrowDiagram:
                 raise MalformedInput(f"square at {m.name!r} has wrong "
                                      f"endpoints")
             self._mor[m.name] = s
+        problems = validate_diagram(self)
+        if problems:
+            raise MalformedInput("; ".join(problems))
 
     def arrow(self, j: str) -> ArrowObj:
         return self._obj[j]
@@ -529,8 +533,4 @@ def arrow_diagram_from_json(data, ambient,
             on_objects[m.dom], on_objects[m.cod],
             ambient.mor_from_json(spec["top"], memo),
             ambient.mor_from_json(spec["bottom"], memo))
-    u = ArrowDiagram(ambient, index, on_objects, on_morphisms)
-    problems = validate_diagram(u)
-    if problems:
-        raise MalformedInput("; ".join(problems))
-    return u
+    return ArrowDiagram(ambient, index, on_objects, on_morphisms)

@@ -314,15 +314,23 @@ def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple] = (),
     closure of pairs ``(i, x, j, y)``: element x of foot i ~ y of foot j.
 
     A class is labelled by its minimal member: ``tag.label`` with the tag
-    of the member's foot, or the bare label without tags.
+    of the member's foot, or the bare label without tags.  A pair naming no
+    element of a foot raises DomainMismatch.
     """
     feet = tuple(feet)
     if tags is not None and len(tags) != len(feet):
         raise DomainMismatch("a colimit needs one tag per foot")
     starts = tuple(itertools.accumulate((len(x.labels) for x in feet),
                                         initial=0))
+
+    def place(i, x):
+        """The position of element x of foot i among the placed feet."""
+        if not (0 <= i < len(feet) and 0 <= x < starts[i + 1] - starts[i]):
+            raise DomainMismatch(f"a colimit pair names element {x!r} of "
+                                 f"foot {i!r}, which has no such element")
+        return starts[i] + x
     classes, reps = equivalence_classes(
-        starts[-1], ((starts[i] + x, starts[j] + y) for i, x, j, y in pairs))
+        starts[-1], ((place(i, x), place(j, y)) for i, x, j, y in pairs))
     labels, k = [], 0
     for r in reps:
         while r >= starts[k + 1]:

@@ -1,6 +1,6 @@
 """Shared builders for the generator diagrams used across the suites."""
 
-from garnet.arrows import ArrowObj, FinSetAmbient, Square
+from garnet.arrows import ArrowObj, FinSetAmbient, Square, square_from_tables
 from garnet.density import ArrowDiagram
 from garnet.fincat import FinCategory, discrete_category
 from garnet.finset import EMPTY, FinFunction, FinSet, identity
@@ -21,6 +21,19 @@ def func(a, b, *table):
 
 def arrow(m) -> ArrowObj:
     return ArrowObj(AMB, m)
+
+
+def cell_row(*entries) -> tuple:
+    """The trace cell row of ``(name, ..., square)``: the square kept as
+    its source, target and sides' tables."""
+    *head, s = entries
+    tables = s.source.ambient.tables
+    return (*head, s.source, s.target, tables(s.top), tables(s.bottom))
+
+
+def row_square(row) -> Square:
+    """The square a trace cell row records."""
+    return square_from_tables(*row[-4:])
 
 
 def walking_cospan() -> ArrowDiagram:

@@ -11,7 +11,7 @@ import os
 import time
 
 from conftest import (AMB, POINT, arrow, f_empty_to_point, finite, func,
-                      point_inclusion, walking_cospan)
+                      point_inclusion, row_square, walking_cospan)
 from garnet import finset as fs
 from garnet import presheaf as psh
 from garnet.arrows import (ArrowObj, EndoData, PresheafAmbient, Square,
@@ -102,8 +102,8 @@ def test_criterion_02_four_problems_force_the_quotient():
     probs = trace.stages[1].cell.problems
     assert len(probs) == 4
     by_gen = {}
-    for _name, j, a in probs:
-        by_gen.setdefault(j, []).append(a)
+    for row in probs:
+        by_gen.setdefault(row[1], []).append(row_square(row))
     assert sorted((j, len(v)) for j, v in by_gen.items()) \
         == [("a", 2), ("b", 1), ("bp", 1)]
     # the two middle problems pick out the two distinct stage-1 points

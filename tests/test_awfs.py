@@ -569,7 +569,7 @@ def test_trace_records_each_stage():
     assert trace.stages[0].built_from is None
     assert trace.stages[1].built_from is not None
     # one problem at each foot, two at the middle generator
-    names = [j for (_n, j, _a) in trace.stages[1].cell.problems]
+    names = [row[1] for row in trace.stages[1].cell.problems]
     assert sorted(names) == ["a", "a", "b", "bp"]
     provs = {c["provenance"] for st in trace.stages
              for c in st.certificates}

@@ -447,6 +447,7 @@ CHAIN_MAP = {"source": _chain_presheaf(2, "x", [0, 1], [0, 1], [0, 1]),
 # a factorize report, the input of trace-verify and replay
 REPORT = os.path.join("golden", "factorize_walking_cospan.json")
 TRACE = ("factorization", "trace")
+GOLDEN = load(fix(REPORT))["factorization"]
 
 MALFORMED = {
     "component-out-of-range": ("graph_edge_to_loop.json",
@@ -519,12 +520,28 @@ MALFORMED = {
     "witnesses-not-object": ("witnesses.json", (), [1, 2]),
     "report-ambient-without-base": (REPORT, ("ambient",),
                                     {"kind": "presheaf"}),
+    # what a report states of its factors must be what they are
+    "report-midpoint-not-the-left-codomain": (
+        REPORT, ("factorization", "midpoint"), {"size": 0, "labels": []}),
+    "report-midpoint-size-wrong": (REPORT, ("factorization", "midpoint_size"),
+                                   2),
+    "report-midpoint-size-float": (REPORT,
+                                   ("factorization", "midpoint_size"), 1.0),
+    "report-converged-stage-not-the-trace's": (
+        REPORT, ("factorization", "converged_stage"), 7),
+    "report-unit-not-the-unit": (REPORT, ("factorization", "unit"),
+                                 GOLDEN["algebra"]),
+    # the identity square on f, which does not end at the right factor
+    "report-algebra-not-into-the-right-factor": (
+        REPORT, ("factorization", "algebra"),
+        GOLDEN["trace"]["stages"][0]["composite"]),
 }
 
 # a factorize report with one field missing, at each object its readers
 # index: the report is refused as MalformedInput, not as a bare KeyError
 MISSING = {
-    ("factorization",): ("f", "left", "right", "trace"),
+    ("factorization",): ("f", "left", "right", "trace", "unit", "algebra",
+                         "midpoint", "midpoint_size", "converged_stage"),
     TRACE: ("f", "generators", "backdrop", "stages", "converged_stage"),
     TRACE + ("stages", 1): ("index", "arrow", "cell", "built_from",
                             "composite", "transition", "certificates"),
@@ -646,7 +663,7 @@ def test_a_non_functorial_presheaf_is_refused_where_it_is_read(tmp_path):
     "report-trace-not-object", "trace-stages-not-list",
     "certificate-morphism-not-string", "witnesses-not-object",
     "index-morphisms-not-list", "gluing-into-not-a-leg",
-    "non-functorial-restriction"])
+    "non-functorial-restriction", "report-converged-stage-not-the-trace's"])
 def test_input_checks_survive_python_O(tmp_path, case):
     # python -O strips assert statements, so an input check written as one
     # would let the input through to a traceback here
@@ -666,7 +683,9 @@ def test_input_checks_survive_python_O(tmp_path, case):
 
 @pytest.mark.parametrize("stage", [99, "x", -1, True])
 def test_replay_rejects_a_converged_stage_that_is_no_stage(tmp_path, stage):
+    # the factorization states the trace's converged stage, so both change
     data = _edited(load(fix(REPORT)), TRACE + ("converged_stage",), stage)
+    data = _edited(data, ("factorization", "converged_stage"), stage)
     rep = tmp_path / "r.json"
     rep.write_text(json.dumps(data))
     out = tmp_path / "o.json"

@@ -461,6 +461,18 @@ def test_finset_colimit_glues_across_feet_like_the_oracle(data):
         == outcome(lambda: quo.mediate(cp.mediate(legs)))
 
 
+def test_finset_colimit_refuses_a_pair_outside_its_foot():
+    # element 2 of a two-element foot once ran on into the next foot
+    # (gluing x0 to y0), and element -1 counted back from the foot's end
+    # (gluing y0 to x1)
+    feet = [FinSet.fresh(2, "x"), FinSet.fresh(2, "y")]
+    for pair in [(0, 2, 0, 0), (1, -1, 1, 0), (2, 0, 0, 0), (0, 0, -1, 0)]:
+        assert outcome(lambda: finset.colimit(feet, [pair], ["a", "b"])) \
+            is DomainMismatch
+    assert finset.colimit(feet, [(0, 0, 1, 0)], ["a", "b"]).obj.labels \
+        == ("a.x0", "a.x1", "b.y1")
+
+
 # -- graph presheaves ---------------------------------------------------------
 
 def graph(nv, src, tgt, prefix):

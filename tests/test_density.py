@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (AMB, PAIR, POINT, arrow, empty_diagram, finite, func,
-                      point_inclusion, walking_cospan)
+                      point_inclusion, row_square, walking_cospan)
 from garnet.arrows import (ArrowObj, PresheafAmbient, Square, compose_squares,
                            identity_square)
 from garnet.awfs import GeneratedAWFS, _cell_record
@@ -55,11 +55,11 @@ def test_diagram_functoriality_report():
     swap_pair = Square(arrow(identity(PAIR)), arrow(identity(PAIR)),
                        func(PAIR, PAIR, 1, 0), func(PAIR, PAIR, 1, 0))
     obj2 = arrow(identity(PAIR))
-    bad = ArrowDiagram(AMB, index, {"x": obj2, "y": obj2, "z": obj2},
-                       {"f": swap_pair, "g": swap_pair,
-                        "gf": swap_pair})
-    report = validate_diagram(bad)
-    assert len(report) == 1 and "gf" in report[0]
+    with pytest.raises(MalformedInput) as bad:
+        ArrowDiagram(AMB, index, {"x": obj2, "y": obj2, "z": obj2},
+                     {"f": swap_pair, "g": swap_pair, "gf": swap_pair})
+    assert str(bad.value) == ("square at composite 'gf' differs from the "
+                              "composite of squares at ('g', 'f')")
 
 
 def test_walking_cospan_validates():
@@ -113,9 +113,9 @@ def assert_counit_restores_problems(den):
     want = [(j, alpha) for j in WC.index.objects
             for alpha in lifting_problems(WC, j, den.f)]
     cell = _cell_record(den)
-    assert [(j, alpha) for _n, j, alpha in cell.problems] == want
-    for (_n, leg), (_j, alpha) in zip(cell.legs, want):
-        assert compose_squares(den.counit, leg) == alpha
+    assert [(row[1], row_square(row)) for row in cell.problems] == want
+    for row, (_j, alpha) in zip(cell.legs, want):
+        assert compose_squares(den.counit, row_square(row)) == alpha
 
 
 def test_density_empty_diagram():
@@ -275,7 +275,8 @@ def test_representable_problem_is_distinguished():
         ident = identity_square(gen)
         name = den.comma.by_boundary[(j, ambient.tables(ident.top),
                                       ambient.tables(ident.bottom))]
-        leg = dict(_cell_record(den).legs)[name]
+        leg = next(row_square(row) for row in _cell_record(den).legs
+                   if row[0] == name)
         assert compose_squares(den.counit, leg) == identity_square(gen)
 
 

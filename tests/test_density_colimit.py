@@ -15,6 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cell_row
 from garnet import finset, presheaf
 from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Square,
                            compose_squares, identity_square)
@@ -108,10 +109,10 @@ def assert_matches_oracle(u, f):
     tables = u.ambient.tables
     assert got.den == want.den
     cell = _cell_record(got)
-    assert tuple(cell.legs) == tuple(want.legs.items())
+    assert cell.legs == tuple(cell_row(*leg) for leg in want.legs.items())
     assert got.counit == want.counit
-    assert tuple(cell.problems) \
-        == tuple((n, j, alpha) for n, (j, alpha) in want.problems.items())
+    assert cell.problems \
+        == tuple(cell_row(n, *p) for n, p in want.problems.items())
     assert got.comma.relations == [r[:3] for r in want.relations]
     assert got.comma.over == {r[0]: r[3] for r in want.relations}
     assert len(got.comma.by_boundary) == len(want.problems)

@@ -11,8 +11,10 @@ colimit oracle's quotients, every leg is a square,
 ``mediate`` takes a cocone of squares, and fillers are looked up by
 ``(index object, problem square)``.  On random finite-set and graph maps the
 keyed versions must give the same density, counit, ``mediate`` output, trace
-cells and fillers.  Count guards pin how many squares a law suite, trace
-JSON, a replay and a read of a cell's rows build.
+cells and fillers; a trace cell's rows, plain tuples of tables, are the
+oracle's squares kept as their source, target and sides' tables.  Count
+guards pin how many squares a law suite, trace JSON, a replay and a cell
+record build.
 """
 
 import json
@@ -23,7 +25,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import arrow, walking_cospan
+from conftest import arrow, cell_row, row_square, walking_cospan
 from garnet.arrows import (ArrowObj, EndoData, FinSetAmbient, PresheafAmbient,
                            Square, compose_tables)
 from garnet.awfs import (GeneratedAWFS, TraceCell, _cell_record,
@@ -175,8 +177,9 @@ def oracle_density(u, f) -> OracleDensity:
 
 
 def oracle_cell(want: OracleDensity) -> TraceCell:
-    return TraceCell(want.den, want.counit, tuple(want.legs.items()),
-                     tuple((n,) + p for n, p in want.problems.items()))
+    return TraceCell(want.den, want.counit,
+                     tuple(cell_row(*leg) for leg in want.legs.items()),
+                     tuple(cell_row(n, *p) for n, p in want.problems.items()))
 
 
 def oracle_compose_structures(outer, inner_structure) -> dict:
@@ -218,11 +221,11 @@ def assert_density_matches(u, f):
     assert got.comma.objects == tuple(want.problems)
     assert got.comma.relations == want.relations
     assert got.comma.over == want.over
-    # the rows built from the tables, and the rows compared on the tables
+    # the rows share the density's tables, and their squares are the oracle's
     cell = _cell_record(got)
-    assert tuple(cell.legs) == tuple(want.legs.items())
-    assert tuple(cell.problems) \
-        == tuple((n, j, a) for n, (j, a) in want.problems.items())
+    assert [row_square(row) for row in cell.legs] == list(want.legs.values())
+    assert [(row[1], row_square(row)) for row in cell.problems] \
+        == list(want.problems.values())
     assert cell == oracle_cell(want)
     return got, want
 
@@ -414,9 +417,8 @@ def _surjection(n):
 # and 37,200 at 16 -> 8, one per problem per use.  When problems became
 # keys, the eagerly built trace cell records were nearly all that was left
 # (3,136 of 3,596 at 8 -> 4, 11,840 of 12,300 at 16 -> 8).  The cell records
-# now keep their rows as the density's tables and build a row's square only
-# when it is read, which the law suite never does: 465 squares at each size,
-# 5 of them for building the generators.
+# now keep their rows as the density's tables and build no square: 465
+# squares at each size, 5 of them for building the generators.
 @pytest.mark.parametrize("n, most", [(8, 600), (16, 600), (24, 600)])
 def test_law_suite_square_count(monkeypatch, n, most):
     f = _surjection(n)
@@ -433,7 +435,8 @@ def test_trace_json_is_written_from_tables(monkeypatch):
     # and it is the JSON of the rows' squares
     stage = trace.stages[-1]
     assert data["stages"][-1]["cell"]["problems"] == [
-        [n, j, _square_to_json(AMB, a)] for n, j, a in stage.cell.problems]
+        [*row[:2], _square_to_json(AMB, row_square(row))]
+        for row in stage.cell.problems]
 
 
 def test_replay_reads_the_rows_without_their_squares(monkeypatch):
@@ -449,13 +452,13 @@ def test_replay_reads_the_rows_without_their_squares(monkeypatch):
         == [[row[:2] for row in st.cell.problems] for st in trace.stages]
 
 
-def test_reading_a_cell_builds_each_row_once(monkeypatch):
-    trace = GeneratedAWFS(walking_cospan()).factorize(_surjection(16)).trace
-    cell = trace.stages[-1].cell
+def test_a_cell_record_shares_the_density_tables(monkeypatch):
+    den = GeneratedAWFS(walking_cospan()).density(_surjection(16))
     count = _squares_built(monkeypatch)
-    rows = tuple(cell.problems)
-    assert count[0] == len(rows) > 0
-    # a second read, a slice and a comparison reuse the rows already built
-    assert tuple(cell.problems) == rows and cell.problems[:-1] == rows[:-1]
-    assert cell.problems == rows and cell.problems != rows[:-1]
-    assert count[0] == len(rows)
+    cell = _cell_record(den)
+    assert count[0] == 0 and len(cell.problems) == len(den.comma.objects) > 0
+    # every entry of a row is the density's own object, not a copy
+    for (name, *leg), (_n, _j, *problem) in zip(cell.legs, cell.problems):
+        shared = (den.cells[name], den.den, *den.legs[name],
+                  den.cells[name], den.f, *den.comma.problems[name][1:])
+        assert all(a is b for a, b in zip(leg + problem, shared))
