@@ -6,9 +6,11 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 - ``dom``, ``cod``, ``identity``, ``compose``, ``inverse``;
 - ``is_mono``, ``is_iso``;
 - ``hom`` (all maps between two objects, in a fixed order);
-- ``pushout``, ``coproduct`` and ``coequalizer``, each returning a colimit
-  with ``obj``, its ``legs`` (also read as a pushout's ``left`` and
-  ``right``, a coproduct's ``injections``, a coequalizer's ``proj``) and
+- ``pushout``, ``coproduct``, ``coequalizer`` and ``colimit(feet, pairs,
+  tags)`` (the feet glued along pairs ``(i, x, j, y)`` given per level,
+  as for ``finset.colimit``), each returning a ``finset.ColimitResult``:
+  ``obj``, its ``legs`` (also read as a pushout's ``left`` and ``right``, a
+  coproduct's ``injections``, a coequalizer's ``proj``) and
   ``mediate(*legs, cod=None)``: a list argument contributes its members,
   and ``cod`` is the codomain of an empty cocone; legs into different
   objects raise CodomainMismatch;
@@ -19,9 +21,13 @@ Every ambient also has ``tables``, a per-level view of a map for code that
 works on integer tables: the map's tables, one per level in a fixed level
 order (the one set of a finite set, the base objects of a presheaf, and for
 a square its top's levels, then its bottom's).  Between two fixed objects a
-map is its tables, and ``compose_tables`` composes them level by level, so
-checks such as a square's commutation run on tables without building a
-composite map.
+map is its tables: ``from_tables`` builds the checked map with the given
+tables, and ``compose_tables`` composes them level by level, so checks such
+as a square's commutation run on tables without building a composite map.
+A colimit's ``levels`` are its finite-set colimits in this order, and its
+legs and mediators are read off their classes: a leg is built by
+``colimit_leg``, which checks only what the colimit's construction does not
+already make true (a presheaf leg is natural by construction).
 
 The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
@@ -33,11 +39,6 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   document, in which a reader, having checked an occurrence's JSON, finds
   the value built for an equal occurrence, and a writer the JSON written
   for an equal value (see ``finset.memoized``);
-- ``from_tables`` (the checked map between two objects with the given
-  tables);
-- ``colimit(feet, pairs, tags)`` (the feet glued along the pairs given
-  per level in the same order, as for ``finset.colimit``: a colimit as
-  above whose ``levels`` are its finite-set colimits in ``tables`` order);
 - ``skeleton``, for working up to relabeling: a hashable key of a map's
   sizes and tables, without its labels;
 - ``diagonals`` (for maps a and b, a function from the side tables
@@ -126,6 +127,8 @@ class FinSetAmbient:
     def from_tables(self, a, b, tables):
         (table,) = tables
         return finset.FinFunction(a, b, table)
+
+    colimit_leg = from_tables
 
     def obj_size(self, x):
         return x.size
@@ -220,7 +223,11 @@ class PresheafAmbient:
         return tuple(m.at(c).table for c in self.base.objects)
 
     def from_tables(self, a, b, tables):
-        return psh.PresheafMap(a, b, {
+        return psh.PresheafMap(a, b,
+                               self.colimit_leg(a, b, tables).components)
+
+    def colimit_leg(self, a, b, tables):
+        return psh._natural_map(a, b, {
             c: finset.FinFunction(a.at(c), b.at(c), table)
             for c, table in zip(self.base.objects, tables)})
 
@@ -334,7 +341,7 @@ class ChainColimitResult:
 
     def mediate(self, *legs):
         """The map out of ``obj`` through which a cocone factors, legs as
-        for ``finset.Colimit.mediate``: the cocone's leg at the stable
+        for ``finset.ColimitResult.mediate``: the cocone's leg at the stable
         stage, checked against every other leg."""
         cocone = finset.cocone(legs)
         if len(cocone) != len(self.legs):
@@ -376,20 +383,6 @@ def chain_colimit(amb, maps: Sequence) -> ChainColimitResult:
             leg = amb.inverse(leg)
         legs.append(leg)
     return ChainColimitResult(objects[k], tuple(legs), k, amb)
-
-
-class _ArrLevelwise(psh.LevelwiseResult):
-    """Levels "dom" and "cod": a square's top and bottom, an arrow's ends."""
-
-    @staticmethod
-    def _part(x, level):
-        if isinstance(x, ArrowObj):
-            return getattr(x, level)
-        return x.top if level == "dom" else x.bottom
-
-    @staticmethod
-    def _assemble(source, target, parts):
-        return Square(source, target, parts["dom"], parts["cod"])
 
 
 class ArrowAmbient:
@@ -464,17 +457,35 @@ class ArrowAmbient:
         return [Square(a, b, top, bottom)
                 for top, bottom in self.boundaries(a, b, cap=cap).values()]
 
+    def from_tables(self, a: ArrowObj, b: ArrowObj, tables) -> Square:
+        half = len(tables) // 2
+        return square_from_tables(a, b, tables[:half], tables[half:])
+
+    def colimit_leg(self, a: ArrowObj, b: ArrowObj, tables) -> Square:
+        inner, half = self.inner, len(tables) // 2
+        return Square(a, b, inner.colimit_leg(a.dom, b.dom, tables[:half]),
+                      inner.colimit_leg(a.cod, b.cod, tables[half:]))
+
+    def colimit(self, feet: Sequence[ArrowObj], pairs, tags=None):
+        """The arrows feet glued along pairs given per level in ``tables``
+        order: the domains' levels, then the codomains'."""
+        inner, half = self.inner, len(pairs) // 2
+        return self._colimit(
+            feet, inner.colimit([f.dom for f in feet], pairs[:half], tags),
+            inner.colimit([f.cod for f in feet], pairs[half:], tags))
+
     def _colimit(self, feet: Sequence[ArrowObj], dom_col, cod_col):
         """The colimit of the arrows feet, given the inner colimits of their
-        domains and of their codomains: its arrow is induced from the feet's
-        arrows, and its legs are the squares of the two colimits' legs."""
+        domains and of their codomains: its levels are theirs, and its arrow
+        is induced level by level from the feet's arrows."""
         inner = self.inner
-        arrow = ArrowObj(inner, dom_col.mediate(
-            [inner.compose(leg, foot.mor)
-             for leg, foot in zip(cod_col.legs, feet)], cod=cod_col.obj))
-        legs = tuple(Square(foot, arrow, top, bottom) for foot, top, bottom
-                     in zip(feet, dom_col.legs, cod_col.legs))
-        return _ArrLevelwise(arrow, {"dom": dom_col, "cod": cod_col}, legs)
+        arrows = [inner.tables(foot.mor) for foot in feet]
+        arrow = ArrowObj(inner, inner.from_tables(
+            dom_col.obj, cod_col.obj,
+            tuple(src.induce(dst, [t[k] for t in arrows]) for k, (src, dst)
+                  in enumerate(zip(dom_col.levels, cod_col.levels)))))
+        return finset.ColimitResult(self, arrow, feet,
+                                    dom_col.levels + cod_col.levels)
 
     def pushout(self, s: Square, t: Square, tags=("i0", "i1")):
         if s.source != t.source:

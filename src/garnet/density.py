@@ -12,8 +12,9 @@ source and target are fixed, so it is determined by j and the tables of its
 top and bottom.  Problems are keyed by that boundary: the problem a
 generator morphism or a square of maps carries a problem to is found by
 composing the two sides' tables and looking them up, without building a
-map or a square.  The colimit is built on tables too, as one colimit per
-side of the cells, glued along the relations.
+map or a square.  The colimit is built on tables too, as one arrow
+colimit of the cells glued along the relations, whose legs are kept as
+tables.
 
 For the subobject-classifier generators the density also has a pointwise
 closed form.  Its isomorphism onto the generic colimit is fixed by the
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 from . import presheaf as psh
 from .arrows import (
@@ -39,11 +39,10 @@ from .arrows import (
     identity_square,
     square_from_tables,
 )
-from .errors import DomainMismatch, EnumerationCap, GarnetError, \
-    MalformedInput, NoIsoFound
+from .errors import EnumerationCap, GarnetError, MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
     discrete_category, identity_name
-from .finset import EMPTY, FinFunction, FinSet, class_values, json_fields, \
+from .finset import EMPTY, ColimitResult, FinFunction, FinSet, json_fields, \
     json_object
 
 
@@ -203,11 +202,9 @@ class DensityResult:
     The colimit glues one cell per lifting problem (a copy of its
     generating arrow) along the relations.  ``cells`` and ``legs`` map each
     comma object, in order, to its generating arrow and to its leg into
-    ``den`` as ``(top tables, bottom tables)``, checked to commute; a
-    trace's cell record builds the legs' and problems' squares from them.
-    ``levels`` holds each side's level colimits (``classes`` and ``reps``),
-    and ``shape`` the lengths of the legs' tables; ``mediate`` reads a
-    cocone off these.
+    ``den`` as ``(top tables, bottom tables)``; a trace's cell record
+    builds the legs' and problems' squares from them.  ``colimit`` is the
+    arrow colimit itself, whose levels ``mediate`` reads a cocone off.
 
     Only ``f`` and ``counit`` have f in their boundary.  The rest depend on
     f's sizes and tables only, so ``retarget_density`` shares them between
@@ -219,28 +216,18 @@ class DensityResult:
     counit: Square
     legs: dict[str, tuple] = field(repr=False)
     cells: dict[str, ArrowObj] = field(repr=False)
-    levels: tuple = field(repr=False)
-    shape: list = field(repr=False)
+    colimit: ColimitResult = field(repr=False)
 
     def mediate(self, cocone, cod: ArrowObj) -> Square:
         """The square den -> cod induced by a cocone: per cell, in comma
         object order, the ``(top tables, bottom tables)`` of a square into
-        cod.  Each side's tables are concatenated over the cells and read
-        once per class; a cocone that does not respect a relation raises
-        DomainMismatch.  The square built is checked, and it commutes
-        exactly when every leg does, as the classes cover the cells."""
-        if leg_shape(cocone) != self.shape:
-            raise DomainMismatch("a cocone needs one leg out of each cell")
-        sides = [[class_values(col.classes, col.reps, list(
-                      chain.from_iterable(leg[side][k] for leg in cocone)))
-                  for k, col in enumerate(cols)]
-                 for side, cols in enumerate(self.levels)]
-        return square_from_tables(self.den, cod, *sides)
-
-
-def leg_shape(legs) -> list:
-    """The lengths of the tables of each leg, side by side."""
-    return [[list(map(len, side)) for side in leg] for leg in legs]
+        cod, read once per class by the colimit's ``mediate_tables``; a
+        cocone that does not respect a relation raises DomainMismatch.  The
+        square built is checked, and it commutes exactly when every leg
+        does, as the classes cover the cells."""
+        col = self.colimit
+        return col.ambient.from_tables(self.den, cod, col.mediate_tables(
+            top + bottom for top, bottom in cocone))
 
 
 def density_comonad(u: ArrowDiagram, f: ArrowObj,
@@ -248,47 +235,30 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     """The density comonad at f, built from scratch: the colimit over the
     comma category of lifting problems into f of the generating arrows.
 
-    One colimit of the cells' domains and one of their codomains, tagged
-    by the comma objects, glue level by level along the relations: a
-    relation ``t@n2: n1 -> n2`` glues each element x of the cell of n1 to
-    ``u(t)(x)`` in the cell of n2.  A cell's leg is its stretch of each
-    level's classes.  Its label-free fields are listed on ``DensityResult``."""
-    inner = u.ambient
-    tables = inner.tables
+    One arrow colimit of the cells, tagged by the comma objects, glues them
+    level by level along the relations: a relation ``t@n2: n1 -> n2`` glues
+    each element x of the cell of n1 to ``u(t)(x)`` in the cell of n2, on
+    both sides.  Its arrow is induced from the cells', which checks that
+    every leg commutes with it.  Its label-free fields are listed on
+    ``DensityResult``."""
+    arr = u.arr
     comma = comma_category(u, f, cap=cap)
     names = comma.objects
     cells = {n: u.arrow(comma.problems[n][0]) for n in names}
     foot = {n: k for k, n in enumerate(names)}
-    squares = {t.name: (tables(u.square(t.name).top),
-                        tables(u.square(t.name).bottom))
+    squares = {t.name: arr.tables(u.square(t.name))
                for t in u.index.non_identity_morphisms()}
-    pairs = tuple([[] for _ in tables(f.mor)] for _side in (0, 1))
+    # one list of pairs per level of a square: f's levels, on either side
+    pairs = [[] for _ in u.ambient.tables(f.mor) * 2]
     for name, n1, n2 in comma.relations:
         i, j = foot[n1], foot[n2]
-        for side in (0, 1):
-            for k, ut in enumerate(squares[comma.over[name]][side]):
-                pairs[side][k].extend((i, x, j, y) for x, y in enumerate(ut))
-    cols = [inner.colimit([getattr(c, side) for c in cells.values()],
-                          side_pairs, tags=names)
-            for side, side_pairs in zip(("dom", "cod"), pairs)]
-    levels = tuple(col.levels for col in cols)
-    legs = {n: tuple(tuple(col.classes[col.starts[k]:col.starts[k + 1]]
-                           for col in cols) for cols in levels)
-            for k, n in enumerate(names)}
-    # the arrow between the colimits, read at one member of each class; a
-    # leg commutes when the arrow agrees with it at the other members too
-    paths = [compose_tables(legs[n][1], tables(cell.mor))
-             for n, cell in cells.items()]
-    mor = [list(chain.from_iterable(level)) for level in zip(*paths)] \
-        or [[] for _ in levels[0]]
-    den_t = [tuple(map(level.__getitem__, col.reps))
-             for level, col in zip(mor, levels[0])]
-    den = ArrowObj(inner, inner.from_tables(cols[0].obj, cols[1].obj, den_t))
-    if any(compose_tables(den_t, legs[n][0]) != path
-           for n, path in zip(names, paths)):
-        raise DomainMismatch("a cell's leg does not commute with the arrow")
-    out = DensityResult(f, comma, den, None, legs, cells, levels,
-                        leg_shape(legs.values()))
+        for level, ut in zip(pairs, squares[comma.over[name]]):
+            level.extend((i, x, j, y) for x, y in enumerate(ut))
+    col = arr.colimit(list(cells.values()), pairs, tags=names)
+    half = len(pairs) // 2
+    legs = {n: (leg[:half], leg[half:]) for n, leg in zip(names,
+                                                          col.leg_tables)}
+    out = DensityResult(f, comma, col.obj, None, legs, cells, col)
     out.counit = out.mediate([key[1:] for key in comma.by_boundary], f)
     return out
 

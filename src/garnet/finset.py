@@ -6,7 +6,8 @@ with ``len``, ``min`` and ``max``, and raise, so ``python -O`` keeps them.
 Every colimit here is one ``colimit``: the coproduct of its feet divided
 by pairs of elements, each named by foot and index, built by union-find
 with minimal-index representatives and labelled by provenance strings, so
-the same construction twice yields byte-identical results.
+the same construction twice yields byte-identical results.  A colimit in
+any ambient is a ``ColimitResult`` read off such colimits, one per level.
 """
 
 from __future__ import annotations
@@ -250,25 +251,93 @@ def cocone(legs: Sequence) -> list:
             for m in (leg if isinstance(leg, (list, tuple)) else (leg,))]
 
 
-class LegNames:
-    """The names by which callers read a colimit's ``legs``: a pushout's
-    ``left`` and ``right``, a coproduct's ``injections`` and a quotient's
-    or coequalizer's ``proj``."""
+class ColimitResult:
+    """A colimit in an ambient, read off its finite-set level colimits.
+
+    ``levels`` holds one ``Colimit`` per level, in the order of the
+    ambient's ``tables``: the colimit there of the feet's sets.  A map out
+    of ``obj`` is one table per level, constant on that level's classes,
+    so a foot's leg is its stretch of each level's classes, built when
+    first read, and a cocone's mediator is read off its legs' tables by
+    ``mediate_tables``.  The legs are also read as a pushout's ``left`` and
+    ``right``, a coproduct's ``injections`` and a quotient's or
+    coequalizer's ``proj``.
+    """
+
+    def __init__(self, ambient, obj, feet: Sequence, levels: Sequence):
+        self.ambient = ambient
+        self.obj = obj
+        self.feet = tuple(feet)
+        self.levels = tuple(levels)
 
     left = property(lambda self: self.legs[0])
     right = property(lambda self: self.legs[1])
     proj = left
     injections = property(lambda self: self.legs)
 
+    @property
+    def leg_tables(self) -> tuple:
+        """Each foot's leg as its tables, one per level."""
+        return tuple(tuple(level.classes[level.starts[k]:level.starts[k + 1]]
+                           for level in self.levels)
+                     for k in range(len(self.feet)))
+
+    @property
+    def legs(self) -> tuple:
+        legs = self.__dict__.get("_legs")
+        if legs is None:
+            leg = self.ambient.colimit_leg
+            legs = self.__dict__["_legs"] = tuple(
+                leg(foot, self.obj, tables)
+                for foot, tables in zip(self.feet, self.leg_tables))
+        return legs
+
+    def mediate_tables(self, legs: Iterable[Sequence]) -> tuple:
+        """The tables of the map out of ``obj`` through which a cocone
+        factors, given one leg's tables per foot: per level, the legs'
+        tables placed one after another and read once per class.  Legs
+        whose tables do not fit their feet, or that disagree on a class,
+        are no cocone: they raise DomainMismatch."""
+        legs = list(legs)
+        if len(legs) != len(self.feet) or any(
+                len(leg) != len(self.levels)
+                or any(len(table) != level.starts[k + 1] - level.starts[k]
+                       for table, level in zip(leg, self.levels))
+                for k, leg in enumerate(legs)):
+            raise DomainMismatch("a cocone needs one leg out of each foot")
+        return tuple(class_values(level.classes, level.reps,
+                                  [v for leg in legs for v in leg[i]])
+                     for i, level in enumerate(self.levels))
+
+    def mediate(self, *legs, cod=None):
+        """The map out of ``obj`` through which a cocone factors: one leg
+        out of each foot (see ``cocone``), all into one codomain, which
+        ``cod`` gives when there is no leg.  Legs out of other objects, or
+        that disagree on a class, are no cocone: they raise DomainMismatch;
+        legs into different objects raise CodomainMismatch."""
+        amb = self.ambient
+        maps = cocone(legs)
+        if len(maps) != len(self.feet) \
+                or any(amb.dom(m) != foot for m, foot in zip(maps, self.feet)):
+            raise DomainMismatch("a cocone needs one leg out of each foot")
+        if maps:
+            cod = amb.cod(maps[0])
+            if any(amb.cod(m) != cod for m in maps):
+                raise CodomainMismatch("cocone legs must share a codomain")
+        elif cod is None:
+            raise CodomainMismatch("an empty cocone needs a codomain")
+        return amb.from_tables(self.obj, cod,
+                               self.mediate_tables(map(amb.tables, maps)))
+
 
 @dataclass(frozen=True)
-class Colimit(LegNames):
-    """The feet placed one after another and divided into classes.
+class Colimit(ColimitResult):
+    """The feet placed one after another and divided into classes: a
+    colimit of finite sets, and its own one level.
 
     ``classes`` gives the class of each element of the feet, foot k from
     ``starts[k]`` on, and ``reps[k]`` the minimal member of class k, whose
-    label the class carries.  The leg out of a foot is its stretch of
-    ``classes``, built when first read; ``levels`` is the colimit itself.
+    label the class carries.
     """
     obj: FinSet
     feet: tuple[FinSet, ...]
@@ -279,33 +348,21 @@ class Colimit(LegNames):
     levels = property(lambda self: (self,))
 
     @property
-    def legs(self) -> tuple[FinFunction, ...]:
-        legs = self.__dict__.get("_legs")
-        if legs is None:
-            legs = tuple(FinFunction(foot, self.obj,
-                                     self.classes[start:stop])
-                         for foot, start, stop
-                         in zip(self.feet, self.starts, self.starts[1:]))
-            object.__setattr__(self, "_legs", legs)
-        return legs
+    def ambient(self):
+        from .arrows import FinSetAmbient
+        return FinSetAmbient()
 
-    def mediate(self, *legs, cod: FinSet | None = None) -> FinFunction:
-        """The map out of ``obj`` through which a cocone factors: one leg
-        out of each foot (see ``cocone``), all into one codomain, which
-        ``cod`` gives when there is no leg.  Legs that disagree on a class
-        are no cocone: they raise DomainMismatch."""
-        maps = cocone(legs)
-        if len(maps) != len(self.feet) \
-                or any(m.dom != foot for m, foot in zip(maps, self.feet)):
-            raise DomainMismatch("a cocone needs one leg out of each foot")
-        if maps:
-            cod = maps[0].cod
-            if any(m.cod != cod for m in maps):
-                raise CodomainMismatch("cocone legs must share a codomain")
-        elif cod is None:
-            raise CodomainMismatch("an empty cocone needs a codomain")
-        return FinFunction(self.obj, cod, class_values(
-            self.classes, self.reps, [v for m in maps for v in m.table]))
+    def induce(self, into: "Colimit", tables: Sequence[Sequence[int]]
+               ) -> tuple[int, ...]:
+        """The table of the map from this colimit into ``into`` induced by
+        one table per foot, each from the foot here to the same foot there:
+        their values, sent to ``into``'s classes, read once per class here.
+        Tables that disagree on a class induce no map: they raise
+        DomainMismatch."""
+        classes = into.classes
+        return class_values(self.classes, self.reps, [
+            classes[start + v]
+            for start, table in zip(into.starts, tables) for v in table])
 
 
 def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple] = (),
@@ -410,7 +467,8 @@ def finset_from_json(data, memo: dict | None = None) -> FinSet:
         raise MalformedInput("labels must be strings")
     if len(set(labels)) != len(labels):
         raise MalformedInput("labels must be distinct")
-    if "size" in data and data["size"] != len(labels):
+    if "size" in data and (type(data["size"]) is not int
+                           or data["size"] != len(labels)):
         raise MalformedInput("size field disagrees with labels")
     key = tuple(labels)
     return memoized(memo, ("set", key), lambda: FinSet(key))

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from . import finset
 from .errors import (
-    CodomainMismatch,
     EnumerationCap,
     MalformedInput,
     NaturalityViolation,
@@ -487,93 +486,48 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
     return out
 
 
-# -- levelwise colimits -------------------------------------------------------
-
-class LevelwiseResult(finset.LegNames):
-    """A colimit computed one level at a time and reassembled.
-
-    ``level`` maps each level to the colimit computed there, and ``legs``
-    are the reassembled legs; a mediator out of ``obj`` is reassembled from
-    the level mediators of the legs' parts.  Levels are the objects of the
-    base category here; ``levels`` lists the finite-set ones in order.
-    """
-
-    def __init__(self, obj, level, legs):
-        self.obj = obj
-        self._level = level
-        self.legs = legs
-
-    levels = property(lambda self: tuple(
-        level for res in self._level.values() for level in res.levels))
-
-    @staticmethod
-    def _part(x, c):
-        return x.at(c)
-
-    @staticmethod
-    def _assemble(source, target, parts):
-        return PresheafMap(source, target, parts)
-
-    def mediate(self, *legs, cod=None):
-        """The map out of ``obj`` through which a cocone factors, legs as
-        for ``finset.Colimit.mediate``.  Legs into different targets raise
-        CodomainMismatch, also where their sets agree at every level."""
-        maps = finset.cocone(legs)
-        target = maps[0].target if maps else cod
-        if target is None:
-            raise CodomainMismatch("an empty cocone needs a codomain")
-        parts = {c: res.mediate([self._part(m, c) for m in maps],
-                                cod=None if cod is None
-                                else self._part(cod, c))
-                 for c, res in self._level.items()}
-        if any(m.target != target for m in maps):
-            raise CodomainMismatch("cocone legs must share a codomain")
-        return self._assemble(self.obj, target, parts)
-
-
-def _levelwise(base: FinCategory, feet: Sequence[Presheaf],
-               level) -> LevelwiseResult:
-    """The colimit of presheaves on base whose set at each object c is
-    ``level(c)``, a colimit of the feet's sets at c.  Each restriction is
-    induced through the level colimits from the feet's, which is what
-    makes every leg natural; the legs are not checked again."""
-    cols = {c: level(c) for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        dst = cols[m.dom]
-        restrict[m.name] = cols[m.cod].mediate(
-            [compose(leg, foot.restrict(m.name))
-             for leg, foot in zip(dst.legs, feet)], cod=dst.obj)
-    obj = Presheaf(base, {c: cols[c].obj for c in base.objects}, restrict)
-    # restrictions induced levelwise from functorial ones are functorial
-    assert validate_presheaf(obj) == [], "restrictions lost functoriality"
-    legs = tuple(_natural_map(foot, obj, {c: cols[c].legs[k]
-                                          for c in base.objects})
-                 for k, foot in enumerate(feet))
-    return LevelwiseResult(obj, cols, legs)
-
+# -- colimits -------------------------------------------------------------------
 
 def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
-                     tags: Sequence[str] | None = None) -> LevelwiseResult:
+                     tags: Sequence[str] | None = None
+                     ) -> finset.ColimitResult:
     """The coproduct of the feet divided, at each base object c, by the
     equivalence closure of ``pairs[c]``, pairs ``(i, x, j, y)`` as for
-    ``finset.colimit``.  The restrictions are induced, so the pairs must be
-    closed under them: otherwise inducing them raises DomainMismatch."""
-    return _levelwise(base, feet, lambda c: finset.colimit(
-        [p.at(c) for p in feet], pairs[c], tags))
+    ``finset.colimit``: a colimit whose levels are these colimits of the
+    feet's sets, one per base object.  Each restriction is induced through
+    them from the feet's, which is what makes every leg natural, so the
+    legs are not checked again.  The pairs must be closed under the
+    restrictions: otherwise inducing them raises DomainMismatch."""
+    from .arrows import PresheafAmbient
+    feet = tuple(feet)
+    level = {c: finset.colimit([p.at(c) for p in feet], pairs[c], tags)
+             for c in base.objects}
+    restrict = {}
+    for m in base.non_identity_morphisms():
+        src, dst = level[m.cod], level[m.dom]
+        restrict[m.name] = FinFunction(src.obj, dst.obj, src.induce(
+            dst, [p.restrict(m.name).table for p in feet]))
+    obj = Presheaf(base, {c: col.obj for c, col in level.items()}, restrict)
+    # restrictions induced levelwise from functorial ones are functorial
+    assert validate_presheaf(obj) == [], "restrictions lost functoriality"
+    return finset.ColimitResult(PresheafAmbient(base), obj, feet,
+                                level.values())
 
 
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
-                     tags: tuple[str, str] = ("i0", "i1")) -> LevelwiseResult:
+                     tags: tuple[str, str] = ("i0", "i1")
+                     ) -> finset.ColimitResult:
     if f.source != g.source:
         raise ShapeMismatch("pushout needs a span with a shared apex")
-    return _levelwise(f.source.base, (f.target, g.target),
-                      lambda c: finset.pushout(f.at(c), g.at(c), tags=tags))
+    return presheaf_colimit(f.source.base, (f.target, g.target), {
+        c: [(0, b, 1, y) for b, y in zip(f.at(c).table, g.at(c).table)]
+        for c in f.source.base.objects}, tags)
 
 
 def presheaf_coproduct(parts: Sequence[Presheaf],
                        tags: Sequence[str] | None = None,
-                       base: FinCategory | None = None) -> LevelwiseResult:
+                       base: FinCategory | None = None
+                       ) -> finset.ColimitResult:
     if base is None:
         if not parts:
             raise ShapeMismatch("empty coproduct needs an explicit base")
@@ -584,7 +538,8 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
                             tags)
 
 
-def presheaf_coequalizer(f: PresheafMap, g: PresheafMap) -> LevelwiseResult:
+def presheaf_coequalizer(f: PresheafMap, g: PresheafMap
+                         ) -> finset.ColimitResult:
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("coequalizer needs a parallel pair")
     return presheaf_colimit(f.source.base, (f.target,), {
@@ -612,14 +567,19 @@ def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
 
 def presheaf_from_json(data, base: FinCategory | None = None,
                        memo: dict | None = None) -> Presheaf:
-    from .fincat import category_from_json
+    from .fincat import category_from_json, category_to_json
     if not isinstance(data, dict) or "at" not in data:
         raise MalformedInput("presheaf needs an 'at' table")
+    raw = data.get("base")
     if base is None:
-        raw = data.get("base")
         if not isinstance(raw, dict):
             raise MalformedInput("presheaf base must be inline or preresolved")
         base = category_from_json(raw)
+    elif "base" in data and raw != finset.memoized(
+            memo, ("category json", base), lambda: category_to_json(base)) \
+            and category_from_json(raw) != base:
+        # an inline base is read only where it is not the one written
+        raise MalformedInput("presheaf base differs from the given base")
     at = {c: finset.finset_from_json(v, memo)
           for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
     tables = {}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cell_row
-from garnet import finset, presheaf
+from garnet import density, finset, presheaf
 from garnet.arrows import (ArrowObj, FinSetAmbient, PresheafAmbient, Square,
                            compose_squares, identity_square)
 from garnet.awfs import _cell_record
@@ -235,7 +235,7 @@ def test_a_cocone_with_a_leg_off_its_cell_is_refused():
     den = density_comonad(u, ArrowObj(AMB, finset.identity(pt)))
     assert den.comma.objects == ("e#0", "p#0") and not den.comma.relations
     legs = list(den.legs.values())
-    with pytest.raises(DomainMismatch, match="out of each cell"):
+    with pytest.raises(DomainMismatch, match="out of each foot"):
         den.mediate(legs[::-1], den.den)
     assert den.mediate(legs, den.den) == identity_square(den.den)
 
@@ -279,3 +279,32 @@ def test_density_takes_one_colimit_per_side(monkeypatch, u, f):
     assert den.comma.relations, "the case must relate some cells"
     # the cells' domains and codomains, each glued in one colimit
     assert calls == {"colimit": 2}
+
+
+def bouquet(n):
+    """One vertex with n loops."""
+    v, e = FinSet.fresh(1, "v"), FinSet.fresh(n, "e")
+    loops = FinFunction(e, v, (0,) * n)
+    return presheaf.Presheaf(GRAPH, {"v": v, "e": e},
+                             {"src": loops, "tgt": loops})
+
+
+@pytest.mark.parametrize("u", [BOUNDARY, CLASSIFIER],
+                         ids=["boundary", "classifier"])
+def test_a_graph_density_builds_no_map_per_cell(monkeypatch, u):
+    # a cell's leg is kept as its stretch of each level's classes, so the
+    # maps a density builds past its comma category (the restrictions, its
+    # arrow and its counit's sides) do not grow with the problems
+    built = {}
+    for n in (1, 3):
+        f = ArrowObj(PAMB, presheaf.presheaf_identity(bouquet(n)))
+        comma = density.comma_category(u, f)
+        count = []
+        check = FinFunction.__post_init__
+        monkeypatch.setattr(density, "comma_category", lambda *a, **k: comma)
+        monkeypatch.setattr(FinFunction, "__post_init__",
+                            lambda self: count.append(check(self)))
+        density.density_comonad(u, f)
+        monkeypatch.undo()
+        built[len(comma.objects)] = len(count)
+    assert len(built) == 2 and len(set(built.values())) == 1, built

@@ -200,6 +200,10 @@ def test_an_edited_trace_row_keeps_the_exit_contract(argv, rows, data):
         _run(_written(tmp, inputs, argv), tmp)
 
 
+ARROW_BASE = ("factorization", "trace", "stages", 1, "arrow", "source",
+              "base")
+ROW_BASE = ("factorization", "trace", "stages", 1, "cell", "legs", 0, 1,
+            "source", "source", "base")
 # (command, input, path, new value): each edit once under python -O
 OPTIMIZED = [
     (["trace-verify", "--report", "@report"], "report",
@@ -219,6 +223,16 @@ OPTIMIZED = [
      []),
     (["factorize", *CELL_JOB], "f21", ("table", 1), 5),
     (["lift", *GRAPH_JOB], "edge_to_loop", ("components", "v"), [0, -1]),
+    # a presheaf's inline base, a stage arrow's or a trace row's, edited
+    # into another category or into none: these were once never read
+    (["trace-verify", "--report", "@graph_report"], "graph_report",
+     ARROW_BASE + ("objects",), ["e", "v"]),
+    (["replay", "--report", "@graph_report"], "graph_report",
+     ARROW_BASE + ("morphisms", 0, "cod"), 5),
+    (["trace-verify", "--report", "@graph_report"], "graph_report",
+     ROW_BASE + ("objects", 1), -1),
+    (["replay", "--report", "@graph_report"], "graph_report",
+     ROW_BASE + ("morphisms",), [{"name": "src", "dom": "v", "cod": "e"}]),
 ]
 
 

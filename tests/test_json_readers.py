@@ -3,7 +3,8 @@
 Every occurrence of an object is checked, and only then is its value looked
 up in the document's memo or built.  The oracle below is the readers' old
 parse without a memo, which checked and built each occurrence on its own,
-plus the functoriality check the presheaf reader now makes: a sequence of
+plus the checks the readers now make (a presheaf is functorial, its inline
+base is the given one, a size is an exact int): a sequence of
 valid and mutated values, read through one shared memo, gives what the
 oracle gives for each value, the same value or the same error and message.
 """
@@ -41,7 +42,8 @@ def oracle_finset_from_json(data) -> FinSet:
         raise MalformedInput("labels must be strings")
     if len(set(labels)) != len(labels):
         raise MalformedInput("labels must be distinct")
-    if "size" in data and data["size"] != len(labels):
+    if "size" in data and (type(data["size"]) is not int
+                           or data["size"] != len(labels)):
         raise MalformedInput("size field disagrees with labels")
     return FinSet(tuple(labels))
 
@@ -74,6 +76,8 @@ def oracle_presheaf_from_json(data, base=None) -> Presheaf:
         if not isinstance(raw, dict):
             raise MalformedInput("presheaf base must be inline or preresolved")
         base = fincat.category_from_json(raw)
+    elif "base" in data and fincat.category_from_json(data["base"]) != base:
+        raise MalformedInput("presheaf base differs from the given base")
     at = {c: oracle_finset_from_json(v)
           for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
     restrict = {}
@@ -256,6 +260,17 @@ def test_a_mistyped_occurrence_after_a_read_one_raises():
         bad = _mutated(data, ("table", 0), value)
         assert outcome(finset.function_from_json, bad, memo) == (
             "raised", MalformedInput, "table entries must index the codomain")
+
+
+def test_a_size_is_an_exact_int():
+    # false once passed as the size of an empty set, true and 1.0 as that
+    # of a one-element set
+    for labels, size in [([], False), (["x"], True), (["x"], 1.0)]:
+        assert outcome(finset.finset_from_json,
+                       {"size": size, "labels": labels}, {}) == (
+            "raised", MalformedInput, "size field disagrees with labels")
+    assert finset.finset_from_json({"size": 1, "labels": ["x"]}) \
+        == FinSet(("x",))
 
 
 def test_a_non_functorial_presheaf_raises_on_every_read():
