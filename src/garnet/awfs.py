@@ -338,15 +338,30 @@ def _step_endofunctor(awfs: GeneratedAWFS) -> PointedEndofunctor:
         return awfs.one_step(f).obj
 
     def on_mor(s: Square) -> Square:
-        return awfs.session.memo(("on_mor", s), lambda: _on_mor(s))
+        """The glued square at s, memoized up to relabeling like the
+        density: one entry per skeleton of s's endpoints and tables of its
+        sides, holding the glued square at each square seen with them."""
+        glued = awfs.session.memo(
+            ("on_mor", inner.skeleton(s.source.mor),
+             inner.skeleton(s.target.mor), awfs.arr.tables(s)), dict)
+        out = glued.get(s)
+        if out is None:
+            out = glued[s] = _on_mor(s, glued)
+        return out
 
-    def _on_mor(s: Square) -> Square:
+    def _on_mor(s: Square, glued: dict) -> Square:
         src = awfs.one_step(s.source)
         tgt = awfs.one_step(s.target)
-        act = density_action(awfs.generators, s, src.den, tgt.den)
-        top = src.po.mediate(
-            inner.compose(tgt.po.left, s.top),
-            inner.compose(tgt.po.right, act.bottom))
+        if glued:
+            # a relabeled copy: the first square's top tables, over the
+            # copy's one-step objects
+            top = inner.from_tables(src.obj.dom, tgt.obj.dom, inner.tables(
+                next(iter(glued.values())).top))
+        else:
+            act = density_action(awfs.generators, s, src.den, tgt.den)
+            top = src.po.mediate(
+                inner.compose(tgt.po.left, s.top),
+                inner.compose(tgt.po.right, act.bottom))
         out = Square(src.obj, tgt.obj, top, s.bottom)
         if awfs.backdrop.contains(inner, s.top) \
                 and awfs.backdrop.contains(inner, s.bottom) \

@@ -14,7 +14,8 @@ import json
 import os
 import sys
 
-from .arrows import ArrowObj, EndoData, FinSetAmbient, PresheafAmbient, Square
+from .arrows import (ArrowObj, EndoData, FinSetAmbient, PresheafAmbient,
+                     Square, compose_squares, identity_square)
 from .awfs import (GeneratedAWFS, factorization_to_json,
                    find_lifting_structures, has_rlp, quillen_factorize,
                    replay, require_count, solve_lifting, square_from_json,
@@ -214,6 +215,7 @@ class _ReportedFactorization:
         self.left = left
         self.right = right
         self.midpoint = left.cod
+        self.algebra = None  # read after the factors are checked
 
 
 def _same_json(a, b) -> bool:
@@ -224,8 +226,9 @@ def _same_json(a, b) -> bool:
 def _load_report(path):
     """The ambient, trace and factorization of a factorize report.  The
     midpoint, unit, algebra and converged stage it states are checked
-    against its factors and trace; the algebra's retraction law is not,
-    as it needs the one-step gluing at the right factor."""
+    against its factors and trace; the algebra's retraction law needs the
+    one-step gluing at the right factor, so ``_check_algebra`` checks it
+    once the trace has passed."""
     data = json_object(_read_json(path), "report")
     if "factorization" not in data:
         raise MalformedInput("not a factorize report")
@@ -253,16 +256,31 @@ def _load_report(path):
     if square_from_json(inner, fd["unit"]) != unit:
         raise MalformedInput("the report's unit is not the square from the "
                              "map to its right factor")
-    algebra = square_from_json(inner, fd["algebra"])
-    if algebra.target != fact.right or not inner.is_identity(algebra.bottom):
+    fact.algebra = square_from_json(inner, fd["algebra"])
+    if fact.algebra.target != fact.right \
+            or not inner.is_identity(fact.algebra.bottom):
         raise MalformedInput("the report's algebra is not a square into its "
                              "right factor with an identity bottom")
     return inner, trace, fact
 
 
+def _check_algebra(trace, fact, cap=None):
+    """Refuse a report whose algebra does not retract the one-step unit at
+    its right factor, the unit law of an algebra for the gluing."""
+    aw = GeneratedAWFS(trace.generators, trace.backdrop, cap=cap)
+    unit = aw.t.unit(fact.right)
+    if fact.algebra.source != unit.target or compose_squares(
+            fact.algebra, unit) != identity_square(fact.right):
+        raise MalformedInput("the report's algebra does not retract the "
+                             "one-step unit at its right factor")
+
+
 def _cmd_trace_verify(args):
     _inner, trace, fact = _load_report(args.report)
-    out = verify_trace(trace, fact, cap=_cap(args))
+    cap = _cap(args)
+    out = verify_trace(trace, fact, cap=cap)
+    if out["pass"]:
+        _check_algebra(trace, fact, cap)
     report = {"pass": out["pass"], "items": out["items"]}
     failed = [it for it in out["items"] if not it["pass"]]
     human = [f"trace verifies: {len(out['items'])} checks"] if out["pass"] \
@@ -285,7 +303,7 @@ def _doubling(inner):
 
 
 def _cmd_replay(args):
-    inner, trace, _fact = _load_report(args.report)
+    inner, trace, fact = _load_report(args.report)
     if args.functor == "identity":
         fun = EndoData(inner, lambda x: x, lambda m: m)
     else:
@@ -302,6 +320,8 @@ def _cmd_replay(args):
                                  fun.on_mor(trace.generators.arrow(j).mor))
                      for j in trace.generators.index.objects}
     out, info = replay(trace, fun, witnesses)
+    # replay takes no cap: the check runs under the default one
+    _check_algebra(trace, fact)
     report = {"functor": args.functor,
               "output": inner.mor_to_json(out.mor),
               "checks": info["checks"],

@@ -11,10 +11,10 @@ A lifting problem against the generator at j is a square into f whose
 source and target are fixed, so it is determined by j and the tables of its
 top and bottom.  Problems are keyed by that boundary: the problem a
 generator morphism or a square of maps carries a problem to is found by
-composing the two sides' tables and looking them up, without building a
-map or a square.  The colimit is built on tables too, as one arrow
-colimit of the cells glued along the relations, whose legs are kept as
-tables.
+composing the two sides' tables, each distinct table once, and looking
+them up, without building a map or a square.  The colimit is built on
+tables too, as one arrow colimit of the cells glued along the relations,
+whose legs are kept as tables.
 
 For the subobject-classifier generators the density also has a pointwise
 closed form.  Its isomorphism onto the generic colimit is fixed by the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from . import presheaf as psh
 from .arrows import (
@@ -182,12 +183,14 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
     for t in u.index.non_identity_morphisms():
         ut = u.square(t.name)
         ut_top, ut_bottom = tables(ut.top), tables(ut.bottom)
+        # each distinct table is composed once
+        top_of = cache(lambda top: compose_tables(top, ut_top))
+        bottom_of = cache(lambda bottom: compose_tables(bottom, ut_bottom))
         for (j2, top2, bottom2), name2 in by_boundary.items():
             if j2 != t.cod:
                 continue
-            name1 = problem_at(by_boundary, t.dom,
-                               compose_tables(top2, ut_top),
-                               compose_tables(bottom2, ut_bottom))
+            name1 = problem_at(by_boundary, t.dom, top_of(top2),
+                               bottom_of(bottom2))
             mor_name = f"{t.name}@{name2}"
             relations.append((mor_name, name1, name2))
             over[mor_name] = t.name
@@ -284,9 +287,11 @@ def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
         raise MalformedInput("square endpoints do not match the densities")
     tables = u.ambient.tables
     top, bottom = tables(sigma.top), tables(sigma.bottom)
+    # each distinct table is composed once
+    top_of = cache(lambda t: compose_tables(top, t))
+    bottom_of = cache(lambda b: compose_tables(bottom, b))
     index = den_g.comma.by_boundary
-    cocone = [den_g.legs[problem_at(index, j, compose_tables(top, t),
-                                    compose_tables(bottom, b))]
+    cocone = [den_g.legs[problem_at(index, j, top_of(t), bottom_of(b))]
               for j, t, b in den_f.comma.by_boundary]
     return den_f.mediate(cocone, den_g.den)
 

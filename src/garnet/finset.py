@@ -5,9 +5,10 @@ package.  A function's checks (totality and range) run on its integer table
 with ``len``, ``min`` and ``max``, and raise, so ``python -O`` keeps them.
 Every colimit here is one ``colimit``: the coproduct of its feet divided
 by pairs of elements, each named by foot and index, built by union-find
-with minimal-index representatives and labelled by provenance strings, so
-the same construction twice yields byte-identical results.  A colimit in
-any ambient is a ``ColimitResult`` read off such colimits, one per level.
+(when there are pairs) with minimal-index representatives and labelled
+by provenance strings, so the same construction twice yields
+byte-identical results.  A colimit in any ambient is a ``ColimitResult``
+read off such colimits, one per level.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -298,12 +300,11 @@ class ColimitResult:
         tables placed one after another and read once per class.  Legs
         whose tables do not fit their feet, or that disagree on a class,
         are no cocone: they raise DomainMismatch."""
-        legs = list(legs)
-        if len(legs) != len(self.feet) or any(
-                len(leg) != len(self.levels)
-                or any(len(table) != level.starts[k + 1] - level.starts[k]
-                       for table, level in zip(leg, self.levels))
-                for k, leg in enumerate(legs)):
+        legs, levels = list(legs), self.levels
+        if len(legs) != len(self.feet) \
+                or {*map(len, legs)} - {len(levels)} \
+                or any([len(leg[i]) for leg in legs] != level.sizes
+                       for i, level in enumerate(levels)):
             raise DomainMismatch("a cocone needs one leg out of each foot")
         return tuple(class_values(level.classes, level.reps,
                                   [v for leg in legs for v in leg[i]])
@@ -347,6 +348,10 @@ class Colimit(ColimitResult):
 
     levels = property(lambda self: (self,))
 
+    # the size of each foot, read off starts
+    sizes = cached_property(lambda self: [
+        b - a for a, b in itertools.pairwise(self.starts)])
+
     @property
     def ambient(self):
         from .arrows import FinSetAmbient
@@ -377,17 +382,22 @@ def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple] = (),
     feet = tuple(feet)
     if tags is not None and len(tags) != len(feet):
         raise DomainMismatch("a colimit needs one tag per foot")
-    starts = tuple(itertools.accumulate((len(x.labels) for x in feet),
-                                        initial=0))
-
-    def place(i, x):
-        """The position of element x of foot i among the placed feet."""
-        if not (0 <= i < len(feet) and 0 <= x < starts[i + 1] - starts[i]):
-            raise DomainMismatch(f"a colimit pair names element {x!r} of "
-                                 f"foot {i!r}, which has no such element")
-        return starts[i] + x
-    classes, reps = equivalence_classes(
-        starts[-1], ((place(i, x), place(j, y)) for i, x, j, y in pairs))
+    sizes = dict(enumerate(len(x.labels) for x in feet))
+    starts = tuple(itertools.accumulate(sizes.values(), initial=0))
+    pairs = list(pairs)
+    try:
+        placed = [(starts[i] + x, starts[j] + y) for i, x, j, y in pairs
+                  if 0 <= x < sizes[i] and 0 <= y < sizes[j]]
+    except KeyError:
+        placed = ()
+    if len(placed) != len(pairs):
+        i, x = next((i, x) for pair in pairs
+                    for i, x in (pair[:2], pair[2:])
+                    if not (i in sizes and 0 <= x < sizes[i]))
+        raise DomainMismatch(f"a colimit pair names element {x!r} of "
+                             f"foot {i!r}, which has no such element")
+    classes, reps = equivalence_classes(starts[-1], placed) if placed \
+        else (range(starts[-1]),) * 2
     labels, k = [], 0
     for r in reps:
         while r >= starts[k + 1]:

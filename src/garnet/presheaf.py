@@ -396,10 +396,11 @@ def element_category(p: Presheaf) -> tuple[FinCategory, dict]:
 
 # -- natural transformation enumeration --------------------------------------
 
-def _narrow(current, allowed):
-    """The values in current (all of them when None) that allowed has."""
+def _narrow(current, allowed, members):
+    """The values in current that allowed has (all of allowed, in its order,
+    when current is None); members is allowed as a set."""
     return allowed if current is None \
-        else tuple(v for v in current if v in allowed)
+        else tuple(v for v in current if v in members)
 
 
 def enumerate_maps(source: Presheaf, target: Presheaf,
@@ -429,7 +430,7 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
     # source and target along m, is comp[x][s[e]] == t[comp[y][e]] for
     # every element e of source at y; it is filed under the later of the
     # two levels, as an edge from the earlier one
-    later_cod = [[] for _ in objects]     # y later: (x, s, t's fibres)
+    later_cod = [[] for _ in objects]     # y later: (x, s, fibres, fibre sets)
     later_dom = [[] for _ in objects]     # x later: (y, s, t)
     endo = [[] for _ in objects]          # x == y: (s, t)
     for m in base.non_identity_morphisms():
@@ -439,7 +440,7 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
             over = [[] for _ in target.at(m.dom).labels]
             for v, w in enumerate(t):
                 over[w].append(v)
-            later_cod[y].append((x, s, over))
+            later_cod[y].append((x, s, over, list(map(set, over))))
         elif y < x:
             later_dom[x].append((y, s, t))
         else:
@@ -448,14 +449,16 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
 
     def tables_at(k):
         choices = [None] * source.at(objects[k]).size
-        for x, s, over in later_cod[k]:
+        for x, s, over, members in later_cod[k]:
             at_x = comps[x].table
             for e, d in enumerate(s):
-                choices[e] = _narrow(choices[e], over[at_x[d]])
+                w = at_x[d]
+                choices[e] = _narrow(choices[e], over[w], members[w])
         for y, s, t in later_dom[k]:
             at_y = comps[y].table
             for e, d in enumerate(s):
-                choices[d] = _narrow(choices[d], (t[at_y[e]],))
+                value = (t[at_y[e]],)
+                choices[d] = _narrow(choices[d], value, value)
         values = range(target.at(objects[k]).size)
         tables = itertools.product(*(values if ch is None else ch
                                      for ch in choices))

@@ -699,3 +699,46 @@ def test_replay_rejects_a_converged_stage_that_is_no_stage(tmp_path, stage):
     assert "error" not in report and not report["pass"]
     failed = {it["check"] for it in report["items"] if not it["pass"]}
     assert {"chain", "factorization"} <= failed
+
+
+def _identity_json(x):
+    return {"dom": x, "cod": x, "table": list(range(len(x["labels"])))}
+
+
+def _forged_algebras(tmp_path):
+    """Reports whose algebra is a valid square into the right factor with an
+    identity bottom, but does not retract the one-step unit there."""
+    rep = tmp_path / "f21.json"
+    assert run(["factorize", "--generators", fix("walking_cospan.json"),
+                "--map", fix("f_2_to_1.json"), "--output", str(rep)]) == 0
+    data = load(rep)
+    algebra = data["factorization"]["algebra"]
+    # the glued arrow 4 -> 1 onto the right factor 3 -> 1: the algebra is
+    # (0, 1, 2, 2); (0, 0, 0, 0) commutes too, as the codomain is a point,
+    # but sends the unit's image of x1 to x0
+    assert algebra["top"]["table"] == [0, 1, 2, 2]
+    algebra["top"]["table"] = [0, 0, 0, 0]
+    yield data
+    # the golden report's right factor has one square from its glued
+    # arrow: take the identity square on the right factor instead
+    data = load(fix(REPORT))
+    right = data["factorization"]["right"]
+    data["factorization"]["algebra"] = {
+        "source": right, "target": right,
+        "top": _identity_json(right["dom"]),
+        "bottom": _identity_json(right["cod"])}
+    yield data
+
+
+def test_a_report_whose_algebra_is_no_retraction_is_refused(tmp_path):
+    for k, data in enumerate(_forged_algebras(tmp_path)):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "r.json"
+        for cmd in (["trace-verify", "--report", str(bad)],
+                    ["replay", "--report", str(bad)]):
+            assert run([*cmd, "--output", str(out)]) == 1, cmd
+            assert load(out)["error"] == {
+                "kind": "MalformedInput",
+                "message": "the report's algebra does not retract the "
+                           "one-step unit at its right factor"}

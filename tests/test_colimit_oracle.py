@@ -10,6 +10,7 @@ the colimit composed with its legs) and as random legs, which mostly are
 none.
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -490,6 +491,99 @@ def test_finset_colimit_refuses_a_pair_outside_its_foot():
             is DomainMismatch
     assert finset.colimit(feet, [(0, 0, 1, 0)], ["a", "b"]).obj.labels \
         == ("a.x0", "a.x1", "b.y1")
+
+
+def oracle_colimit(feet, pairs=(), tags=None):
+    """The finite-set colimit as it was built before it skipped the
+    union-find without pairs and checked the pairs' indices inline."""
+    feet = tuple(feet)
+    if tags is not None and len(tags) != len(feet):
+        raise DomainMismatch("a colimit needs one tag per foot")
+    starts = tuple(itertools.accumulate((len(x.labels) for x in feet),
+                                        initial=0))
+
+    def place(i, x):
+        if not (0 <= i < len(feet) and 0 <= x < starts[i + 1] - starts[i]):
+            raise DomainMismatch(f"a colimit pair names element {x!r} of "
+                                 f"foot {i!r}, which has no such element")
+        return starts[i] + x
+    classes, reps = equivalence_classes(
+        starts[-1], ((place(i, x), place(j, y)) for i, x, j, y in pairs))
+    labels, k = [], 0
+    for r in reps:
+        while r >= starts[k + 1]:
+            k += 1
+        label = feet[k].labels[r - starts[k]]
+        labels.append(label if tags is None else f"{tags[k]}.{label}")
+    return FinSet(tuple(labels)), tuple(classes), tuple(reps), starts
+
+
+def built(call):
+    """What call() gives: its value, or the type and message of its error."""
+    try:
+        return call()
+    except GarnetError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@ORACLE
+def test_finset_colimit_matches_the_union_find_oracle(data):
+    feet = [data.draw(finsets(prefix))
+            for prefix in "abcd"[:data.draw(st.integers(0, 4))]]
+    tags = data.draw(st.sampled_from(
+        [None, [f"t{k}" for k in range(len(feet))]]))
+    pairs = data.draw(st.sampled_from([[], data.draw(foot_pairs(feet))]))
+    new = finset.colimit(feet, pairs, tags)
+    assert (new.obj, new.classes, new.reps, new.starts) \
+        == oracle_colimit(feet, pairs, tags)
+    assert new.sizes == [foot.size for foot in feet]
+
+
+@given(st.data())
+@ORACLE
+def test_finset_colimit_refuses_stray_pairs_like_the_oracle(data):
+    feet = [data.draw(finsets(prefix))
+            for prefix in "abc"[:data.draw(st.integers(1, 3))]]
+    element = st.tuples(st.integers(-1, len(feet)), st.integers(-1, 3))
+    pairs = [a + b for a, b in data.draw(
+        st.lists(st.tuples(element, element), min_size=1, max_size=4))]
+
+    def new():
+        res = finset.colimit(feet, pairs)
+        return res.obj, res.classes, res.reps, res.starts
+    assert built(new) == built(lambda: oracle_colimit(feet, pairs))
+
+
+def test_a_stray_pair_keeps_its_message():
+    feet = [FinSet.fresh(2, "x"), FinSet.fresh(1, "y")]
+    for pair, (x, i) in [((0, 0, 1, 1), (1, 1)), ((0, 2, 1, 0), (2, 0)),
+                         ((3, 0, 0, 0), (0, 3)), ((0, 0, -1, 0), (0, -1)),
+                         ((1, -1, 0, 0), (-1, 1))]:
+        assert built(lambda: finset.colimit(feet, [(0, 0, 1, 0), pair])) \
+            == (DomainMismatch, f"a colimit pair names element {x} of foot "
+                                f"{i}, which has no such element")
+
+
+def test_mediate_tables_checks_each_foot_not_the_total():
+    # feet of sizes 1 and 2, legs of lengths 2 and 1: three entries in all
+    feet = [FinSet.fresh(1, "x"), FinSet.fresh(2, "y")]
+    col = finset.colimit(feet)
+    assert col.mediate_tables([((0,),), ((0, 1),)]) == ((0, 0, 1),)
+    for legs in ([((0, 1),), ((0,),)], [((0,),)], [((0,),), ((0, 1),), ()],
+                 [((0,),), ((0, 1), ())]):
+        assert outcome(lambda: col.mediate_tables(legs)) is DomainMismatch
+    # an arrow colimit: the domains' level, then the codomains'
+    amb = ArrowAmbient(FinSetAmbient())
+    point = FinSet.fresh(1, "p")
+    arrows = [ArrowObj(FinSetAmbient(), FinFunction(foot, point,
+                                                    (0,) * foot.size))
+              for foot in feet]
+    col = amb.colimit(arrows, [[], []], tags=["a", "b"])
+    assert col.mediate_tables([((0,), (0,)), ((1, 2), (1,))]) \
+        == ((0, 1, 2), (0, 1))
+    assert outcome(lambda: col.mediate_tables(
+        [((0, 1), (0,)), ((2,), (1,))])) is DomainMismatch
 
 
 # -- graph presheaves ---------------------------------------------------------

@@ -3,7 +3,9 @@
 A session builds the density comonad once per skeleton of a map (its
 sizes and tables) and retargets it to every relabeled copy.  Every field of
 a retargeted density, and the action between retargeted densities, must
-equal what ``density_comonad`` builds from scratch at the copy.
+equal what ``density_comonad`` builds from scratch at the copy.  The
+gluing's action on squares is memoized the same way, and must equal the
+action a fresh session computes at the copy.
 """
 
 import dataclasses
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import AMB, arrow, finite, func, walking_cospan
 from garnet import awfs
-from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square
+from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square, \
+    identity_square, square_from_tables
 from garnet.awfs import GeneratedAWFS, _cell_record, verify_trace
 from garnet.density import (arrow_diagram_from_json, density_action,
                             density_comonad)
@@ -159,6 +162,47 @@ def test_finset_density_memo_matches_fresh_build(f):
 @given(graph_maps())
 def test_graph_density_memo_matches_fresh_build(f):
     check_relabeled_copies(BOUNDARY, f)
+
+
+# -- the one-step action, memoized the same way --------------------------------
+
+def check_relabeled_square(u, f, g, k):
+    """The gluing's action at a relabeled copy of the k-th square f -> g
+    (the identity square on f if there is none), in a session that saw the
+    square first, is its action in a fresh session: the same endpoints and
+    tables.  That session still passes the law suite at the copy of f."""
+    tables = u.ambient.tables
+    sides = list(u.arr.boundaries(f, g))
+    if not sides:
+        ident = identity_square(f)
+        g, sides = f, [(tables(ident.top), tables(ident.bottom))]
+    top, bottom = sides[k % len(sides)]
+    f2 = relabeled(f, "p")
+    g2 = f2 if g == f else relabeled(g, "q")
+    sigma = square_from_tables(f, g, top, bottom)
+    copy = square_from_tables(f2, g2, top, bottom)
+    aw = GeneratedAWFS(u)
+    seen = aw.t.on_mor(sigma)
+    got = aw.t.on_mor(copy)
+    fresh = GeneratedAWFS(u).t.on_mor(copy)
+    assert got == fresh
+    assert (got.source, got.target) == (aw.t.on_obj(f2), aw.t.on_obj(g2))
+    assert u.arr.tables(got) == u.arr.tables(fresh)
+    assert tables(got.top) == tables(seen.top)
+    assert aw.t.on_mor(copy) is got and aw.t.on_mor(sigma) is seen
+    assert aw.law_suite(f2)["pass"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(finset_maps(), finset_maps(), st.booleans(), st.integers(0, 50))
+def test_finset_action_memo_matches_fresh_build(f, g, endo, k):
+    check_relabeled_square(WC, f, f if endo else g, k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(graph_maps(), graph_maps(), st.booleans(), st.integers(0, 50))
+def test_graph_action_memo_matches_fresh_build(f, g, endo, k):
+    check_relabeled_square(BOUNDARY, f, f if endo else g, k)
 
 
 def test_density_memo_on_endomaps():
