@@ -5,7 +5,9 @@ constructions (density, free monad, AWFS, lifting, traces, the CLI) call:
 
 - ``dom``, ``cod``, ``identity``, ``compose``, ``inverse``;
 - ``is_mono``, ``is_iso``;
-- ``hom`` (all maps between two objects, in a fixed order);
+- ``hom(a, b, cap=None, tables=False)`` (all maps a -> b, in a fixed
+  order; with ``tables``, each as its tables (below), in the same order and
+  under the same cap, with no map built);
 - ``pushout``, ``coproduct``, ``coequalizer`` and ``colimit(feet, pairs,
   tags)`` (the feet glued along pairs ``(i, x, j, y)`` given per level,
   as for ``finset.colimit``), each returning a ``finset.ColimitResult``:
@@ -44,6 +46,10 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 - ``diagonals`` (for maps a and b, a function from the side tables
   ``(top, bottom)`` of a square a -> b to the tables of its diagonals, in
   hom order, as a sized iterable; the cap bounds what is generated).
+
+The arrow ambient also has ``boundaries(a, b, cap)``: every square a -> b
+as the tables ``(top tables, bottom tables)`` of its sides, read off the
+inner hom-sets enumerated as tables; ``hom`` builds each square from them.
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
@@ -98,8 +104,8 @@ class FinSetAmbient:
     def is_identity(self, m):
         return m.is_identity
 
-    def hom(self, a, b, cap=None):
-        return finset.enumerate_functions(a, b, cap=cap)
+    def hom(self, a, b, cap=None, tables=False):
+        return finset.enumerate_functions(a, b, cap=cap, tables=tables)
 
     def diagonals(self, a, b, cap=None):
         # generated fibre by fibre, each square's diagonals on their own
@@ -190,15 +196,14 @@ class PresheafAmbient:
     def is_identity(self, m):
         return m.is_identity
 
-    def hom(self, a, b, cap=None):
-        return psh.enumerate_maps(a, b, cap=cap)
+    def hom(self, a, b, cap=None, tables=False):
+        return psh.enumerate_maps(a, b, cap=cap, tables=tables)
 
     def diagonals(self, a, b, cap=None):
         # one index of the whole hom-set, by the tables of the two composites
-        tables = self.tables
-        a_t, b_t = tables(a), tables(b)
+        a_t, b_t = a.tables, b.tables
         index: dict = {}
-        for d_t in map(tables, self.hom(a.target, b.source, cap=cap)):
+        for d_t in self.hom(a.target, b.source, cap=cap, tables=True):
             index.setdefault((compose_tables(d_t, a_t),
                               compose_tables(b_t, d_t)), []).append(d_t)
         return lambda top, bottom: index.get((top, bottom), ())
@@ -220,7 +225,7 @@ class PresheafAmbient:
                                     dict(zip(self.base.objects, pairs)), tags)
 
     def tables(self, m):
-        return tuple(m.at(c).table for c in self.base.objects)
+        return m.tables
 
     def from_tables(self, a, b, tables):
         return psh.PresheafMap(a, b,
@@ -427,35 +432,37 @@ class ArrowAmbient:
     def tables(self, s: Square) -> tuple:
         return self.inner.tables(s.top) + self.inner.tables(s.bottom)
 
-    def boundaries(self, a: ArrowObj, b: ArrowObj, cap=None) -> dict:
-        """Every square a -> b, as an ordered dict from the tables ``(top
-        tables, bottom tables)`` of its sides to the sides ``(top, bottom)``,
-        by top, then by bottom, each in the inner hom's order.
+    def boundaries(self, a: ArrowObj, b: ArrowObj, cap=None) -> list:
+        """Every square a -> b, as the tables ``(top tables, bottom
+        tables)`` of its sides, by top, then by bottom, each in the inner
+        hom's order; no map is built.
 
-        Each inner hom-set is enumerated once: the bottoms are indexed by
-        the tables of ``bottom . a``, and each top picks out the bottoms
-        filed under the tables of ``b . top``, which is the commutation
-        check.  ``cap`` bounds each inner hom; without a top the bottoms are
-        never enumerated, so only the tops' hom-set can exceed it."""
+        Each inner hom-set is enumerated once, as tables: the bottoms are
+        indexed by the tables of ``bottom . a``, and each top picks out the
+        bottoms filed under the tables of ``b . top``, which is the
+        commutation check.  ``cap`` bounds each inner hom; without a top the
+        bottoms are never enumerated, so only the tops' hom-set can exceed
+        it."""
         inner = self.inner
-        tops = inner.hom(a.dom, b.dom, cap=cap)
+        tops = inner.hom(a.dom, b.dom, cap=cap, tables=True)
         if not tops:
-            return {}
-        tables = inner.tables
-        a_t, b_t = tables(a.mor), tables(b.mor)
+            return []
+        a_t, b_t = inner.tables(a.mor), inner.tables(b.mor)
         bottoms: dict = {}
-        for bottom in inner.hom(a.cod, b.cod, cap=cap):
-            bottoms.setdefault(compose_tables(tables(bottom), a_t),
-                               []).append((tables(bottom), bottom))
-        return {(top_t, bottom_t): (top, bottom)
-                for top, top_t in zip(tops, map(tables, tops))
-                for bottom_t, bottom in bottoms.get(
-                    compose_tables(b_t, top_t), ())}
+        for bottom_t in inner.hom(a.cod, b.cod, cap=cap, tables=True):
+            bottoms.setdefault(compose_tables(bottom_t, a_t),
+                               []).append(bottom_t)
+        return [(top_t, bottom_t) for top_t in tops
+                for bottom_t in bottoms.get(compose_tables(b_t, top_t), ())]
 
-    def hom(self, a: ArrowObj, b: ArrowObj, cap=None) -> list[Square]:
-        """All squares a -> b, in the order of ``boundaries``."""
-        return [Square(a, b, top, bottom)
-                for top, bottom in self.boundaries(a, b, cap=cap).values()]
+    def hom(self, a: ArrowObj, b: ArrowObj, cap=None, tables=False) -> list:
+        """All squares a -> b, in the order of ``boundaries``, each built
+        checked from its sides' tables; with ``tables``, their tables."""
+        sides = self.boundaries(a, b, cap=cap)
+        if tables:
+            return [top + bottom for top, bottom in sides]
+        return [square_from_tables(a, b, top, bottom)
+                for top, bottom in sides]
 
     def from_tables(self, a: ArrowObj, b: ArrowObj, tables) -> Square:
         half = len(tables) // 2

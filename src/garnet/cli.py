@@ -320,8 +320,7 @@ def _cmd_replay(args):
                                  fun.on_mor(trace.generators.arrow(j).mor))
                      for j in trace.generators.index.objects}
     out, info = replay(trace, fun, witnesses)
-    # replay takes no cap: the check runs under the default one
-    _check_algebra(trace, fact)
+    _check_algebra(trace, fact, _cap(args))
     report = {"functor": args.functor,
               "output": inner.mor_to_json(out.mor),
               "checks": info["checks"],

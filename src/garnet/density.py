@@ -111,9 +111,9 @@ def validate_diagram(u: ArrowDiagram) -> list[str]:
 
 
 def problem_boundaries(u: ArrowDiagram, i: str, f: ArrowObj,
-                       cap: int | None = None) -> dict:
+                       cap: int | None = None) -> list:
     """The lifting problems against the generator at i into f, as the arrow
-    ambient's ``boundaries`` keyed by their sides' tables."""
+    ambient's ``boundaries``: the keys ``(top tables, bottom tables)``."""
     gen = u.arrow(i)
     try:
         return u.arr.boundaries(gen, f, cap=cap)
@@ -126,9 +126,11 @@ def problem_boundaries(u: ArrowDiagram, i: str, f: ArrowObj,
 
 def lifting_problems(u: ArrowDiagram, i: str, f: ArrowObj,
                      cap: int | None = None) -> list[Square]:
-    """All squares from the generator at i into f, in deterministic order."""
-    return [Square(u.arrow(i), f, top, bottom)
-            for top, bottom in problem_boundaries(u, i, f, cap).values()]
+    """All squares from the generator at i into f, in deterministic order,
+    each built checked from its key."""
+    gen = u.arrow(i)
+    return [square_from_tables(gen, f, top, bottom)
+            for top, bottom in problem_boundaries(u, i, f, cap)]
 
 
 def hom_shape(inner, a, b) -> str:

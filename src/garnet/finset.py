@@ -130,15 +130,18 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
     return FinFunction(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
-def enumerate_functions(a: FinSet, b: FinSet,
-                        cap: int | None = None) -> list[FinFunction]:
-    """All functions a -> b in lexicographic table order."""
+def enumerate_functions(a: FinSet, b: FinSet, cap: int | None = None,
+                        tables: bool = False) -> list:
+    """All functions a -> b in lexicographic table order; with ``tables``,
+    each as its one-level table tuple ``(table,)``, no function built."""
     cap = DEFAULT_CAP if cap is None else cap
     total = b.size ** a.size
     if total > cap:
         raise EnumerationCap(f"{total} functions exceed cap {cap}")
-    return [FinFunction(a, b, t)
-            for t in itertools.product(range(b.size), repeat=a.size)]
+    found = itertools.product(range(b.size), repeat=a.size)
+    if tables:
+        return list(zip(found))
+    return [FinFunction(a, b, t) for t in found]
 
 
 class Choices:

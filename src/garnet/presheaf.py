@@ -130,7 +130,7 @@ class PresheafMap:
         failing = _unnatural_along(source, target, self.components)
         if failing is not None:
             raise NaturalityViolation(f"naturality fails along {failing!r}")
-        self._key = _map_key(source, target, self.components)
+        _store_tables(self)
 
     def at(self, x: str) -> FinFunction:
         return self.components[x]
@@ -156,9 +156,11 @@ class PresheafMap:
         return f"PresheafMap({self.source!r} -> {self.target!r})"
 
 
-def _map_key(source: Presheaf, target: Presheaf, components: dict) -> tuple:
-    return (source, target,
-            tuple((x, components[x]) for x in source.base.objects))
+def _store_tables(m: PresheafMap):
+    """Keep m's component tables, one per base object in base order, and
+    key m by them: between two fixed presheaves a map is its tables."""
+    m.tables = tuple(m.components[x].table for x in m.source.base.objects)
+    m._key = (m.source, m.target, m.tables)
 
 
 def _natural_map(source: Presheaf, target: Presheaf,
@@ -167,7 +169,7 @@ def _natural_map(source: Presheaf, target: Presheaf,
     natural, without checking them again."""
     out = object.__new__(PresheafMap)
     out.source, out.target, out.components = source, target, components
-    out._key = _map_key(source, target, components)
+    _store_tables(out)
     return out
 
 
@@ -403,17 +405,20 @@ def _narrow(current, allowed, members):
         else tuple(v for v in current if v in members)
 
 
-def enumerate_maps(source: Presheaf, target: Presheaf,
-                   cap: int | None = None) -> list[PresheafMap]:
-    """All natural transformations, in levelwise lexicographic order.
+def enumerate_maps(source: Presheaf, target: Presheaf, cap: int | None = None,
+                   tables: bool = False) -> list:
+    """All natural transformations, in levelwise lexicographic order; with
+    ``tables``, each as its component tables in base object order, no map
+    or function built.
 
     The levels (the base objects) are assigned one at a time, each a table
     in lexicographic order.  Naturality along a base morphism between two
     levels is checked as soon as both are assigned: an element's value at
     the later level is drawn only from the values that agree with the
     earlier one, and an endomorphism is checked on its level's table.  So
-    every family reached is natural, and its map is built without checking
-    it again.  cap bounds the product of the levels' hom-set sizes.
+    every family reached is natural; the search runs on tables, and the
+    maps, when asked for, are built from them without checking them again.
+    cap bounds the product of the levels' hom-set sizes.
     """
     if source.base != target.base:
         raise ShapeMismatch("presheaves live on different bases")
@@ -450,43 +455,43 @@ def enumerate_maps(source: Presheaf, target: Presheaf,
     def tables_at(k):
         choices = [None] * source.at(objects[k]).size
         for x, s, over, members in later_cod[k]:
-            at_x = comps[x].table
+            at_x = comps[x]
             for e, d in enumerate(s):
                 w = at_x[d]
                 choices[e] = _narrow(choices[e], over[w], members[w])
         for y, s, t in later_dom[k]:
-            at_y = comps[y].table
+            at_y = comps[y]
             for e, d in enumerate(s):
                 value = (t[at_y[e]],)
                 choices[d] = _narrow(choices[d], value, value)
         values = range(target.at(objects[k]).size)
-        tables = itertools.product(*(values if ch is None else ch
-                                     for ch in choices))
+        found = itertools.product(*(values if ch is None else ch
+                                    for ch in choices))
         if endo[k]:
-            tables = (tab for tab in tables
-                      if all(tab[d] == t[tab[e]] for s, t in endo[k]
-                             for e, d in enumerate(s)))
-        return tables
+            found = (tab for tab in found
+                     if all(tab[d] == t[tab[e]] for s, t in endo[k]
+                            for e, d in enumerate(s)))
+        return found
 
-    if not objects:
-        return [_natural_map(source, target, {})]
-    out = []
+    out = [] if objects else [()]
     # one iterator of tables per assigned level, on an explicit stack
-    stack = [tables_at(0)]
+    stack = [tables_at(0)] if objects else []
     while stack:
         table = next(stack[-1], None)
         if table is None:
             stack.pop()
             continue
         k = len(stack) - 1
-        c = objects[k]
-        comps[k] = FinFunction(source.at(c), target.at(c), table)
+        comps[k] = table
         if k + 1 < len(objects):
             stack.append(tables_at(k + 1))
         else:
-            out.append(_natural_map(source, target,
-                                    dict(zip(objects, comps))))
-    return out
+            out.append(tuple(comps))
+    if tables:
+        return out
+    return [_natural_map(source, target, {
+        c: FinFunction(source.at(c), target.at(c), t)
+        for c, t in zip(objects, found)}) for found in out]
 
 
 # -- colimits -------------------------------------------------------------------

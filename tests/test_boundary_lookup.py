@@ -8,6 +8,8 @@ equal lists in the same order, or both must raise EnumerationCap.  The
 diagonals' cap bounds each problem's diagonals, not their hom-set, so
 candidates and plain lifting may raise EnumerationCap only where the
 oracle does, and otherwise equal the oracle run without a cap.
+``boundaries`` gives only the squares' keys, their sides' tables, which
+must be those of the oracle's squares.
 """
 
 import json
@@ -123,6 +125,15 @@ def _check_hom(inner, a, b, cap):
         == outcome(oracle_hom, inner, a, b, cap=cap)
 
 
+def _check_boundaries(inner, a, b, cap):
+    # the keys of the squares, read off the object-built oracle
+    def oracle_keys():
+        return [(inner.tables(s.top), inner.tables(s.bottom))
+                for s in oracle_hom(inner, a, b, cap=cap)]
+    assert outcome(ArrowAmbient(inner).boundaries, a, b, cap=cap) \
+        == outcome(oracle_keys)
+
+
 def _check_capped(got, oracle, *args, cap):
     """got raises EnumerationCap only where the oracle does under the same
     cap, and otherwise equals the oracle run without a cap."""
@@ -155,6 +166,18 @@ def test_finset_squares_match_the_oracle(a, b, cap):
 def test_graph_squares_match_the_oracle(a, b, cap):
     _check_hom(PAMB, a, b, cap)
     _check_candidates(PAMB, a, b, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finset_arrows(), finset_arrows(), CAPS)
+def test_finset_boundaries_are_the_oracle_keys(a, b, cap):
+    _check_boundaries(AMB, a, b, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_arrows(), graph_arrows(), CAPS)
+def test_graph_boundaries_are_the_oracle_keys(a, b, cap):
+    _check_boundaries(PAMB, a, b, cap)
 
 
 @settings(max_examples=100, deadline=None)

@@ -742,3 +742,89 @@ def test_a_report_whose_algebra_is_no_retraction_is_refused(tmp_path):
                 "kind": "MalformedInput",
                 "message": "the report's algebra does not retract the "
                            "one-step unit at its right factor"}
+
+
+# -- every subcommand reads the cap ---------------------------------------------
+
+CELL = ["--generators", fix("walking_cospan.json"), "--map",
+        fix("f_2_to_1.json")]
+# each subcommand on fixtures for which it enumerates a hom-set, with the
+# exit code a cap of 0 gives: every non-empty hom-set exceeds it.
+# validate only reads and checks its inputs, so it enumerates nothing.
+UNDER_CAP_0 = {
+    "validate": (["--generators", fix("walking_cospan.json")], 0),
+    "factorize": (CELL, 4),
+    "lift": ([*CELL, "--mode", "count"], 4),
+    "solve": ([*CELL, "--problem", "@problem"], 4),
+    "laws": (CELL, 4),
+    "trace-verify": (["--report", fix(REPORT)], 4),
+    "replay": (["--report", fix(REPORT)], 4),
+    "quillen": (["--generators", fix("point_inclusion.json"),
+                 "--map", fix("f_2_to_1.json")], 4),
+    "rlp": (CELL, 4),
+}
+
+CAP_0_RUNS = """
+import json, os, sys
+from garnet.cli import main
+out = []
+for argv, report in json.loads(sys.stdin.read()):
+    for via in ("option", "environment"):
+        if via == "option":
+            code = main([*argv, "--cap", "0", "--output", report])
+        else:
+            os.environ["GARNET_CAP"] = "0"
+            code = main([*argv, "--output", report])
+            del os.environ["GARNET_CAP"]
+        with open(report, encoding="utf-8") as fh:
+            error = json.load(fh).get("error", {}).get("kind")
+        out.append([argv[0], via, code, error])
+print(json.dumps(out))
+"""
+
+
+def test_every_subcommand_is_listed_under_cap_0():
+    from garnet.cli import _DISPATCH
+    assert set(UNDER_CAP_0) == set(_DISPATCH)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_every_subcommand_reads_the_cap(tmp_path, flags):
+    # --cap 0 and GARNET_CAP=0 each stop every subcommand that enumerates
+    # with exit 4 and an EnumerationCap report, also under python -O
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(PROBLEM))
+    runs = [[[cmd, *(str(prob) if a == "@problem" else a for a in argv)],
+             str(tmp_path / f"{cmd}.json")]
+            for cmd, (argv, _code) in UNDER_CAP_0.items()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(FIX, os.pardir, "src"),
+                    os.environ.get("PYTHONPATH", "")) if p))
+    env.pop("GARNET_CAP", None)
+    done = subprocess.run([sys.executable, *flags, "-c", CAP_0_RUNS],
+                          input=json.dumps(runs), env=env,
+                          capture_output=True, text=True, timeout=300)
+    if done.returncode != 0 or "Traceback" in done.stderr:
+        raise AssertionError(done.stderr)
+    got = json.loads(done.stdout.splitlines()[-1])
+    want = [[cmd, via, code, "EnumerationCap" if code == 4 else None]
+            for cmd, (_argv, code) in UNDER_CAP_0.items()
+            for via in ("option", "environment")]
+    if got != want:
+        raise AssertionError(got)
+
+
+@pytest.mark.parametrize("cap, code", [("0", 4), ("1", 0), (None, 0)])
+def test_replay_reads_the_cap(tmp_path, monkeypatch, cap, code):
+    # replay rebuilds the one-step gluing at the right factor to check the
+    # algebra, under the cap; the golden report's right factor is 1 -> 1,
+    # whose gluing enumerates hom-sets of one element each, so only 0 is
+    # too small a cap for it
+    out = tmp_path / "r.json"
+    job = ["replay", "--report", fix(REPORT), "--output", str(out)]
+    assert run(job if cap is None else [*job, "--cap", cap]) == code
+    if cap is not None:
+        monkeypatch.setenv("GARNET_CAP", cap)
+        assert run(job) == code
+    if code == 4:
+        assert load(out)["error"]["kind"] == "EnumerationCap"
