@@ -228,13 +228,10 @@ class PresheafAmbient:
         return m.tables
 
     def from_tables(self, a, b, tables):
-        return psh.PresheafMap(a, b,
-                               self.colimit_leg(a, b, tables).components)
+        return psh.PresheafMap(a, b, psh._components(a, b, tables))
 
     def colimit_leg(self, a, b, tables):
-        return psh._natural_map(a, b, {
-            c: finset.FinFunction(a.at(c), b.at(c), table)
-            for c, table in zip(self.base.objects, tables)})
+        return psh._natural_map(a, b, tables)
 
     def obj_size(self, x):
         return sum(x.at(c).size for c in self.base.objects)

@@ -408,10 +408,12 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
     if f.ambient != ambient:
         raise MalformedInput("map does not live over the classifier's base")
     u = subobject_classifier_diagram(ambient)
-    elcat, _ = psh.element_category(omega)
-    # pointwise values: all problems from the classified subobject into f
-    values = {name: problem_boundaries(u, name, f, cap=cap)
-              for name in elcat.objects}
+    generic = density_comonad(u, f, cap=cap)
+    # pointwise values: all problems from the classified subobject into f,
+    # as the comma category enumerated them, generator by generator
+    values = {name: [] for name in u.index.objects}
+    for name, top, bottom in generic.comma.problems.values():
+        values[name].append((top, bottom))
     # reassemble over the classifier: at c, the disjoint union over Omega(c);
     # the structure map to the classifier remembers which element each
     # block came from, cells[c] names the comma object of each element, and
@@ -448,7 +450,6 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
     reassembled = psh.Presheaf(base, at, restrict)
     proj = psh.PresheafMap(reassembled, omega, proj_comps)
     closed = ArrowObj(ambient, psh.pullback_classify(t, proj))
-    generic = density_comonad(u, f, cap=cap)
     mismatch = "closed form does not match the generic density; this is a bug"
     try:
         top, bottom = [], []

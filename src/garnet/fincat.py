@@ -4,8 +4,8 @@ Index categories for generator diagrams and base categories for presheaves
 are tiny, so categories are stored extensionally: every morphism is listed,
 identities are explicit under the reserved names ``id_<object>``, and
 composition is a total table on composable pairs.  Law checking is
-exhaustive and report-valued; constructors only reject dangling references,
-and the JSON reader refuses a category that breaks the laws.
+exhaustive and report-valued, and the constructor refuses a category that
+breaks the laws with the whole report, so every category is lawful.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def identity_name(obj: str) -> str:
 
 
 class FinCategory:
-    """A finite category; identities are auto-inserted when missing."""
+    """A lawful finite category; identities are auto-inserted when missing."""
 
     def __init__(self, objects, morphisms, compose):
         self.objects: tuple[str, ...] = tuple(objects)
@@ -63,6 +63,9 @@ class FinCategory:
                      tuple(sorted(self._compose.items())))
         self._non_identity = tuple(m for m in self.morphisms
                                    if not self.is_identity(m.name))
+        problems = validate_category(self)
+        if problems:
+            raise MalformedInput("; ".join(problems))
 
     def __eq__(self, other):
         return isinstance(other, FinCategory) and self._key == other._key
@@ -88,8 +91,6 @@ class FinCategory:
         """Name of g after f."""
         if not self.composable(g, f):
             raise MalformedInput(f"{g!r} after {f!r} is not composable")
-        if (g, f) not in self._compose:
-            raise MalformedInput(f"composition table lacks {g!r} after {f!r}")
         return self._compose[(g, f)]
 
     def is_identity(self, name: str) -> bool:
@@ -191,11 +192,7 @@ def category_from_json(data) -> FinCategory:
             raise MalformedInput(f"bad compose entry {entry!r}")
         g, f, h = names
         compose[(g, f)] = h
-    cat = FinCategory(data["objects"], morphisms, compose)
-    problems = validate_category(cat)
-    if problems:
-        raise MalformedInput("; ".join(problems))
-    return cat
+    return FinCategory(data["objects"], morphisms, compose)
 
 
 def _names(entry, keys):

@@ -3,10 +3,11 @@
 Everything is levelwise over the substrate in finset: colimits are computed
 object by object and reassembled.  Their restrictions are induced through
 the level colimits, which makes the legs natural, so the legs are not
-checked again.  Naturality and functoriality are checked on the
-restriction and component tables, without building composite maps.  The
-subobject classifier is the full sieve classifier; on these finite, fully
-decidable bases it coincides with the levelwise complemented one.
+checked again.  The constructors check the rest: a presheaf that is not
+functorial and a map that is not natural are refused where they are built,
+on the restriction and component tables, without building composite maps.
+The subobject classifier is the full sieve classifier; on these finite,
+fully decidable bases it coincides with the levelwise complemented one.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class Presheaf:
                 raise UnknownObject(f"restriction along unknown {name!r}")
         self._key = (base, tuple((x, self._at[x]) for x in base.objects),
                      tuple(sorted(self._restrict.items())))
+        problems = validate_presheaf(self)
+        if problems:
+            raise MalformedInput("; ".join(problems))
 
     def at(self, x: str) -> FinSet:
         if x not in self._at:
@@ -82,11 +86,12 @@ class Presheaf:
 
 
 def validate_presheaf(p: Presheaf) -> list[str]:
-    """Functoriality report, on restriction tables; empty means valid."""
+    """Functoriality report, on restriction tables; empty means valid.  A
+    pair with an identity holds, as identities restrict by identities."""
     report = []
     cat = p.base
-    for g in cat.morphisms:
-        for f in cat.morphisms:
+    for g in cat.non_identity_morphisms():
+        for f in cat.non_identity_morphisms():
             if f.cod != g.dom:
                 continue
             r_gf = p.restrict(cat.compose(g.name, f.name))
@@ -121,6 +126,9 @@ class PresheafMap:
         self.target = target
         self.components: dict[str, FinFunction] = dict(components)
         base = source.base
+        for x in self.components:
+            if x not in base.objects:
+                raise UnknownObject(f"component at unknown object {x!r}")
         for x in base.objects:
             if x not in self.components:
                 raise ShapeMismatch(f"no component at object {x!r}")
@@ -163,12 +171,18 @@ def _store_tables(m: PresheafMap):
     m._key = (m.source, m.target, m.tables)
 
 
-def _natural_map(source: Presheaf, target: Presheaf,
-                 components: dict) -> PresheafMap:
-    """The map with these components, which the caller built typed and
-    natural, without checking them again."""
+def _components(source: Presheaf, target: Presheaf, tables) -> dict:
+    """The components with these tables, one per base object in order."""
+    return {c: FinFunction(source.at(c), target.at(c), t)
+            for c, t in zip(source.base.objects, tables)}
+
+
+def _natural_map(source: Presheaf, target: Presheaf, tables) -> PresheafMap:
+    """The map with these tables, which the caller knows to be natural,
+    without checking them again."""
     out = object.__new__(PresheafMap)
-    out.source, out.target, out.components = source, target, components
+    out.source, out.target = source, target
+    out.components = _components(source, target, tables)
     _store_tables(out)
     return out
 
@@ -323,13 +337,16 @@ def pullback_classify(t: PresheafMap, a: PresheafMap) -> PresheafMap:
 
 def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
     """Classifying map of a levelwise mono into the sieve classifier; backs
-    its universal property (the truth point pulls back to the mono)."""
+    its universal property (the truth point pulls back to the mono).  t
+    must be ``subobject_classifier``'s truth point: another raises
+    ShapeMismatch."""
     if not m.is_mono:
         raise ShapeMismatch("only levelwise monomorphisms are classifiable")
     base = m.source.base
-    omega = t.target
-    index = {c: {frozenset(_sieve_members(omega, c, i)): i
-                 for i in range(omega.at(c).size)}
+    omega, truth = subobject_classifier(base)
+    if t != truth:
+        raise ShapeMismatch("truth point is not the sieve classifier's")
+    index = {c: {frozenset(s): i for i, s in enumerate(sieves_on(base, c))}
              for c in base.objects}
     comps = {}
     for c in base.objects:
@@ -342,14 +359,6 @@ def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
             table.append(index[c][sieve])
         comps[c] = FinFunction(m.target.at(c), omega.at(c), tuple(table))
     return PresheafMap(m.target, omega, comps)
-
-
-def _sieve_members(omega: Presheaf, c: str, i: int) -> tuple[str, ...]:
-    label = omega.at(c).labels[i]
-    # omega is the sieve classifier, whose labels sieve_label wrote
-    assert label.startswith("{") and label.endswith("}")
-    inner = label[1:-1]
-    return tuple(inner.split(",")) if inner else ()
 
 
 # -- category of elements ----------------------------------------------------
@@ -489,9 +498,7 @@ def enumerate_maps(source: Presheaf, target: Presheaf, cap: int | None = None,
             out.append(tuple(comps))
     if tables:
         return out
-    return [_natural_map(source, target, {
-        c: FinFunction(source.at(c), target.at(c), t)
-        for c, t in zip(objects, found)}) for found in out]
+    return [_natural_map(source, target, found) for found in out]
 
 
 # -- colimits -------------------------------------------------------------------
@@ -516,8 +523,6 @@ def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
         restrict[m.name] = FinFunction(src.obj, dst.obj, src.induce(
             dst, [p.restrict(m.name).table for p in feet]))
     obj = Presheaf(base, {c: col.obj for c, col in level.items()}, restrict)
-    # restrictions induced levelwise from functorial ones are functorial
-    assert validate_presheaf(obj) == [], "restrictions lost functoriality"
     return finset.ColimitResult(PresheafAmbient(base), obj, feet,
                                 level.values())
 
@@ -603,14 +608,9 @@ def presheaf_from_json(data, base: FinCategory | None = None,
 
     def build():
         ends = {name: base.morphism(name) for name in tables}
-        p = Presheaf(base, at, {
+        return Presheaf(base, at, {
             name: FinFunction(at[ends[name].cod], at[ends[name].dom], t)
             for name, t in tables.items()})
-        # input is checked to be functorial, once per distinct presheaf
-        problems = validate_presheaf(p)
-        if problems:
-            raise MalformedInput("; ".join(problems))
-        return p
     return finset.memoized(memo, ("presheaf", base, tuple(at.items()),
                                   tuple(tables.items())), build)
 

@@ -1,0 +1,122 @@
+"""Categories, presheaves and presheaf maps are checked where they are built.
+
+``FinCategory`` refuses a category that breaks the laws and ``Presheaf``
+one that is not functorial, each with the report its JSON reader used to
+raise; ``PresheafMap`` refuses a component at an object its base lacks, and
+``classify_mono`` a truth point that is not the sieve classifier's.  Each
+case runs in a subprocess under a plain and a ``python -O`` interpreter:
+-O strips assert statements, so a check written as one would let the value
+through.  ``PresheafAmbient.from_tables`` builds its checked map once.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from garnet import presheaf
+from garnet.arrows import PresheafAmbient
+from garnet.fincat import FinCategory
+from garnet.presheaf import PresheafMap, presheaf_identity, yoneda
+
+PRELUDE = """
+from garnet.errors import MalformedInput, ShapeMismatch, UnknownObject
+from garnet.fincat import FinCategory
+from garnet.finset import FinFunction, FinSet
+from garnet.presheaf import Presheaf, PresheafMap, classify_mono, \\
+    presheaf_identity, terminal_presheaf
+"""
+
+# name -> (error, message, code that must raise it)
+CASES = {
+    "non-functorial-presheaf": ("MalformedInput",
+                                "restriction fails functoriality at "
+                                "('g', 'f')", """
+base = FinCategory(["x", "y", "z"],
+                   [("f", "x", "y"), ("g", "y", "z"), ("gf", "x", "z")],
+                   {("g", "f"): "gf"})
+sx, sy, sz = FinSet.fresh(2, "sx"), FinSet.fresh(1, "sy"), FinSet.fresh(2, "sz")
+Presheaf(base, {"x": sx, "y": sy, "z": sz},
+         {"f": FinFunction(sy, sx, (0,)), "g": FinFunction(sz, sy, (0, 0)),
+          "gf": FinFunction(sz, sx, (1, 1))})
+"""),
+    "missing-composite": ("MalformedInput", "compose missing for ('g', 'f')",
+                          """
+FinCategory(["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z")], {})
+"""),
+    "non-associative": ("MalformedInput",
+                        "associativity fails at ('h', 'g', 'f')", """
+FinCategory(["w", "x", "y", "z"],
+            [("f", "w", "x"), ("g", "x", "y"), ("h", "y", "z"),
+             ("gf", "w", "y"), ("hg", "x", "z"), ("p", "w", "z"),
+             ("q", "w", "z")],
+            {("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "p",
+             ("hg", "f"): "q", ("p", "id_w"): "p", ("q", "id_w"): "q"})
+"""),
+    # a stray component used to be kept: the map equalled the identity, yet
+    # its is_iso and is_identity read False
+    "stray-component": ("UnknownObject",
+                        "component at unknown object 'bogus'", """
+base = FinCategory(["x"], [], {})
+x = FinSet.fresh(2, "x")
+p = Presheaf(base, {"x": x}, {})
+ident = presheaf_identity(p).at("x")
+PresheafMap(p, p, {"x": ident, "bogus": FinFunction(x, x, (1, 0))})
+"""),
+    "foreign-truth-point": ("ShapeMismatch",
+                            "truth point is not the sieve classifier's", """
+base = FinCategory(["x", "y"], [("m", "x", "y")], {})
+one = presheaf_identity(terminal_presheaf(base))
+classify_mono(one, one)
+"""),
+}
+
+CHECK = """
+try:
+{body}
+except {error} as exc:
+    if {message!r} not in str(exc):
+        raise SystemExit("wrong message: " + str(exc))
+    raise SystemExit(0)
+raise SystemExit("built without raising {error}")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_a_lawless_value_is_refused_where_it_is_built(flags, case):
+    error, message, body = CASES[case]
+    script = PRELUDE + CHECK.format(
+        body=textwrap.indent(body.strip(), "    "), error=error,
+        message=message)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, *flags, "-c", script],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_from_tables_builds_one_checked_map(monkeypatch):
+    base = FinCategory(["x", "y"], [("m", "x", "y")], {})
+    p = yoneda(base, "y")
+    tables = presheaf_identity(p).tables
+    calls = []
+    init, natural = PresheafMap.__init__, presheaf._natural_map
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    def counted_natural(*args):
+        calls.append("_natural_map")
+        return natural(*args)
+
+    monkeypatch.setattr(PresheafMap, "__init__", counted_init)
+    monkeypatch.setattr(presheaf, "_natural_map", counted_natural)
+    m = PresheafAmbient(base).from_tables(p, p, tables)
+    assert calls == ["__init__"]
+    assert m.tables == tables and m.is_identity

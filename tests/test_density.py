@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -386,21 +387,25 @@ def _point_map(n, m, *table):
                              {"x": func(a, b, *table)}))
 
 
-# against the density of a map with fewer problems a cell is missing; with
-# more, the built map is not onto
+# the closed form reads f's problems off the density's comma category; put
+# them beside the colimit of another map's density: against a map with
+# fewer problems a cell is missing; with more, the built map is not onto
 @pytest.mark.parametrize("other", [(2, 2, 0, 1), (2, 4, 0, 1)],
                          ids=["fewer-cells", "more-cells"])
 def test_closed_form_against_another_density_raises(monkeypatch, other):
     f, g = _point_map(2, 3, 0, 2), _point_map(*other)
     _, truth = subobject_classifier(f.mor.source.base)
     real = density_module.density_comonad
-    monkeypatch.setattr(density_module, "density_comonad",
-                        lambda u, _f, cap=None: real(u, g, cap=cap))
+    monkeypatch.setattr(
+        density_module, "density_comonad", lambda u, f, cap=None: replace(
+            real(u, g, cap=cap), comma=real(u, f, cap=cap).comma))
     with pytest.raises(NoIsoFound):
         density_closed_form_subobject(truth, f)
 
 
 CLOSED_FORM_MISMATCH = """
+from dataclasses import replace
+
 from garnet import density
 from garnet.arrows import ArrowObj, PresheafAmbient
 from garnet.errors import NoIsoFound
@@ -422,7 +427,8 @@ def point_map(n, m, *table):
 f = point_map(2, 3, 0, 2)
 real = density.density_comonad
 for other in (point_map(2, 2, 0, 1), point_map(2, 4, 0, 1)):
-    density.density_comonad = lambda u, _f, cap=None: real(u, other, cap=cap)
+    density.density_comonad = lambda u, f, cap=None: replace(
+        real(u, other, cap=cap), comma=real(u, f, cap=cap).comma)
     try:
         density.density_closed_form_subobject(truth, f)
     except NoIsoFound:

@@ -1,5 +1,6 @@
 """Finite category validation and serialization tests."""
 
+import re
 import time
 
 import pytest
@@ -49,22 +50,23 @@ def test_identities_are_auto_inserted():
 
 
 def test_corrupted_associativity_is_reported():
-    cat = FinCategory(
-        ["w", "x", "y", "z"],
-        [("f", "w", "x"), ("g", "x", "y"), ("h", "y", "z"),
-         ("gf", "w", "y"), ("hg", "x", "z"), ("p", "w", "z"), ("q", "w", "z")],
-        {("g", "f"): "gf", ("h", "g"): "hg",
-         ("h", "gf"): "p", ("hg", "f"): "q",
-         ("p", "id_w"): "p", ("q", "id_w"): "q"})
-    report = validate_category(cat)
-    assert any("associativity fails at ('h', 'g', 'f')" in line for line in report)
+    # the constructor refuses the category with validate_category's report
+    with pytest.raises(MalformedInput, match=re.escape(
+            "associativity fails at ('h', 'g', 'f')")):
+        FinCategory(
+            ["w", "x", "y", "z"],
+            [("f", "w", "x"), ("g", "x", "y"), ("h", "y", "z"),
+             ("gf", "w", "y"), ("hg", "x", "z"), ("p", "w", "z"),
+             ("q", "w", "z")],
+            {("g", "f"): "gf", ("h", "g"): "hg",
+             ("h", "gf"): "p", ("hg", "f"): "q",
+             ("p", "id_w"): "p", ("q", "id_w"): "q"})
 
 
 def test_missing_composite_is_reported():
-    cat = FinCategory(["x", "y", "z"],
-                      [("f", "x", "y"), ("g", "y", "z")], {})
-    report = validate_category(cat)
-    assert any("compose missing for ('g', 'f')" in line for line in report)
+    with pytest.raises(MalformedInput, match=re.escape(
+            "compose missing for ('g', 'f')")):
+        FinCategory(["x", "y", "z"], [("f", "x", "y"), ("g", "y", "z")], {})
 
 
 def test_dangling_reference_raises():

@@ -20,8 +20,7 @@ from garnet.fincat import FinCategory
 from garnet.finset import FinFunction
 from garnet.presheaf import Presheaf, PresheafMap, _natural_map, \
     enumerate_maps, presheaf_compose, presheaf_coproduct, \
-    presheaf_identity, presheaf_inverse, presheaf_pushout, \
-    validate_presheaf
+    presheaf_identity, presheaf_inverse, presheaf_pushout
 from test_table_checks import FLIPPED, finset_arrows, finsets, graphs, \
     idempotent_sets, nonempty_arrows, on_base, tables
 
@@ -132,17 +131,14 @@ def test_stored_tables_are_the_components_tables(pair):
         copy = PresheafMap(m.source, m.target, m.components)
         assert_tables_kept(copy)
         assert copy == m and hash(copy) == hash(m)
-        natural = _natural_map(m.source, m.target, dict(m.components))
+        natural = _natural_map(m.source, m.target, m.tables)
         assert_tables_kept(natural)
         assert natural == m
         assert_tables_kept(amb.from_tables(m.source, m.target, m.tables))
     for m in enumerate_maps(g, g):
         if m.is_iso:
             assert_tables_kept(presheaf_inverse(m))
-    # colimit legs are built by colimit_leg, mediators by from_tables; the
-    # idempotent strategy also draws endomaps that are no idempotent
-    if validate_presheaf(g) or validate_presheaf(h):
-        return
+    # colimit legs are built by colimit_leg, mediators by from_tables
     col = presheaf_coproduct([g, h], base=g.base)
     for leg in col.legs:
         assert_tables_kept(leg)
