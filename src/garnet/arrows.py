@@ -23,13 +23,13 @@ Every ambient also has ``tables``, a per-level view of a map for code that
 works on integer tables: the map's tables, one per level in a fixed level
 order (the one set of a finite set, the base objects of a presheaf, and for
 a square its top's levels, then its bottom's).  Between two fixed objects a
-map is its tables: ``from_tables`` builds the checked map with the given
-tables, and ``compose_tables`` composes them level by level, so checks such
-as a square's commutation run on tables without building a composite map.
-A colimit's ``levels`` are its finite-set colimits in this order, and its
-legs and mediators are read off their classes: a leg is built by
-``colimit_leg``, which checks only what the colimit's construction does not
-already make true (a presheaf leg is natural by construction).
+map is its tables: ``from_tables``, the door for tables from outside, builds
+the checked map with them, and ``compose_tables`` composes them level by
+level, so checks such as a square's commutation run on tables.  A colimit's
+``levels`` are its finite-set colimits in this order; its legs, mediators
+and induced arrows are read off their classes and built by ``colimit_leg``,
+which checks only what the colimit's construction does not already make
+true (such a presheaf map is natural, such a square commutes).
 
 The two base ambients, which the factorizations and reports are over, also
 have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
@@ -65,7 +65,7 @@ from typing import Sequence
 from . import finset, presheaf as psh
 from .errors import BoundaryMismatch, DomainMismatch
 from .fincat import FinCategory
-from .finset import cached_hash
+from .finset import cached_hash, compose_tables
 
 
 class FinSetAmbient:
@@ -238,8 +238,8 @@ class PresheafAmbient:
 
     def skeleton(self, m):
         objects = self.base.objects
-        return (tuple((m.source.at(c).size, m.target.at(c).size,
-                       m.at(c).table) for c in objects),
+        return (tuple((m.source.at(c).size, m.target.at(c).size, t)
+                      for c, t in zip(objects, m.tables)),
                 tuple((m.source.restrict(r.name).table,
                        m.target.restrict(r.name).table)
                       for r in self.base.non_identity_morphisms()))
@@ -274,11 +274,6 @@ class ArrowObj:
     @property
     def cod(self):
         return self.ambient.cod(self.mor)
-
-
-def compose_tables(g, f) -> tuple:
-    """The tables of g . f, level by level, from those of g and of f."""
-    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
 
 
 @dataclass(frozen=True)
@@ -318,9 +313,16 @@ def square_from_tables(source: ArrowObj, target: ArrowObj, top: tuple,
                   amb.from_tables(source.cod, target.cod, bottom))
 
 
+def _lawful_square(source, target, top, bottom) -> Square:
+    """The square with these sides, known to be typed and to commute."""
+    out = object.__new__(Square)
+    out.__dict__.update(source=source, target=target, top=top, bottom=bottom)
+    return out
+
+
 def identity_square(f: ArrowObj) -> Square:
     amb = f.ambient
-    return Square(f, f, amb.identity(f.dom), amb.identity(f.cod))
+    return _lawful_square(f, f, amb.identity(f.dom), amb.identity(f.cod))
 
 
 def compose_squares(s2: Square, s1: Square) -> Square:
@@ -328,9 +330,8 @@ def compose_squares(s2: Square, s1: Square) -> Square:
     if s1.target != s2.source:
         raise BoundaryMismatch("squares do not share the middle arrow")
     amb = s1.source.ambient
-    return Square(s1.source, s2.target,
-                  amb.compose(s2.top, s1.top),
-                  amb.compose(s2.bottom, s1.bottom))
+    return _lawful_square(s1.source, s2.target, amb.compose(s2.top, s1.top),
+                          amb.compose(s2.bottom, s1.bottom))
 
 
 @dataclass(frozen=True)
@@ -417,8 +418,9 @@ class ArrowAmbient:
         return compose_squares(s2, s1)
 
     def inverse(self, s: Square) -> Square:
-        return Square(s.target, s.source,
-                      self.inner.inverse(s.top), self.inner.inverse(s.bottom))
+        # the inverse sides of a commuting iso square commute
+        return _lawful_square(s.target, s.source, self.inner.inverse(s.top),
+                              self.inner.inverse(s.bottom))
 
     def is_mono(self, s: Square) -> bool:
         return self.inner.is_mono(s.top) and self.inner.is_mono(s.bottom)
@@ -466,9 +468,9 @@ class ArrowAmbient:
         return square_from_tables(a, b, tables[:half], tables[half:])
 
     def colimit_leg(self, a: ArrowObj, b: ArrowObj, tables) -> Square:
-        inner, half = self.inner, len(tables) // 2
-        return Square(a, b, inner.colimit_leg(a.dom, b.dom, tables[:half]),
-                      inner.colimit_leg(a.cod, b.cod, tables[half:]))
+        leg, half = self.inner.colimit_leg, len(tables) // 2
+        return _lawful_square(a, b, leg(a.dom, b.dom, tables[:half]),
+                              leg(a.cod, b.cod, tables[half:]))
 
     def colimit(self, feet: Sequence[ArrowObj], pairs, tags=None):
         """The arrows feet glued along pairs given per level in ``tables``
@@ -484,7 +486,7 @@ class ArrowAmbient:
         is induced level by level from the feet's arrows."""
         inner = self.inner
         arrows = [inner.tables(foot.mor) for foot in feet]
-        arrow = ArrowObj(inner, inner.from_tables(
+        arrow = ArrowObj(inner, inner.colimit_leg(
             dom_col.obj, cod_col.obj,
             tuple(src.induce(dst, [t[k] for t in arrows]) for k, (src, dst)
                   in enumerate(zip(dom_col.levels, cod_col.levels)))))

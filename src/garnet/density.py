@@ -228,8 +228,8 @@ class DensityResult:
         object order, the ``(top tables, bottom tables)`` of a square into
         cod, read once per class by the colimit's ``mediate_tables``; a
         cocone that does not respect a relation raises DomainMismatch.  The
-        square built is checked, and it commutes exactly when every leg
-        does, as the classes cover the cells."""
+        cocone is tables, not checked squares, so the square is checked: it
+        commutes exactly when every leg does, as the classes cover cells."""
         col = self.colimit
         return col.ambient.from_tables(self.den, cod, col.mediate_tables(
             top + bottom for top, bottom in cocone))

@@ -112,10 +112,9 @@ class FinFunction:
     def inverse(self) -> "FinFunction":
         if not self.is_bijective:
             raise MalformedInput("only bijections invert")
-        inv = [0] * self.cod.size
-        for i, v in enumerate(self.table):
-            inv[v] = i
-        return FinFunction(self.cod, self.dom, tuple(inv))
+        # a bijection's inverse lists its indices by their values
+        return FinFunction(self.cod, self.dom, tuple(
+            sorted(range(self.dom.size), key=self.table.__getitem__)))
 
 
 def identity(x: FinSet) -> FinFunction:
@@ -128,6 +127,11 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
         raise DomainMismatch(f"cannot compose: middle objects differ "
                              f"({f.cod.labels} vs {g.dom.labels})")
     return FinFunction(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
+
+
+def compose_tables(g, f) -> tuple:
+    """The tables of g . f, level by level, from those of g and of f."""
+    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
 
 
 def enumerate_functions(a: FinSet, b: FinSet, cap: int | None = None,
@@ -314,10 +318,10 @@ class ColimitResult:
                      for i, level in enumerate(self.levels))
 
     def mediate(self, *legs, cod=None):
-        """The map out of ``obj`` through which a cocone factors: one leg
-        out of each foot (see ``cocone``), all into one codomain, which
-        ``cod`` gives when there is no leg.  Legs out of other objects, or
-        that disagree on a class, are no cocone: they raise DomainMismatch;
+        """The map out of ``obj``, built by ``colimit_leg``, through which a
+        cocone factors: one leg out of each foot (see ``cocone``), all into
+        one codomain, which ``cod`` gives when there is no leg.  Legs out of
+        other objects, or that disagree on a class, raise DomainMismatch;
         legs into different objects raise CodomainMismatch."""
         amb = self.ambient
         maps = cocone(legs)
@@ -330,7 +334,7 @@ class ColimitResult:
                 raise CodomainMismatch("cocone legs must share a codomain")
         elif cod is None:
             raise CodomainMismatch("an empty cocone needs a codomain")
-        return amb.from_tables(self.obj, cod,
+        return amb.colimit_leg(self.obj, cod,
                                self.mediate_tables(map(amb.tables, maps)))
 
 

