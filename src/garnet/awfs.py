@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arrows import (ArrowObj, EndoData, PointedEndofunctor, Session, Square,
-                     compose_squares, compose_tables, identity_square,
-                     square_from_tables)
+                     _lawful_square, compose_squares, compose_tables,
+                     identity_square, square_from_tables)
 from .density import (ArrowDiagram, arrow_diagram_from_json,
                       arrow_diagram_to_json, comma_category, density_action,
                       density_comonad, hom_shape, lifting_problems,
@@ -97,9 +97,9 @@ class GeneratedAWFS:
             raise BackdropViolation(
                 "gluing the cells pushed the unit outside the configured "
                 "class")
-        mor = po.mediate(f.mor, den.counit.bottom)
-        obj = ArrowObj(inner, mor)
-        unit = Square(f, obj, po.left, inner.identity(f.cod))
+        obj = ArrowObj(inner, po.mediate(f.mor, den.counit.bottom))
+        # commutes: obj.mor is the pushout mediator whose po.left leg is f.mor
+        unit = _lawful_square(f, obj, po.left, inner.identity(f.cod))
         return StepData(f, den, po, obj, unit)
 
     def factorize(self, f: ArrowObj) -> "Factorization":
@@ -122,33 +122,30 @@ class GeneratedAWFS:
         left = ArrowObj(inner, fa.unit.top)
         right = ArrowObj(inner, inner.compose(inner.inverse(beta),
                                               fa.carrier.mor))
-        midpoint = left.cod
         unit = Square(f, right, fa.unit.top, inner.identity(f.cod))
-        conj = Square(fa.carrier, right, inner.identity(midpoint),
-                      inner.inverse(beta))
-        conj_inv = Square(right, fa.carrier, inner.identity(midpoint), beta)
-        algebra = compose_squares(
-            conj, compose_squares(fa.structure, self.t.on_mor(conj_inv)))
+        conj_inv = self._conj_inv(right, fa)
+        algebra = compose_squares(self.arr.inverse(conj_inv), compose_squares(
+            fa.structure, self.t.on_mor(conj_inv)))
         # the free algebra's unit law moved along beta: an invariant, no input
         assert compose_squares(algebra, self.t.unit(right)) \
             == identity_square(right)
-        trace = self._build_trace(f, fa)
-        return Factorization(f, left, right, midpoint, unit, algebra, fa,
-                             trace)
+        return Factorization(f, left, right, left.cod, unit, algebra, fa,
+                             self._build_trace(f, fa))
 
-    def _conj_inv(self, fact: "Factorization") -> Square:
-        inner = self.ambient
-        return Square(fact.right, fact.free.carrier,
-                      inner.identity(fact.midpoint), fact.free.unit.bottom)
+    def _conj_inv(self, right: ArrowObj, free) -> Square:
+        # commutes, as right = beta^-1 . carrier for beta the unit's bottom
+        return _lawful_square(right, free.carrier,
+                              self.ambient.identity(right.dom),
+                              free.unit.bottom)
 
     def extend(self, fact: "Factorization", target, h: Square) -> Square:
         """The unique structure map out of fact's right factor extending h;
         target is a pair (arrow, algebra square)."""
         raw = algebra_extend(fact.free, target, h)
-        return compose_squares(raw, self._conj_inv(fact))
+        return compose_squares(raw, self._conj_inv(fact.right, fact.free))
 
     def _build_trace(self, f: ArrowObj, fa) -> "Trace":
-        inner = self.ambient
+        inner, t = self.ambient, self.t
         recs = fa.trace.stages
         n_star = fa.trace.converged_stage
         stages = []
@@ -165,12 +162,14 @@ class GeneratedAWFS:
                     tags=("mid", "cell"),
                     left=base.po.left, right=base.po.right, into="left")
             else:
-                step = recs[alpha - 2].step
+                # gap and fold, on domains: the step's colimit is their pushout
+                x, step = recs[alpha - 2].x, recs[alpha - 2].step
+                mid = inner.pushout(t.unit(x.a).top, step.g.top)
                 built = QuotientRecord(
-                    span=(step.gap.top, step.fold.top),
-                    tags=("i0", "i1"),
-                    left=step.out.left.top, right=step.out.right.top,
-                    into="right")
+                    span=(mid.mediate(t.on_mor(step.g).top, t.unit(x.b).top),
+                          mid.mediate(x.f.top, inner.identity(x.b.dom))),
+                    tags=("i0", "i1"), into="right",
+                    left=step.out.left.top, right=step.out.right.top)
             transition = recs[alpha].step.g
             provenance = "hypothesis" if alpha == 0 else "cobase-change"
             certs = (
@@ -227,7 +226,7 @@ class GeneratedAWFS:
         pi = compose_squares(
             algebra_extend(fact2.free, (fact.right, fact.algebra),
                            identity_square(fact.right)),
-            self._conj_inv(fact2))
+            self._conj_inv(fact2.right, fact2.free))
         # pi extends an identity along such a unit: an invariant, no input
         assert self.ambient.is_identity(pi.bottom)
         return pi.top, pi

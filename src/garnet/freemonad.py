@@ -1,17 +1,17 @@
 """Free algebras and free monads on pointed endofunctors.
 
 The construction iterates a one-step quotient on triples (A, B, f: TA -> B)
-until the step's unit becomes invertible, keeping a full trace: every stage's
-pushouts, its unit components, and the convergence bookkeeping.  The trace is
-what makes extensions cheap: the universal property of the colimit is replayed
-stage by stage instead of being re-solved globally.
+until the step's unit becomes invertible, and stops there, keeping a full
+trace: every stage's colimit, its unit components, and the convergence
+bookkeeping.  The trace is what makes extensions cheap: the universal property
+of the colimit is replayed stage by stage instead of being re-solved globally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrows import PointedEndofunctor
+from .arrows import PointedEndofunctor, compose_tables
 from .errors import (BackdropViolation, DomainMismatch, IterationLimit,
                      MalformedInput, NotAnAlgebra)
 
@@ -80,10 +80,7 @@ class StepResult:
     new: QoppaObject
     g: object  # unit domain component a -> b, equals f after the point
     h: object  # unit codomain component b -> new.b
-    out: object = field(repr=False)    # pushout of the gap against the fold
-    # gap and fold leave the pushout P of the point against g
-    gap: object = field(repr=False)    # P -> T(b)
-    fold: object = field(repr=False)   # P -> b
+    out: object = field(repr=False)    # T(b) and b glued: legs new.f and h
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,8 @@ class FreeAlgebraResult:
 
 def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
     """One quotient step: glue a fresh free layer onto b and collapse the
-    part already reachable from a."""
+    part already reachable from a: one colimit of T(b) and b, which glues
+    T(g)(y) to f(y) for y in T(a) and unit(z) to z for z in b."""
     amb, t = cfg.ambient, cfg.t
     if amb.dom(x.f) != t.on_obj(x.a) or amb.cod(x.f) != x.b:
         raise MalformedInput("stage map must go from T(a) to b")
@@ -119,18 +117,24 @@ def qoppa_step(cfg: FreeMonadConfig, x: QoppaObject) -> StepResult:
     if not cfg.backdrop.contains(amb, g):
         raise BackdropViolation(
             "stage unit domain component fell outside the backdrop")
-    mid = amb.pushout(t.unit(x.a), g)
-    gap = mid.mediate(t.on_mor(g), t.unit(x.b))
-    fold = mid.mediate(x.f, amb.identity(x.b))
-    out = amb.pushout(gap, fold)
+    tg, unit_b, tables = t.on_mor(g), t.unit(x.b), amb.tables
+    # (T(g), unit_b) is a cocone on T(a) +_a b: the unit is natural at g
+    if compose_tables(tables(tg), tables(t.unit(x.a))) \
+            != compose_tables(tables(unit_b), tables(g)):
+        raise DomainMismatch("cocone leg is not constant on a class")
+    out = amb.colimit((amb.cod(unit_b), x.b), tuple(
+        [(0, v, 1, w) for v, w in zip(tg_t, f_t)]
+        + [(0, v, 1, z) for z, v in enumerate(u_t)]
+        for tg_t, f_t, u_t in zip(tables(tg), tables(x.f), tables(unit_b))),
+        ("i0", "i1"))
     k, h = out.left, out.right
-    # invariant: k . gap = h . fold, and on b gap is the unit, fold the id
-    assert amb.compose(k, t.unit(x.b)) == h
+    # invariant: k . T(g) = h . f, and k . unit_b = h by the second pairs
+    assert amb.compose(k, unit_b) == h
     if not cfg.backdrop.contains(amb, h):
         raise BackdropViolation(
             "stage unit codomain component fell outside the backdrop; "
             "cobase change left the configured class")
-    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, out, gap, fold)
+    return StepResult(QoppaObject(x.b, amb.cod(h), k), g, h, out)
 
 
 def free_algebra(cfg: FreeMonadConfig, start,
@@ -145,27 +149,26 @@ def free_algebra(cfg: FreeMonadConfig, start,
     tx = t.on_obj(start)
     x = QoppaObject(start, tx, amb.identity(tx))
     stages: list[StageRecord] = []
-    converged = None
-    for n in range(max_steps):
+    for converged in range(max_steps):
         step = qoppa_step(cfg, x)
-        stages.append(StageRecord(n, x, step))
+        stages.append(StageRecord(converged, x, step))
         if amb.is_iso(step.g) and amb.is_iso(step.h):
-            converged = n
             break
         x = step.new
-    if converged is None:
+    else:
         err = IterationLimit(f"no convergence within {max_steps} steps")
         err.trace = FreeMonadTrace(tuple(stages), None)
         raise err
-    # invariant: one step on, g is the iso h and h a cobase change of an iso
-    step = stages[-1].step
-    extra = qoppa_step(cfg, step.new)
-    stages.append(StageRecord(converged + 1, step.new, extra))
-    assert amb.is_iso(extra.g) and amb.is_iso(extra.h), \
-        "converged stage failed to stabilize"
-    at = stages[converged]
-    carrier = at.x.a
-    structure = amb.compose(amb.inverse(at.step.g), at.x.f)
+    # invariant: one step on, g' and h' are isos.  g' = k . unit_b is h; as
+    # T(g') is an iso, each class of that step's colimit meets b', so h' is
+    # onto; and f' . T(g')^-1 retracts unit_b' by naturality, so each class
+    # holds one element of b' and h' is injective
+    h, new, tables = step.h, step.new, amb.tables
+    assert amb.is_iso(th := t.on_mor(h)) and compose_tables(
+        tables(th), tables(t.unit(new.a))) == compose_tables(
+        tables(t.unit(new.b)), tables(h)), "converged stage failed to stabilize"
+    carrier = x.a
+    structure = amb.compose(amb.inverse(step.g), x.f)
     # invariant: g = f . unit, so g^-1 . f retracts the unit
     assert amb.compose(structure, t.unit(carrier)) == amb.identity(carrier)
     unit = amb.identity(start)
@@ -194,12 +197,10 @@ def algebra_extend(free: FreeAlgebraResult, target, h):
     if amb.dom(h) != free.start or amb.cod(h) != d_obj:
         raise DomainMismatch("extension seed must go from the start object "
                              "to the target object")
-    u = h
-    v = amb.compose(d, t.on_mor(u))
-    for n in range(free.trace.converged_stage):
-        rec = free.trace.stages[n]
+    u, v = h, amb.compose(d, t.on_mor(h))
+    for rec in free.trace.stages[:-1]:
         u, v = v, rec.step.out.mediate(amb.compose(d, t.on_mor(v)), v)
-    at = free.trace.stages[free.trace.converged_stage]
+    at = free.trace.stages[-1]
     # invariant: the last mediator's cocone equation along the stage map
     assert amb.compose(v, at.x.f) == amb.compose(d, t.on_mor(u))
     # invariant: each v . g = d . T(u) . unit = u, by d's unit law (checked)

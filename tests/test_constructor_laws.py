@@ -6,10 +6,12 @@ raise; ``PresheafMap`` refuses a component at an object its base lacks, and
 ``classify_mono`` a truth point that is not the sieve classifier's.  The
 doors that tables from outside reach stay checked: ``from_tables`` refuses
 unnatural tables, ``square_from_tables`` a square that does not commute,
-``DensityResult.mediate`` a cocone whose legs do not, and
-``ColimitResult.mediate`` legs that disagree on a class.  Each case runs in
-a subprocess under a plain and a ``python -O`` interpreter: -O strips
-assert statements, so a check written as one would let the value through.
+``DensityResult.mediate`` a cocone whose legs do not,
+``ColimitResult.mediate`` legs that disagree on a class, and ``qoppa_step``
+a pointed endofunctor whose unit is not natural at the stage's g.  Each case
+runs in a subprocess under a plain and a ``python -O`` interpreter: -O
+strips assert statements, so a check written as one would let the value
+through.
 ``PresheafAmbient.from_tables`` builds its checked map once; composites,
 identities and colimit mediators of presheaf maps, and composites of
 squares, are built from tables with no check and no component built.
@@ -31,13 +33,14 @@ from garnet.presheaf import PresheafMap, presheaf_compose, \
     presheaf_identity, presheaf_pushout, yoneda, yoneda_map
 
 PRELUDE = """
-from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, \\
-    square_from_tables
+from garnet.arrows import ArrowObj, FinSetAmbient, PointedEndofunctor, \\
+    PresheafAmbient, square_from_tables
 from garnet.density import ArrowDiagram, density_comonad
 from garnet.errors import BoundaryMismatch, DomainMismatch, MalformedInput, \\
     NaturalityViolation, ShapeMismatch, UnknownObject
 from garnet.fincat import FinCategory, discrete_category
 from garnet.finset import FinFunction, FinSet, identity
+from garnet.freemonad import Backdrop, FreeMonadConfig, QoppaObject, qoppa_step
 from garnet.presheaf import Presheaf, PresheafMap, classify_mono, \\
     presheaf_identity, presheaf_pushout, terminal_presheaf
 """
@@ -117,6 +120,22 @@ ident = presheaf_identity(p1)
 po = presheaf_pushout(ident, ident)
 po.mediate(PresheafMap(p1, p2, {"c": FinFunction(one, two, (0,))}),
            PresheafMap(p1, p2, {"c": FinFunction(one, two, (1,))}))
+"""),
+    # X + 1 pointed by the coprojection after reversing X: at the first
+    # stage's g, T(g) . unit and unit . g differ
+    "unnatural-unit": ("DomainMismatch",
+                       "cocone leg is not constant on a class", """
+fs, pt = FinSetAmbient(), FinSet(("pt",))
+plus = lambda x: fs.coproduct([x, pt], tags=("v", "new"))
+def on_mor(m):
+    return plus(m.dom).mediate(fs.compose(plus(m.cod).injections[0], m),
+                               plus(m.cod).injections[1])
+def unit(x):
+    return FinFunction(x, plus(x).obj, tuple(reversed(range(x.size))))
+t = PointedEndofunctor(fs, lambda x: plus(x).obj, on_mor, unit)
+a = FinSet.fresh(2)
+qoppa_step(FreeMonadConfig(fs, Backdrop("all"), t),
+           QoppaObject(a, t.on_obj(a), identity(t.on_obj(a))))
 """),
 }
 

@@ -10,8 +10,9 @@ from garnet.errors import (BackdropViolation, DomainMismatch, IterationLimit,
                            MalformedInput, NotAnAlgebra)
 from garnet.finset import FinFunction, FinSet, identity
 from garnet.freemonad import (Backdrop, FreeMonadConfig, QoppaObject,
-                              algebra_extend, backdrop_from_json,
-                              backdrop_to_json, free_algebra, qoppa_step)
+                              StageRecord, algebra_extend,
+                              backdrop_from_json, backdrop_to_json,
+                              free_algebra, qoppa_step)
 
 ALL = Backdrop("all")
 MONO = Backdrop("mono")
@@ -44,6 +45,14 @@ def squash_endofunctor():
 
 
 MAYBE = attach_endofunctor(POINT)
+
+
+def with_next_stage(cfg, fa):
+    """The trace's stages and one more: the step from the converged stage's
+    result, which the trace stops short of."""
+    stages = fa.trace.stages
+    new = stages[-1].step.new
+    return stages + (StageRecord(len(stages), new, qoppa_step(cfg, new)),)
 
 
 def test_backdrop_kinds_and_membership():
@@ -127,7 +136,8 @@ def test_identity_endofunctor_free_algebra_trivial():
     assert fa.carrier == PAIR
     assert fa.unit == identity(PAIR)
     assert AMB.compose(fa.structure, identity(PAIR)) == fa.structure
-    assert len(fa.trace.stages) == 2
+    assert len(fa.trace.stages) == 1
+    assert len(with_next_stage(cfg, fa)) == 2
 
 
 def test_qoppa_step_rejects_mistyped_stage():
@@ -152,7 +162,8 @@ def test_attach_point_free_algebra_shape():
     assert not AMB.is_mono(fa.structure)
     assert AMB.compose(fa.structure, MAYBE.unit(fa.carrier)) == \
         identity(fa.carrier)
-    assert len(fa.trace.stages) == 3
+    assert len(fa.trace.stages) == 2
+    assert len(with_next_stage(cfg, fa)) == 3
 
 
 def _step_action(prev, cur):
@@ -165,20 +176,25 @@ def _step_action(prev, cur):
 
 
 def test_step_coherence_recorded_and_true():
-    # applying the step to each recorded unit reproduces the next one
-    fa = free_algebra(FreeMonadConfig(AMB, MONO, MAYBE), PAIR)
-    stages = fa.trace.stages
+    # applying the step to each recorded unit reproduces the next one, and
+    # to the converged one the step past it
+    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
+    fa = free_algebra(cfg, PAIR)
+    stages = with_next_stage(cfg, fa)
     assert len(stages) == fa.trace.converged_stage + 2
     for prev, cur in zip(stages, stages[1:]):
         assert _step_action(prev, cur)[1] == cur.step.h
 
 
 def test_stability_iso_recorded():
-    # the trace records one stage past convergence, and the two step units
-    # there compose to isos
-    fa = free_algebra(FreeMonadConfig(AMB, MONO, MAYBE), PAIR)
+    # the trace ends at convergence, and the step one past it has units
+    # that compose with the converged ones to isos
+    cfg = FreeMonadConfig(AMB, MONO, MAYBE)
+    fa = free_algebra(cfg, PAIR)
     n = fa.trace.converged_stage
-    at, extra = fa.trace.stages[n].step, fa.trace.stages[n + 1].step
+    assert len(fa.trace.stages) == n + 1
+    stages = with_next_stage(cfg, fa)
+    at, extra = stages[n].step, stages[n + 1].step
     assert AMB.is_iso(AMB.compose(extra.g, at.g))
     assert AMB.is_iso(AMB.compose(extra.h, at.h))
 
@@ -276,8 +292,9 @@ def test_squash_converges_under_all_backdrop():
 def test_step_action_composes_with_units():
     # the step action applied to a stage unit reproduces the next unit's
     # codomain component, including at the stability tail
-    fa = free_algebra(FreeMonadConfig(AMB, ALL, MAYBE), finite(3, "w"))
-    stages = fa.trace.stages
+    cfg = FreeMonadConfig(AMB, ALL, MAYBE)
+    fa = free_algebra(cfg, finite(3, "w"))
+    stages = with_next_stage(cfg, fa)
     for prev, cur in zip(stages, stages[1:]):
         b, c = _step_action(prev, cur)
         assert b == prev.step.h

@@ -9,18 +9,26 @@ constructions built it before (``PresheafMap(...)``, ``Square(...)``,
 ``from_tables``): on the graph base (objects in either order), a chain with
 its composite, one idempotent, and finite sets, both must be equal, hash
 alike, and agree on their tables, components, ``is_mono``, ``is_iso`` and
-``is_identity``, the last three read off the components.
+``is_identity``, the last three read off the components.  The squares the
+factorization builds the same way (each one-step unit, and the conjugation
+between the free algebra's carrier and the right factor, both ways) must
+equal the checked squares with their sides, over the walking cospan and
+over graphs.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from garnet import finset
+from garnet import awfs, finset
 from garnet.arrows import ArrowAmbient, ArrowObj, FinSetAmbient, \
     PresheafAmbient, Square, compose_squares, identity_square
+from garnet.awfs import GeneratedAWFS
 from garnet.errors import EnumerationCap
 from garnet.presheaf import PresheafMap, enumerate_maps, presheaf_compose, \
     presheaf_coproduct, presheaf_identity, presheaf_inverse, \
     presheaf_pushout
+from test_density_memo import BOUNDARY, WC, finset_maps, graph_maps
 from test_table_checks import finset_arrows, nonempty_arrows
 from test_table_search import PAIRS
 
@@ -172,3 +180,36 @@ def test_arrow_colimit_legs_and_mediators_match(data):
             med = po.mediate(compose_squares(u, po.left),
                              compose_squares(u, po.right))
             assert_same_square(med, u.top, u.bottom)
+
+
+# -- squares the factorization builds unchecked ----------------------------------
+
+def check_factorization_squares(u, f):
+    """Every square awfs builds with ``_lawful_square`` on the way to f's law
+    suite, and the conjugation ``_factorize`` reads off one by inverting it,
+    equal the checked squares with the same sides."""
+    lawful, built = awfs._lawful_square, []
+
+    def recording(*sides):
+        built.append(lawful(*sides))
+        return built[-1]
+    with mock.patch.object(awfs, "_lawful_square", recording):
+        aw = GeneratedAWFS(u)
+        aw.law_suite(f)
+    fact = aw.factorize(f)
+    conj_inv = aw._conj_inv(fact.right, fact.free)
+    assert aw.one_step(f).unit in built and conj_inv in built
+    for s in [*built, aw.arr.inverse(conj_inv)]:
+        assert_same_square(s, s.top, s.bottom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finset_maps())
+def test_walking_cospan_factorization_squares_match(f):
+    check_factorization_squares(WC, f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph_maps())
+def test_graph_factorization_squares_match(f):
+    check_factorization_squares(BOUNDARY, f)
