@@ -38,9 +38,9 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
 - ``tables_to_json`` (the JSON of the map between two objects with the
   given tables, written without building the map);
 - an optional ``memo`` on the JSON readers and writers: a dict kept for one
-  document, in which a reader, having checked an occurrence's JSON, finds
-  the value built for an equal occurrence, and a writer the JSON written
-  for an equal value (see ``finset.memoized``);
+  document, in which a reader finds the value read for an occurrence of
+  the same exact JSON (see ``finset.read_once``), and a writer the JSON
+  written for an equal value or map (see ``finset.memoized``);
 - ``skeleton``, for working up to relabeling: a hashable key of a map's
   sizes and tables, without its labels;
 - ``diagonals`` (for maps a and b, a function from the side tables
@@ -149,12 +149,13 @@ class FinSetAmbient:
         return self.tables_to_json(m.dom, m.cod, self.tables(m), memo)
 
     def tables_to_json(self, a, b, tables, memo=None):
-        (table,) = tables
-        return {"dom": finset.finset_to_json(a, memo),
-                "cod": finset.finset_to_json(b, memo), "table": list(table)}
+        return finset.memoized(memo, (a, b, tables), lambda: {
+            "dom": finset.finset_to_json(a, memo),
+            "cod": finset.finset_to_json(b, memo), "table": list(tables[0])})
 
     def mor_from_json(self, data, memo=None):
-        return finset.function_from_json(data, memo)
+        return finset.read_once(
+            memo, "map", data, lambda: finset.function_from_json(data, memo))
 
 
 class PresheafAmbient:
@@ -251,12 +252,15 @@ class PresheafAmbient:
         return self.tables_to_json(m.source, m.target, self.tables(m), memo)
 
     def tables_to_json(self, a, b, tables, memo=None):
-        return {"source": psh.presheaf_to_json(a, memo),
-                "target": psh.presheaf_to_json(b, memo),
-                "components": dict(zip(self.base.objects, map(list, tables)))}
+        return finset.memoized(memo, (a, b, tables), lambda: {
+            "source": psh.presheaf_to_json(a, memo),
+            "target": psh.presheaf_to_json(b, memo),
+            "components": dict(zip(self.base.objects, map(list, tables)))})
 
     def mor_from_json(self, data, memo=None):
-        return psh.presheaf_map_from_json(data, base=self.base, memo=memo)
+        return finset.read_once(
+            memo, ("presheaf map", self.base), data,
+            lambda: psh.presheaf_map_from_json(data, self.base, memo))
 
 
 @dataclass(frozen=True)

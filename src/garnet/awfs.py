@@ -1087,8 +1087,9 @@ def _certificate(value) -> dict:
 
 def trace_from_json(data, inner) -> Trace:
     """The trace a factorize report records; a part of the wrong JSON type
-    raises MalformedInput, and verify_trace checks the values.  Each
-    distinct object or map in it is parsed and checked once."""
+    raises MalformedInput, and verify_trace checks the values.  Each map,
+    and each finite set or presheaf of one, is parsed and checked once per
+    distinct JSON: a repeat is the value read (see ``finset.read_once``)."""
     memo: dict = {}
 
     def mor(d):

@@ -14,6 +14,7 @@ read off such colimits, one per level.
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import sys
 from dataclasses import dataclass
@@ -456,9 +457,11 @@ def sequential_colimit(maps: Sequence[FinFunction]):
 #
 # The readers and writers below take an optional memo, a dict kept for one
 # document (a trace), in which each distinct value is built once.  A reader
-# checks every occurrence's JSON, then keys the memo by what it checked (a
-# finite set's labels, a table's endpoints and entries); a writer keys by the
-# value written.
+# keys an occurrence of a map or object by its exact JSON (``read_once``):
+# a repeat of one already accepted is its value, not checked again, since
+# every check passed on the same bytes; a finite set is also keyed by its
+# checked labels.  A writer keys by the value written, a map by its ends
+# and tables.
 
 
 def memoized(memo: dict | None, key, build):
@@ -469,6 +472,20 @@ def memoized(memo: dict | None, key, build):
     if out is None:
         out = memo[key] = build()
     return out
+
+
+def read_once(memo: dict | None, tag, data, read):
+    """read(), the value of JSON data, kept in memo under tag and data's
+    exact bytes: marshal version 2 writes equal data as equal bytes, tells
+    1, true and 1.0 and lists and tuples apart, and refuses subclasses of
+    str or list, which are read anew, as they are without a memo."""
+    if memo is None:
+        return read()
+    try:
+        key = (tag, marshal.dumps(data, 2))
+    except ValueError:
+        return read()
+    return memoized(memo, key, read)
 
 
 def finset_to_json(x: FinSet, memo: dict | None = None) -> dict:
@@ -493,9 +510,10 @@ def finset_from_json(data, memo: dict | None = None) -> FinSet:
 
 def function_from_json(data, memo: dict | None = None) -> FinFunction:
     data = json_fields(data, "map", "dom", "cod", "table")
-    dom = finset_from_json(data["dom"], memo)
-    cod = finset_from_json(data["cod"], memo)
-    return table_from_json(data["table"], dom, cod, memo=memo)
+    dom, cod = (read_once(memo, "finite set", data[k],
+                          lambda k=k: finset_from_json(data[k], memo))
+                for k in ("dom", "cod"))
+    return FinFunction(dom, cod, json_table(data["table"], dom, cod))
 
 
 def json_object(value, what: str) -> dict:
@@ -524,11 +542,3 @@ def json_table(table, dom: FinSet, cod: FinSet, what: str = "table") -> tuple:
             or table and (min(table) < 0 or max(table) >= len(cod.labels)):
         raise MalformedInput(f"{what} entries must index the codomain")
     return tuple(table)
-
-
-def table_from_json(table, dom: FinSet, cod: FinSet, what: str = "table",
-                    memo: dict | None = None) -> FinFunction:
-    """The function dom -> cod listed by a JSON table (see json_table)."""
-    t = json_table(table, dom, cod, what)
-    return memoized(memo, ("table", dom, cod, t),
-                    lambda: FinFunction(dom, cod, t))

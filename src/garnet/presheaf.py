@@ -599,7 +599,7 @@ def presheaf_from_json(data, base: FinCategory | None = None,
         raise MalformedInput("presheaf base differs from the given base")
     at = {c: finset.finset_from_json(v, memo)
           for c, v in finset.json_object(data["at"], "presheaf 'at'").items()}
-    tables = {}
+    restrict = {}
     for name, table in finset.json_object(data.get("restrict", {}),
                                           "presheaf 'restrict'").items():
         if not base.has_morphism(name):
@@ -607,33 +607,25 @@ def presheaf_from_json(data, base: FinCategory | None = None,
         m = base.morphism(name)
         if m.cod not in at or m.dom not in at:
             raise MalformedInput(f"restriction {name!r} lacks endpoints")
-        tables[name] = finset.json_table(table, at[m.cod], at[m.dom],
-                                         f"restriction {name!r}")
-
-    def build():
-        ends = {name: base.morphism(name) for name in tables}
-        return Presheaf(base, at, {
-            name: FinFunction(at[ends[name].cod], at[ends[name].dom], t)
-            for name, t in tables.items()})
-    return finset.memoized(memo, ("presheaf", base, tuple(at.items()),
-                                  tuple(tables.items())), build)
+        restrict[name] = FinFunction(at[m.cod], at[m.dom], finset.json_table(
+            table, at[m.cod], at[m.dom], f"restriction {name!r}"))
+    return Presheaf(base, at, restrict)
 
 
 def presheaf_map_from_json(data, base: FinCategory | None = None,
                            memo: dict | None = None) -> PresheafMap:
     data = finset.json_fields(data, "presheaf map", "source", "target",
                               "components")
-    source = presheaf_from_json(data["source"], base=base, memo=memo)
-    target = presheaf_from_json(data["target"], base=base, memo=memo)
-    tables = {}
+    source, target = (finset.read_once(
+        memo, ("presheaf", base), data[k],
+        lambda k=k: presheaf_from_json(data[k], base=base, memo=memo))
+        for k in ("source", "target"))
+    components = {}
     for c, table in finset.json_object(data["components"],
                                        "presheaf map 'components'").items():
         if c not in source.base.objects:
             raise UnknownObject(f"component at unknown object {c!r}")
-        tables[c] = finset.json_table(table, source.at(c), target.at(c),
-                                      f"component at {c!r}")
-    return finset.memoized(
-        memo, ("presheaf map", source, target, tuple(tables.items())),
-        lambda: PresheafMap(source, target, {
-            c: FinFunction(source.at(c), target.at(c), t)
-            for c, t in tables.items()}))
+        ends = source.at(c), target.at(c)
+        components[c] = FinFunction(*ends, finset.json_table(
+            table, *ends, f"component at {c!r}"))
+    return PresheafMap(source, target, components)

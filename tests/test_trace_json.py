@@ -1,17 +1,23 @@
 """Trace JSON is read and written with one memo per document.
 
-``trace_from_json`` parses and checks each distinct object or map of a
-trace once, and ``trace_to_json`` (with ``factorization_to_json`` and
-``structure_to_json``) builds each distinct object's JSON once.  The oracle
-below is the reader before the memo, which parsed every occurrence on its
-own: on random traces, and on random one-entry edits of them, the memoized
-reader returns what the oracle returns or raises what it raises.  A report
-edited in one occurrence of an object it repeats (``1`` made ``true`` or
-``1.0``, a label renamed, a null size, a list among the labels) is refused
-by ``trace-verify`` exactly as the reader without a memo refused it, also
-under ``python -O``; those outcomes are pinned below.  Count guards pin one
-``Presheaf`` per distinct presheaf and one ``FinSet`` per distinct label
-list, and the presheaf report's bytes are pinned by their digest.
+``trace_from_json`` keys each occurrence of a map, and of a map's finite
+sets or presheaves, by its exact JSON: an occurrence that repeats, byte for
+byte, one already accepted is that one's value and is not checked again,
+which is sound since the checks passed on the same bytes; any other
+occurrence is checked in full.  ``trace_to_json`` (with
+``factorization_to_json`` and ``structure_to_json``) builds each distinct
+object's and map's JSON once.  The oracle below is the reader before the
+memo, which parsed every occurrence on its own: on random traces, and on
+random one-entry edits of them, the memoized reader returns what the oracle
+returns or raises what it raises.  A report edited in one occurrence of an
+object it repeats (``1`` made ``true`` or ``1.0``, a label renamed, a null
+size, a list among the labels) is refused by ``trace-verify`` exactly as
+the reader without a memo refused it, also under ``python -O``; those
+outcomes are pinned below, as are repeats that only a type-exact key tells
+apart (a tuple table, a label of a str subclass).
+Count guards pin one map read per distinct map JSON, one ``Presheaf`` per
+distinct presheaf and one ``FinSet`` per distinct label list, and the
+presheaf report's bytes are pinned by their digest.
 """
 
 import contextlib
@@ -26,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cell_row, walking_cospan
-from garnet import awfs, fincat, presheaf as psh
+from garnet import awfs, fincat, finset, presheaf as psh
 from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square
 from garnet.awfs import (GeneratedAWFS, QuotientRecord, Trace, TraceCell,
                          TraceStage, factorization_to_json,
@@ -168,7 +174,7 @@ def _replacements(old):
     if isinstance(old, str):
         out.append(old + "'")
     if isinstance(old, list):
-        out += [old + old, old[:-1], [True] * len(old)]
+        out += [old + old, old[:-1], [True] * len(old), tuple(old)]
     return out
 
 
@@ -228,15 +234,20 @@ def six_to_four():
                                      (0, 0, 0, 1, 1, 2)))
 
 
-def _distinct(data, has):
-    """The distinct JSON values inside data that have the given key."""
+# the fields that make a presheaf's JSON, its base aside
+PRESHEAF = ("at", "restrict")
+
+
+def _distinct(data, has, fields=None):
+    """The distinct JSON values inside data that have the given key, each
+    taken as its given fields, or whole."""
     seen = set()
 
     def walk(v):
         if isinstance(v, dict):
             if has in v:
-                seen.add(json.dumps(v[has] if has == "labels" else
-                                    {k: v[k] for k in ("at", "restrict")},
+                seen.add(json.dumps(v if fields is None else
+                                    {k: v[k] for k in fields},
                                     sort_keys=True))
             for w in v.values():
                 walk(w)
@@ -259,7 +270,7 @@ def test_graph_trace_reads_each_distinct_presheaf_once(monkeypatch):
     monkeypatch.setattr(psh.Presheaf, "__init__", counted)
     back = trace_from_json(data, PAMB)
     # 356 presheaves were built before the memo
-    assert len(built) <= _distinct(data, "restrict") == 9
+    assert len(built) <= _distinct(data, "restrict", PRESHEAF) == 9
     monkeypatch.undo()
     assert back == fact.trace and verify_trace(back, fact)["pass"]
 
@@ -276,7 +287,34 @@ def test_cospan_trace_reads_each_distinct_label_list_once(monkeypatch):
     monkeypatch.setattr(FinSet, "__post_init__", counted)
     back = trace_from_json(data, AMB)
     # 1,360 finite sets were built before the memo
-    assert len(built) <= _distinct(data, "labels") == 12
+    assert len(built) <= _distinct(data, "labels", ("labels",)) == 12
+    monkeypatch.undo()
+    assert back == fact.trace and verify_trace(back, fact)["pass"]
+
+
+@pytest.mark.parametrize("arrow, generators, inner, reader, has, distinct", [
+    (c3_to_c1, BOUNDARY, PAMB, (psh, "presheaf_map_from_json"),
+     "components", 51),
+    (six_to_four, WC, AMB, (finset, "function_from_json"), "table", 194),
+], ids=["C3->C1", "6->4"])
+def test_trace_reads_each_distinct_map_json_once(monkeypatch, arrow,
+                                                  generators, inner, reader,
+                                                  has, distinct):
+    fact = GeneratedAWFS(generators).factorize(arrow())
+    data = json.loads(json.dumps(trace_to_json(fact.trace)))
+    read = []
+    module, name = reader
+    original = getattr(module, name)
+
+    def counted(d, *args):
+        read.append(d)
+        return original(d, *args)
+    # the ambient's mor_from_json reads a map through this name
+    monkeypatch.setattr(module, name, counted)
+    back = trace_from_json(data, inner)
+    # maps were read once per occurrence before the memo was keyed by the
+    # exact JSON: 178 on C3->C1, 680 on 6->4
+    assert len(read) <= _distinct(data, has) == distinct
     monkeypatch.undo()
     assert back == fact.trace and verify_trace(back, fact)["pass"]
 
@@ -292,7 +330,7 @@ def test_graph_trace_writes_each_distinct_presheaf_once(monkeypatch):
     # presheaf_to_json writes its base through this name
     monkeypatch.setattr(fincat, "category_to_json", counted)
     data = trace_to_json(fact.trace)
-    assert len(written) <= _distinct(data, "restrict") == 9
+    assert len(written) <= _distinct(data, "restrict", PRESHEAF) == 9
 
 
 def _objects(value, out):
@@ -415,14 +453,7 @@ def _tampered(case, graph_report, tmp_path):
     with open(src or graph_report) as fh:
         data = json.load(fh)
     for path, value in edits:
-        node, holder = data, None
-        for key in path[:-1]:
-            node = node[key]
-            if isinstance(node, dict):
-                holder = node
-        # the edit is inside one occurrence of an object that the trace
-        # repeats
-        assert _count(data["factorization"]["trace"], holder) >= 2
+        node = _occurrence(data, path)
         if value is _DROP:
             del node[path[-1]]
         else:
@@ -430,6 +461,18 @@ def _tampered(case, graph_report, tmp_path):
     out = tmp_path / f"{case}.json"
     out.write_text(json.dumps(data))
     return out
+
+
+def _occurrence(report, path):
+    """The node that holds the entry at path, which is inside one
+    occurrence of an object that the report's trace repeats."""
+    node, holder = report, None
+    for key in path[:-1]:
+        node = node[key]
+        if isinstance(node, dict):
+            holder = node
+    assert _count(report["factorization"]["trace"], holder) >= 2
+    return node
 
 
 def _count(value, wanted) -> int:
@@ -490,3 +533,62 @@ def test_tampered_occurrences_are_refused_as_before_under_python_O(
     got = json.loads(done.stdout)
     assert {case: tuple(got[path]) for case, path in reports.items()} \
         == {case: want for case, (_s, _e, want) in TAMPERS.items()}
+
+
+# -- repeats that only a type-exact key tells apart ---------------------------
+
+class Label(str):
+    """A label of a str subclass, which no JSON file gives."""
+
+
+# case: (report, path inside a repeated occurrence, what its old entry
+# becomes); each document is built in code, since no JSON text gives a
+# tuple or a str subclass (true for 1 is among the tampered reports above)
+TYPED_REPEATS = {
+    "table-tuple": (GOLDEN, ROW + ("table",), tuple),
+    "label-subclass": (GOLDEN, ROW + ("dom", "labels", 0), Label),
+    "component-tuple": (None, GRAPH_GEN + ("components", "v"), tuple),
+    "graph-label-subclass": (None, GRAPH_ROW + ("source", "at", "v",
+                                                "labels", 0), Label),
+}
+
+
+def typed_repeat_answers(graph_report):
+    """Per case, what trace_from_json and the oracle make of the report's
+    trace with the case's edit, as [outcome, error kind, message] each."""
+    answers = {}
+    for case, (src, path, make) in TYPED_REPEATS.items():
+        with open(src or graph_report) as fh:
+            report = json.load(fh)
+        node = _occurrence(report, path)
+        node[path[-1]] = make(node[path[-1]])
+        data, inner = report["factorization"]["trace"], AMB if src else PAMB
+        answers[case] = [[got[0], got[1].__name__, got[2]] if got[0] ==
+                         "raised" else [got[0]] for got in (
+                             outcome(read, data, inner) for read in
+                             (trace_from_json, oracle_trace_from_json))]
+    return answers
+
+
+TYPED = """
+import json, sys
+from test_trace_json import typed_repeat_answers
+print(json.dumps(typed_repeat_answers(sys.argv[1])))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_repeat_of_another_type_is_refused_as_the_oracle_refuses_it(
+        graph_report, flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.path.dirname(__file__),
+                    os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run([sys.executable, *flags, "-c", TYPED,
+                           str(graph_report)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, \
+        done.stderr
+    got = json.loads(done.stdout)
+    assert list(got) == list(TYPED_REPEATS)
+    for case, (memoized, oracle) in got.items():
+        assert memoized == oracle and memoized[0] == "raised", case
