@@ -53,8 +53,9 @@ inner hom-sets enumerated as tables; ``hom`` builds each square from them.
 
 Three ambients are provided: finite sets, finite presheaves, and the arrow
 category over any ambient (so the arrow category over an ambient is itself
-an ambient, which is what the free-monad layer iterates on).  Chain
-colimits are written once, over the protocol, in ``chain_colimit``.
+an ambient, which is what the free-monad layer iterates on).  Each is a
+frozen value; two are equal, and hash alike, when class and parameters are.
+Chain colimits are written once, over the protocol, in ``chain_colimit``.
 """
 
 from __future__ import annotations
@@ -68,18 +69,8 @@ from .fincat import FinCategory
 from .finset import cached_hash, compose_tables
 
 
+@dataclass(frozen=True)
 class FinSetAmbient:
-    kind = "finset"
-
-    def __eq__(self, other):
-        return isinstance(other, FinSetAmbient)
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return "FinSetAmbient()"
-
     def dom(self, m):
         return m.dom
 
@@ -158,20 +149,9 @@ class FinSetAmbient:
             memo, "map", data, lambda: finset.function_from_json(data, memo))
 
 
+@dataclass(frozen=True)
 class PresheafAmbient:
-    kind = "presheaf"
-
-    def __init__(self, base: FinCategory):
-        self.base = base
-
-    def __eq__(self, other):
-        return isinstance(other, PresheafAmbient) and self.base == other.base
-
-    def __hash__(self):
-        return hash((self.kind, self.base))
-
-    def __repr__(self):
-        return f"PresheafAmbient({self.base!r})"
+    base: FinCategory
 
     def dom(self, m):
         return m.source
@@ -222,8 +202,7 @@ class PresheafAmbient:
         return psh.presheaf_sequential_colimit(maps)
 
     def colimit(self, feet, pairs, tags=None):
-        return psh.presheaf_colimit(self.base, feet,
-                                    dict(zip(self.base.objects, pairs)), tags)
+        return psh.presheaf_colimit(self.base, feet, pairs, tags)
 
     def tables(self, m):
         return m.tables
@@ -392,22 +371,10 @@ def chain_colimit(amb, maps: Sequence) -> ChainColimitResult:
     return ChainColimitResult(objects[k], tuple(legs), k, amb)
 
 
+@dataclass(frozen=True)
 class ArrowAmbient:
     """The arrow category over an inner ambient, itself an ambient."""
-
-    kind = "arrow"
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __eq__(self, other):
-        return isinstance(other, ArrowAmbient) and self.inner == other.inner
-
-    def __hash__(self):
-        return hash((self.kind, self.inner))
-
-    def __repr__(self):
-        return f"ArrowAmbient({self.inner!r})"
+    inner: object
 
     def dom(self, s: Square) -> ArrowObj:
         return s.source

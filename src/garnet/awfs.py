@@ -41,7 +41,6 @@ def require_count(value, what: str) -> int:
 class StepData:
     """The one-step gluing at f: its cell, the gluing pushout, the glued
     arrow, and the unit into it."""
-    f: ArrowObj
     den: object = field(repr=False)
     po: object = field(repr=False)
     obj: ArrowObj
@@ -100,7 +99,7 @@ class GeneratedAWFS:
         obj = ArrowObj(inner, po.mediate(f.mor, den.counit.bottom))
         # commutes: obj.mor is the pushout mediator whose po.left leg is f.mor
         unit = _lawful_square(f, obj, po.left, inner.identity(f.cod))
-        return StepData(f, den, po, obj, unit)
+        return StepData(den, po, obj, unit)
 
     def factorize(self, f: ArrowObj) -> "Factorization":
         return self.session.memo(("factorize", f),
@@ -222,11 +221,9 @@ class GeneratedAWFS:
     def multiplication(self, f: ArrowObj):
         """The flattening of a twice-applied right factor, and its square."""
         fact = self.factorize(f)
-        fact2 = self.factorize(fact.right)
-        pi = compose_squares(
-            algebra_extend(fact2.free, (fact.right, fact.algebra),
-                           identity_square(fact.right)),
-            self._conj_inv(fact2.right, fact2.free))
+        right = fact.right
+        pi = self.extend(self.factorize(right), (right, fact.algebra),
+                         identity_square(right))
         # pi extends an identity along such a unit: an invariant, no input
         assert self.ambient.is_identity(pi.bottom)
         return pi.top, pi

@@ -85,7 +85,6 @@ class StepResult:
 
 @dataclass(frozen=True)
 class StageRecord:
-    index: int
     x: QoppaObject
     step: StepResult = field(repr=False)
 
@@ -151,7 +150,7 @@ def free_algebra(cfg: FreeMonadConfig, start,
     stages: list[StageRecord] = []
     for converged in range(max_steps):
         step = qoppa_step(cfg, x)
-        stages.append(StageRecord(converged, x, step))
+        stages.append(StageRecord(x, step))
         if amb.is_iso(step.g) and amb.is_iso(step.h):
             break
         x = step.new

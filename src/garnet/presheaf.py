@@ -26,7 +26,8 @@ from .errors import (
     ShapeMismatch,
     UnknownObject,
 )
-from .fincat import FinCategory, identity_name
+from .fincat import (FinCategory, category_from_json, category_to_json,
+                     identity_name)
 # compose is unused here; the benchmark's tests read this binding
 from .finset import FinFunction, FinSet, cached_hash, compose, identity
 
@@ -510,17 +511,17 @@ def enumerate_maps(source: Presheaf, target: Presheaf, cap: int | None = None,
 def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
                      tags: Sequence[str] | None = None
                      ) -> finset.ColimitResult:
-    """The coproduct of the feet divided, at each base object c, by the
-    equivalence closure of ``pairs[c]``, pairs ``(i, x, j, y)`` as for
-    ``finset.colimit``: a colimit whose levels are these colimits of the
-    feet's sets, one per base object.  Each restriction is induced through
-    them from the feet's, which is what makes every leg natural, so the
-    legs are not checked again.  The pairs must be closed under the
+    """The coproduct of the feet divided, at each base object, by the
+    equivalence closure of its pairs ``(i, x, j, y)``, given per object in
+    ``base.objects`` order, as for ``finset.colimit``: a colimit whose
+    levels are these colimits of the feet's sets.  Each restriction is
+    induced through them from the feet's, which makes every leg natural,
+    so the legs are not checked again.  The pairs must be closed under the
     restrictions: otherwise inducing them raises DomainMismatch."""
     from .arrows import PresheafAmbient
     feet = tuple(feet)
-    level = {c: finset.colimit([p.at(c) for p in feet], pairs[c], tags)
-             for c in base.objects}
+    level = {c: finset.colimit([p.at(c) for p in feet], glued, tags)
+             for c, glued in zip(base.objects, pairs, strict=True)}
     restrict = {}
     for m in base.non_identity_morphisms():
         src, dst = level[m.cod], level[m.dom]
@@ -536,9 +537,9 @@ def presheaf_pushout(f: PresheafMap, g: PresheafMap,
                      ) -> finset.ColimitResult:
     if f.source != g.source:
         raise ShapeMismatch("pushout needs a span with a shared apex")
-    return presheaf_colimit(f.source.base, (f.target, g.target), {
-        c: [(0, b, 1, y) for b, y in zip(ft, gt)]
-        for c, ft, gt in zip(f.source.base.objects, f.tables, g.tables)}, tags)
+    return presheaf_colimit(f.source.base, (f.target, g.target), [
+        [(0, b, 1, y) for b, y in zip(ft, gt)]
+        for ft, gt in zip(f.tables, g.tables)], tags)
 
 
 def presheaf_coproduct(parts: Sequence[Presheaf],
@@ -551,17 +552,16 @@ def presheaf_coproduct(parts: Sequence[Presheaf],
         base = parts[0].base
     if tags is None:
         tags = [f"i{k}" for k in range(len(parts))]
-    return presheaf_colimit(base, parts, dict.fromkeys(base.objects, ()),
-                            tags)
+    return presheaf_colimit(base, parts, [()] * len(base.objects), tags)
 
 
 def presheaf_coequalizer(f: PresheafMap, g: PresheafMap
                          ) -> finset.ColimitResult:
     if f.source != g.source or f.target != g.target:
         raise ShapeMismatch("coequalizer needs a parallel pair")
-    return presheaf_colimit(f.source.base, (f.target,), {
-        c: [(0, a, 0, b) for a, b in zip(ft, gt)]
-        for c, ft, gt in zip(f.source.base.objects, f.tables, g.tables)})
+    return presheaf_colimit(f.source.base, (f.target,), [
+        [(0, a, 0, b) for a, b in zip(ft, gt)]
+        for ft, gt in zip(f.tables, g.tables)])
 
 
 def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
@@ -573,7 +573,6 @@ def presheaf_sequential_colimit(maps: Sequence[PresheafMap]):
 # -- serialization ------------------------------------------------------------
 
 def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
-    from .fincat import category_to_json
     return finset.memoized(memo, p, lambda: {
         "base": category_to_json(p.base),
         "at": {c: finset.finset_to_json(p.at(c)) for c in p.base.objects},
@@ -584,7 +583,6 @@ def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
 
 def presheaf_from_json(data, base: FinCategory | None = None,
                        memo: dict | None = None) -> Presheaf:
-    from .fincat import category_from_json, category_to_json
     if not isinstance(data, dict) or "at" not in data:
         raise MalformedInput("presheaf needs an 'at' table")
     raw = data.get("base")

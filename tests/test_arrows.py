@@ -1,12 +1,16 @@
 """Arrow category: squares, their composition, and the arrow ambient."""
 
+import dataclasses
+import json
+import os
+
 import pytest
 
 from garnet.arrows import (ArrowAmbient, ArrowObj, FinSetAmbient,
                            PresheafAmbient, Session, Square, compose_squares,
                            identity_square)
 from garnet.errors import BoundaryMismatch, CodomainMismatch, DomainMismatch
-from garnet.fincat import FinCategory
+from garnet.fincat import FinCategory, category_from_json, category_to_json
 from garnet.finset import EMPTY, FinFunction, FinSet, compose, identity
 from garnet.presheaf import yoneda
 
@@ -218,6 +222,33 @@ def test_presheaf_ambient_round_trip():
     po = arr.pushout(identity_square(f), identity_square(f))
     assert arr.is_iso(po.left)
     assert amb.obj_size(po.obj.dom) == amb.obj_size(yx)
+
+
+def test_ambients_are_values():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                           "graph_base.json")) as fh:
+        base = category_from_json(json.load(fh))
+    copy = category_from_json(category_to_json(base))
+    assert copy is not base
+    graph, graph2 = PresheafAmbient(base), PresheafAmbient(copy)
+    assert graph == graph2 and hash(graph) == hash(graph2)
+    assert FinSetAmbient() == FinSetAmbient()
+    assert hash(FinSetAmbient()) == hash(FinSetAmbient())
+    assert ArrowAmbient(graph) == ArrowAmbient(graph2)
+    chain = PresheafAmbient(FinCategory(("x", "y"), (("m", "x", "y"),), {}))
+    kinds = [AMB, graph, chain, ARR, ArrowAmbient(graph), ArrowAmbient(ARR)]
+    for i, a in enumerate(kinds):
+        for b in kinds[i + 1:]:
+            assert a != b
+    # an arrow on either of two equal ambients finds the other's entry
+    x = yoneda(base, base.objects[0])
+    found = {ArrowObj(graph, graph.identity(x)): "entry"}
+    assert found[ArrowObj(graph2, graph2.identity(x))] == "entry"
+    found = {ArrowObj(AMB, identity(TWO)): "entry"}
+    assert found[ArrowObj(FinSetAmbient(), identity(TWO))] == "entry"
+    for amb, attr in ((graph, "base"), (ARR, "inner")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(amb, attr, chain)
 
 
 def test_session_memoizes():

@@ -683,7 +683,8 @@ def test_presheaf_colimit_glues_across_feet_like_the_oracle(data):
     def glued(c):
         inj = [leg.at(c) for leg in cp.injections]
         return [(inj[i](x), inj[j](y)) for i, x, j, y in pairs[c]]
-    new = outcome(lambda: presheaf_colimit(GRAPH, feet, pairs, tags))
+    new = outcome(lambda: presheaf_colimit(
+        GRAPH, feet, [pairs[c] for c in GRAPH.objects], tags))
     quo = outcome(lambda: oracle_presheaf_quotient(
         cp.obj, {c: glued(c) for c in GRAPH.objects}))
     if not isinstance(quo, LevelwiseResult):

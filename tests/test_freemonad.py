@@ -52,7 +52,7 @@ def with_next_stage(cfg, fa):
     result, which the trace stops short of."""
     stages = fa.trace.stages
     new = stages[-1].step.new
-    return stages + (StageRecord(len(stages), new, qoppa_step(cfg, new)),)
+    return stages + (StageRecord(new, qoppa_step(cfg, new)),)
 
 
 def test_backdrop_kinds_and_membership():
