@@ -41,8 +41,8 @@ have ``is_identity``, ``obj_size``, ``obj_to_json``, ``mor_to_json`` and
   document, in which a reader finds the value read for an occurrence of
   the same exact JSON (see ``finset.read_once``), and a writer the JSON
   written for an equal value or map (see ``finset.memoized``);
-- ``skeleton``, for working up to relabeling: a hashable key of a map's
-  sizes and tables, without its labels;
+- for working up to relabeling: ``skeleton``, a map's sizes and tables as a
+  key, and ``relabeled(col, foot, tags)``, col with its first foot relabeled;
 - ``diagonals`` (for maps a and b, a function from the side tables
   ``(top, bottom)`` of a square a -> b to the tables of its diagonals, in
   hom order, as a sized iterable; the cap bounds what is generated).
@@ -126,6 +126,7 @@ class FinSetAmbient:
         return finset.FinFunction(a, b, table)
 
     colimit_leg = from_tables
+    relabeled = staticmethod(finset.Colimit.relabeled)
 
     def obj_size(self, x):
         return x.size
@@ -203,6 +204,8 @@ class PresheafAmbient:
 
     def colimit(self, feet, pairs, tags=None):
         return psh.presheaf_colimit(self.base, feet, pairs, tags)
+
+    relabeled = staticmethod(psh.relabeled_colimit)
 
     def tables(self, m):
         return m.tables
@@ -358,16 +361,10 @@ def chain_colimit(amb, maps: Sequence) -> ChainColimitResult:
     legs = []
     # forward composites into stage k, then inverses of the stable tail
     for i in range(len(objects)):
-        if i <= k:
-            leg = amb.identity(objects[i])
-            for m in maps[i:k]:
-                leg = amb.compose(m, leg)
-        else:
-            leg = amb.identity(objects[k])
-            for m in maps[k:i]:
-                leg = amb.compose(m, leg)
-            leg = amb.inverse(leg)
-        legs.append(leg)
+        leg = amb.identity(objects[min(i, k)])
+        for m in maps[i:k] if i <= k else maps[k:i]:
+            leg = amb.compose(m, leg)
+        legs.append(leg if i <= k else amb.inverse(leg))
     return ChainColimitResult(objects[k], tuple(legs), k, amb)
 
 

@@ -29,6 +29,8 @@ from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
 
+GLUING = ("mid", "cell")  # the feet of a gluing pushout: f's domain, cells
+
 
 def require_count(value, what: str) -> int:
     """value, if it is a non-negative int (not a bool)."""
@@ -50,8 +52,8 @@ class StepData:
 class GeneratedAWFS:
     """A factorization session driven by a diagram of generating arrows.
 
-    All heavy values (cells, gluing steps, factorizations) are memoized
-    per session, so one instance must not be shared across threads.
+    All heavy values are memoized per session, cells and gluing pushouts up
+    to relabeling, so one instance must not be shared across threads.
     """
 
     def __init__(self, generators: ArrowDiagram,
@@ -85,19 +87,29 @@ class GeneratedAWFS:
         return self.session.memo(("step", f), lambda: self._one_step(f))
 
     def _one_step(self, f: ArrowObj) -> StepData:
+        """The gluing at f, once per skeleton of f like the density: a copy of
+        the first map glued with other labels gets its pushout ``relabeled``
+        and its mediator's tables, built by ``colimit_leg``."""
         inner = self.ambient
         den = self.density(f)
         if not self.backdrop.contains(inner, den.den.mor):
             raise BackdropViolation(
                 "the cell arrow at this map left the configured class; "
                 "the generators are not compatible with the backdrop")
-        po = inner.pushout(den.counit.top, den.den.mor, tags=("mid", "cell"))
+        first = self.session.memo(("gluing", inner.skeleton(f.mor)), lambda: f)
+        if first == f:
+            po = inner.pushout(den.counit.top, den.den.mor, tags=GLUING)
+            mor = po.mediate(f.mor, den.counit.bottom)
+        else:
+            core = self.one_step(first)
+            po = inner.relabeled(core.po, f.dom, GLUING)
+            mor = inner.colimit_leg(po.obj, f.cod, inner.tables(core.obj.mor))
         if not self.backdrop.contains(inner, po.left):
             raise BackdropViolation(
                 "gluing the cells pushed the unit outside the configured "
                 "class")
-        obj = ArrowObj(inner, po.mediate(f.mor, den.counit.bottom))
-        # commutes: obj.mor is the pushout mediator whose po.left leg is f.mor
+        obj = ArrowObj(inner, mor)
+        # commutes: obj.mor mediates, with po.left leg f.mor, at a copy too
         unit = _lawful_square(f, obj, po.left, inner.identity(f.cod))
         return StepData(den, po, obj, unit)
 
@@ -158,7 +170,7 @@ class GeneratedAWFS:
                 base = self.one_step(f)
                 built = QuotientRecord(
                     span=(base.den.counit.top, base.den.den.mor),
-                    tags=("mid", "cell"),
+                    tags=GLUING,
                     left=base.po.left, right=base.po.right, into="left")
             else:
                 # gap and fold, on domains: the step's colimit is their pushout

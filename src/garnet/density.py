@@ -251,14 +251,14 @@ def density_comonad(u: ArrowDiagram, f: ArrowObj,
     names = comma.objects
     cells = {n: u.arrow(comma.problems[n][0]) for n in names}
     foot = {n: k for k, n in enumerate(names)}
-    squares = {t.name: arr.tables(u.square(t.name))
+    squares = {t.name: [[*enumerate(ut)]
+                        for ut in arr.tables(u.square(t.name))]
                for t in u.index.non_identity_morphisms()}
+    glue = [(foot[n1], foot[n2], squares[comma.over[name]])
+            for name, n1, n2 in comma.relations]
     # one list of pairs per level of a square: f's levels, on either side
-    pairs = [[] for _ in u.ambient.tables(f.mor) * 2]
-    for name, n1, n2 in comma.relations:
-        i, j = foot[n1], foot[n2]
-        for level, ut in zip(pairs, squares[comma.over[name]]):
-            level.extend((i, x, j, y) for x, y in enumerate(ut))
+    pairs = [[(i, x, j, y) for i, j, square in glue for x, y in square[k]]
+             for k in range(2 * len(u.ambient.tables(f.mor)))]
     col = arr.colimit(list(cells.values()), pairs, tags=names)
     half = len(pairs) // 2
     legs = {n: (leg[:half], leg[half:]) for n, leg in zip(names,

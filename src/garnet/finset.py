@@ -13,11 +13,12 @@ read off such colimits, one per level.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import marshal
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -132,7 +133,7 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
 
 def compose_tables(g, f) -> tuple:
     """The tables of g . f, level by level, from those of g and of f."""
-    return tuple(tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f))
+    return tuple([tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f)])
 
 
 def enumerate_functions(a: FinSet, b: FinSet, cap: int | None = None,
@@ -194,48 +195,27 @@ def diagonals(a: FinFunction, b: FinFunction, cap: int | None = None):
     return solve
 
 
-class _UnionFind:
-    """Union-find whose class representative is the minimal member index."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        lo, hi = min(ri, rj), max(ri, rj)
-        self.parent[hi] = lo
-
-
 def equivalence_classes(n: int, pairs: Iterable[tuple[int, int]]
                         ) -> tuple[list[int], list[int]]:
-    """The class of each element, and the minimal member of each class, for
-    the equivalence closure of pairs.
-
-    Classes are ordered by their minimal member, which also names the class.
-    """
-    uf = _UnionFind(n)
+    """The class of each element and each class's minimal member, for the
+    equivalence closure of pairs, classes ordered by minimal member.  The
+    union-find runs inline: finds halve paths, and a union makes the smaller
+    root the parent, so parents precede children and roots are minimal."""
+    parent = list(range(n))
     for i, j in pairs:
-        uf.union(i, j)
-    roots: list[int] = []
-    index_of_root: dict[int, int] = {}
-    table = []
-    for i in range(n):
-        r = uf.find(i)
-        if r not in index_of_root:
-            index_of_root[r] = len(roots)
-            roots.append(r)
-        table.append(index_of_root[r])
-    return table, roots
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            i, j = j, i
+        parent[i] = j
+    table, reps = [], []
+    for i, p in enumerate(parent):
+        table.append(table[p] if p < i else len(reps))
+        if p == i:
+            reps.append(i)
+    return table, reps
 
 
 def class_values(proj: Sequence[int], reps: Sequence[int],
@@ -246,9 +226,10 @@ def class_values(proj: Sequence[int], reps: Sequence[int],
     class.  A table that differs on two members of one class is no cocone
     out of the quotient: it raises DomainMismatch.
     """
-    out = tuple(values[r] for r in reps)
-    if len(values) != len(proj) \
-            or list(map(out.__getitem__, proj)) != list(values):
+    if len(values) != len(proj):
+        raise DomainMismatch("a table on classes needs a value per element")
+    out = tuple(map(values.__getitem__, reps))
+    if list(map(out.__getitem__, proj)) != list(values):
         raise DomainMismatch("cocone leg is not constant on a class")
     return out
 
@@ -288,9 +269,8 @@ class ColimitResult:
     @property
     def leg_tables(self) -> tuple:
         """Each foot's leg as its tables, one per level."""
-        return tuple(tuple(level.classes[level.starts[k]:level.starts[k + 1]]
-                           for level in self.levels)
-                     for k in range(len(self.feet)))
+        return tuple(zip(*[[level.classes[a:b] for a, b in itertools.pairwise(
+            level.starts)] for level in self.levels]))
 
     @property
     def legs(self) -> tuple:
@@ -309,14 +289,15 @@ class ColimitResult:
         whose tables do not fit their feet, or that disagree on a class,
         are no cocone: they raise DomainMismatch."""
         legs, levels = list(legs), self.levels
-        if len(legs) != len(self.feet) \
-                or {*map(len, legs)} - {len(levels)} \
-                or any([len(leg[i]) for leg in legs] != level.sizes
-                       for i, level in enumerate(levels)):
+        columns = [] if {*map(len, legs)} - {len(levels)} \
+            else [[leg[i] for leg in legs] for i in range(len(levels))]
+        if len(columns) != len(levels) or any(
+                [*map(len, column)] != level.sizes
+                for column, level in zip(columns, levels)):
             raise DomainMismatch("a cocone needs one leg out of each foot")
-        return tuple(class_values(level.classes, level.reps,
-                                  [v for leg in legs for v in leg[i]])
-                     for i, level in enumerate(self.levels))
+        return tuple([class_values(level.classes, level.reps,
+                                   [*itertools.chain(*column)])
+                      for column, level in zip(columns, levels)])
 
     def mediate(self, *legs, cod=None):
         """The map out of ``obj``, built by ``colimit_leg``, through which a
@@ -365,6 +346,13 @@ class Colimit(ColimitResult):
         from .arrows import FinSetAmbient
         return FinSetAmbient()
 
+    def relabeled(self, foot: FinSet, tags=None) -> "Colimit":
+        """This colimit with foot, a relabeled copy, as its first foot."""
+        k = bisect.bisect_left(self.reps, self.starts[1])
+        labels = class_labels((foot,), self.reps[:k], self.starts, tags)
+        return replace(self, obj=FinSet(labels + self.obj.labels[k:]),
+                       feet=(foot, *self.feet[1:]))
+
     def induce(self, into: "Colimit", tables: Sequence[Sequence[int]]
                ) -> tuple[int, ...]:
         """The table of the map from this colimit into ``into`` induced by
@@ -406,14 +394,19 @@ def colimit(feet: Sequence[FinSet], pairs: Iterable[tuple] = (),
                              f"foot {i!r}, which has no such element")
     classes, reps = equivalence_classes(starts[-1], placed) if placed \
         else (range(starts[-1]),) * 2
+    return Colimit(FinSet(class_labels(feet, reps, starts, tags)), feet,
+                   tuple(classes), tuple(reps), starts)
+
+
+def class_labels(feet, reps, starts, tags) -> tuple:
+    """The label of each class with these minimal members (see colimit)."""
     labels, k = [], 0
     for r in reps:
         while r >= starts[k + 1]:
             k += 1
         label = feet[k].labels[r - starts[k]]
         labels.append(label if tags is None else f"{tags[k]}.{label}")
-    return Colimit(FinSet(tuple(labels)), feet, tuple(classes), tuple(reps),
-                   starts)
+    return tuple(labels)
 
 
 def coproduct(parts: Sequence[FinSet],

@@ -532,6 +532,20 @@ def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
                                 level.values())
 
 
+def relabeled_colimit(col, foot: Presheaf, tags=None) -> finset.ColimitResult:
+    """col with its first foot replaced by foot, of its sizes and tables:
+    each level relabeled, and each restriction col's table between them."""
+    base = foot.base
+    levels = [level.relabeled(foot.at(c), tags)
+              for c, level in zip(base.objects, col.levels)]
+    at = {c: level.obj for c, level in zip(base.objects, levels)}
+    obj = Presheaf(base, at, {m.name: FinFunction(
+        at[m.cod], at[m.dom], col.obj.restrict(m.name).table)
+        for m in base.non_identity_morphisms()})
+    return finset.ColimitResult(col.ambient, obj, (foot, *col.feet[1:]),
+                                levels)
+
+
 def presheaf_pushout(f: PresheafMap, g: PresheafMap,
                      tags: tuple[str, str] = ("i0", "i1")
                      ) -> finset.ColimitResult:

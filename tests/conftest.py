@@ -63,3 +63,28 @@ def empty_diagram() -> ArrowDiagram:
 
 def f_empty_to_point() -> ArrowObj:
     return arrow(func(EMPTY, POINT))
+
+
+def connected_components(n, pairs):
+    """The classes of the equivalence closure of pairs on range(n), found
+    by breadth-first search of the graph whose edges are the pairs: the
+    class of each element, and each class's minimal member, classes
+    ordered by it.  An oracle for ``finset.equivalence_classes``."""
+    pairs = list(pairs)
+    edges = {i: [] for i in range(n)}
+    for i, j in pairs:
+        edges[i].append(j)
+        edges[j].append(i)
+    table, reps = [None] * n, []
+    for start in range(n):
+        if table[start] is not None:
+            continue
+        table[start] = len(reps)
+        reps.append(start)
+        queue = [start]
+        while queue:
+            for j in edges[queue.pop(0)]:
+                if table[j] is None:
+                    table[j] = table[start]
+                    queue.append(j)
+    return table, reps

@@ -18,13 +18,13 @@ from typing import Sequence
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from conftest import connected_components
 from garnet.arrows import ArrowAmbient, ArrowObj, FinSetAmbient, \
     PresheafAmbient, Square, compose_squares
 from garnet.errors import CodomainMismatch, DomainMismatch, GarnetError, \
     ShapeMismatch
 from garnet.fincat import category_from_json
-from garnet.finset import FinFunction, FinSet, class_values, compose, \
-    equivalence_classes
+from garnet.finset import FinFunction, FinSet, class_values, compose
 from garnet import finset
 from garnet.presheaf import Presheaf, PresheafMap, enumerate_maps, \
     presheaf_coequalizer, presheaf_colimit, presheaf_compose, \
@@ -97,7 +97,7 @@ class QuotientResult:
 
 
 def oracle_quotient(x, pairs) -> QuotientResult:
-    table, reps = equivalence_classes(x.size, pairs)
+    table, reps = connected_components(x.size, pairs)
     obj = FinSet(tuple(x.labels[r] for r in reps))
     return QuotientResult(obj, FinFunction(x, obj, tuple(table)), tuple(reps))
 
@@ -507,7 +507,7 @@ def oracle_colimit(feet, pairs=(), tags=None):
             raise DomainMismatch(f"a colimit pair names element {x!r} of "
                                  f"foot {i!r}, which has no such element")
         return starts[i] + x
-    classes, reps = equivalence_classes(
+    classes, reps = connected_components(
         starts[-1], ((place(i, x), place(j, y)) for i, x, j, y in pairs))
     labels, k = [], 0
     for r in reps:

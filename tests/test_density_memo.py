@@ -5,7 +5,9 @@ sizes and tables) and retargets it to every relabeled copy.  Every field of
 a retargeted density, and the action between retargeted densities, must
 equal what ``density_comonad`` builds from scratch at the copy.  The
 gluing's action on squares is memoized the same way, and must equal the
-action a fresh session computes at the copy.
+action a fresh session computes at the copy.  So is the one-step gluing:
+its pushout is built once per skeleton, and the gluing at a copy must equal
+a fresh session's.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import os
 from hypothesis import given, settings, strategies as st
 
 from conftest import AMB, arrow, finite, func, walking_cospan
-from garnet import awfs
+from garnet import awfs, finset
 from garnet.arrows import ArrowObj, FinSetAmbient, PresheafAmbient, Square, \
     identity_square, square_from_tables
 from garnet.awfs import GeneratedAWFS, _cell_record, verify_trace
@@ -203,6 +205,61 @@ def test_finset_action_memo_matches_fresh_build(f, g, endo, k):
 @given(graph_maps(), graph_maps(), st.booleans(), st.integers(0, 50))
 def test_graph_action_memo_matches_fresh_build(f, g, endo, k):
     check_relabeled_square(BOUNDARY, f, f if endo else g, k)
+
+
+# -- the one-step gluing, glued once per skeleton -------------------------------
+
+def check_relabeled_step(u, f):
+    """The one-step gluing at a relabeled copy of f, in a session that glued
+    f first, is the gluing a fresh session builds at the copy, field by
+    field, and keeps the classes of f's gluing."""
+    g = relabeled(f, "p")
+    aw = GeneratedAWFS(u)
+    first = aw.one_step(f)
+    got, fresh = aw.one_step(g), GeneratedAWFS(u).one_step(g)
+    assert got.obj == fresh.obj
+    assert got.unit == fresh.unit
+    assert got.po.obj == fresh.po.obj
+    assert got.po.left == fresh.po.left
+    assert got.po.right == fresh.po.right
+    assert got.po.feet == fresh.po.feet
+    assert tuple(got.po.levels) == tuple(fresh.po.levels)
+    assert [level.classes for level in got.po.levels] \
+        == [level.classes for level in first.po.levels]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finset_maps())
+def test_finset_one_step_memo_matches_fresh_build(f):
+    check_relabeled_step(WC, f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_maps())
+def test_graph_one_step_memo_matches_fresh_build(f):
+    check_relabeled_step(BOUNDARY, f)
+
+
+def test_law_suite_glues_once_per_skeleton(monkeypatch):
+    """The 16 -> 8 surjection's law suite under the walking cospan builds
+    one gluing pushout per density skeleton, although it glues more maps
+    than that."""
+    pushout, glued = finset.pushout, []
+
+    def counted(f, g, tags=("i0", "i1")):
+        if tags == ("mid", "cell"):
+            glued.append(f.cod)
+        return pushout(f, g, tags)
+    monkeypatch.setattr(finset, "pushout", counted)
+    f = arrow(FinFunction(FinSet.fresh(16, "a"), FinSet.fresh(8, "b"),
+                          tuple(i // 2 for i in range(16))))
+    aw = GeneratedAWFS(WC)
+    assert aw.law_suite(f)["pass"]
+    keys = list(aw.session._cache)
+    skeletons = [key for key in keys if key[0] == "density"]
+    steps = [key for key in keys if key[0] == "step"]
+    assert len(glued) == len(skeletons)
+    assert len(steps) > len(skeletons)
 
 
 def test_density_memo_on_endomaps():
