@@ -25,7 +25,8 @@ order (the one set of a finite set, the base objects of a presheaf, and for
 a square its top's levels, then its bottom's).  Between two fixed objects a
 map is its tables: ``from_tables``, the door for tables from outside, builds
 the checked map with them, and ``compose_tables`` composes them level by
-level, so checks such as a square's commutation run on tables.  A colimit's
+level (``precompose_tables`` and ``postcompose_tables`` a column of maps at
+once), so checks such as a square's commutation run on tables.  A colimit's
 ``levels`` are its finite-set colimits in this order; its legs, mediators
 and induced arrows are read off their classes and built by ``colimit_leg``,
 which checks only what the colimit's construction does not already make
@@ -66,7 +67,8 @@ from typing import Sequence
 from . import finset, presheaf as psh
 from .errors import BoundaryMismatch, DomainMismatch
 from .fincat import FinCategory
-from .finset import cached_hash, compose_tables
+from .finset import cached_hash, compose_tables, postcompose_tables, \
+    precompose_tables
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,11 @@ class PresheafAmbient:
 
     def diagonals(self, a, b, cap=None):
         # one index of the whole hom-set, by the tables of the two composites
-        a_t, b_t = a.tables, b.tables
+        hom = self.hom(a.target, b.source, cap=cap, tables=True)
         index: dict = {}
-        for d_t in self.hom(a.target, b.source, cap=cap, tables=True):
-            index.setdefault((compose_tables(d_t, a_t),
-                              compose_tables(b_t, d_t)), []).append(d_t)
+        for d_t, sides in zip(hom, zip(precompose_tables(hom, a.tables),
+                                       postcompose_tables(b.tables, hom))):
+            index.setdefault(sides, []).append(d_t)
         return lambda top, bottom: index.get((top, bottom), ())
 
     def pushout(self, f, g, tags=("i0", "i1")):
@@ -407,20 +409,21 @@ class ArrowAmbient:
         Each inner hom-set is enumerated once, as tables: the bottoms are
         indexed by the tables of ``bottom . a``, and each top picks out the
         bottoms filed under the tables of ``b . top``, which is the
-        commutation check.  ``cap`` bounds each inner hom; without a top the
-        bottoms are never enumerated, so only the tops' hom-set can exceed
-        it."""
+        commutation check; each side is composed as one column.  ``cap``
+        bounds each inner hom; without a top the bottoms are never
+        enumerated, so only the tops' hom-set can exceed it."""
         inner = self.inner
         tops = inner.hom(a.dom, b.dom, cap=cap, tables=True)
         if not tops:
             return []
-        a_t, b_t = inner.tables(a.mor), inner.tables(b.mor)
-        bottoms: dict = {}
-        for bottom_t in inner.hom(a.cod, b.cod, cap=cap, tables=True):
-            bottoms.setdefault(compose_tables(bottom_t, a_t),
-                               []).append(bottom_t)
-        return [(top_t, bottom_t) for top_t in tops
-                for bottom_t in bottoms.get(compose_tables(b_t, top_t), ())]
+        bottoms = inner.hom(a.cod, b.cod, cap=cap, tables=True)
+        by_side: dict = {}
+        for bottom_t, side in zip(bottoms, precompose_tables(
+                bottoms, inner.tables(a.mor))):
+            by_side.setdefault(side, []).append(bottom_t)
+        sides = postcompose_tables(inner.tables(b.mor), tops)
+        return [(top_t, bottom_t) for top_t, side in zip(tops, sides)
+                for bottom_t in by_side.get(side, ())]
 
     def hom(self, a: ArrowObj, b: ArrowObj, cap=None, tables=False) -> list:
         """All squares a -> b, in the order of ``boundaries``, each built

@@ -24,7 +24,8 @@ from .errors import (BackdropViolation, BoundaryMismatch, ColimitNotPreserved,
                      DomainMismatch, EnumerationCap, IterationLimit,
                      MalformedInput, MissingGeneratorWitness, NotAnAlgebra,
                      NotARetract, NotDiscrete)
-from .finset import equivalence_classes, json_fields, json_object, memoized
+from .finset import equivalence_classes, json_fields, json_object, memoized, \
+    postcompose_tables
 from .freemonad import (DEFAULT_MAX_STEPS, Backdrop, FreeMonadConfig,
                         algebra_extend, backdrop_from_json, backdrop_to_json,
                         free_algebra)
@@ -570,14 +571,21 @@ def verify_trace(trace: Trace, fact, cap: int | None = None) -> dict:
 @dataclass(frozen=True)
 class LiftingStructure:
     """A coherent choice of fillers: one per problem, compatible with every
-    generator morphism.  ``by_key`` files them under the problems' comma
-    keys; ``fillers``, built on first read, under ``(index, square)``."""
+    generator morphism, kept as ``tables``: problem comma key -> filler
+    tables, which equality and hash read.  A filler map is built when read,
+    once per key and tables in ``maps``, which one search's structures
+    share; ``by_key`` files them under the keys, ``fillers`` under
+    ``(index, square)``."""
     f: ArrowObj
-    by_key: dict
+    tables: dict
     awfs: GeneratedAWFS = field(repr=False, compare=False)
+    maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __hash__(self):
-        return hash((self.f, tuple(self.by_key.items())))
+        return hash((self.f, tuple(self.tables.items())))
+
+    by_key = cached_property(lambda self: {
+        key: self.filler(key) for key in self.tables})
 
     @cached_property
     def fillers(self) -> dict:
@@ -585,10 +593,15 @@ class LiftingStructure:
         return {(j, square_from_tables(gen(j), self.f, top, bottom)): s
                 for (j, top, bottom), s in self.by_key.items()}
 
-    def filler(self, key):
-        if key not in self.by_key:
+    def filler_tables(self, key) -> tuple:
+        if key not in self.tables:
             raise BoundaryMismatch("not a lifting problem of this structure")
-        return self.by_key[key]
+        return self.tables[key]
+
+    def filler(self, key):
+        value, f, gen = self.filler_tables(key), self.f, self.awfs.generators
+        return memoized(self.maps, (key, value), lambda: f.ambient.from_tables(
+            gen.arrow(key[0]).cod, f.dom, value))
 
 
 def _fillers(u: ArrowDiagram, f: ArrowObj, keys, cap):
@@ -620,9 +633,10 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     are visited in comma object order, and assigning a filler s to the
     problem n2 forces ``s . u(t).bottom`` on n1 for every relation
     ``t@n2: n1 -> n2``.  A problem's candidates are the tables of its own
-    fillers (``_fillers``), and forcing composes tables; a map is built once
-    per problem and filler, and only for a structure that is returned.  The
-    branch is kept on an explicit stack, not the interpreter's.
+    fillers (``_fillers``), and forcing composes tables; the structures
+    returned keep tables and share one map per problem and filler, built
+    when read.  The branch is kept on an explicit stack, not the
+    interpreter's.
 
     mode is "first", "count", or "all".  Propagation only joins problems
     that relations link, so "count" multiplies the counts of the linked
@@ -633,8 +647,7 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
     if mode not in ("first", "count", "all"):
         raise MalformedInput("mode must be first, count, or all")
     u = awfs.generators
-    inner = awfs.ambient
-    tables = inner.tables
+    tables = awfs.ambient.tables
     comma = comma_category(u, f, cap=awfs.cap)
     problems = list(comma.problems.values())
     candidates = list(_fillers(u, f, problems, awfs.cap))
@@ -723,21 +736,11 @@ def find_lifting_structures(awfs: GeneratedAWFS, f: ArrowObj,
                 break
         return count
 
-    built: dict = {}
-
-    def structure():
-        by_key = {}
-        for key, value in zip(problems, assignment):
-            s = built.get((key, value))
-            if s is None:
-                s = built[(key, value)] = inner.from_tables(
-                    u.arrow(key[0]).cod, f.dom, value)
-            by_key[key] = s
-        return LiftingStructure(f, by_key, awfs)
-
+    maps: dict = {}
     found = []
     for _ in leaves(range(len(problems))):
-        found.append(structure())
+        found.append(LiftingStructure(f, dict(zip(problems, assignment)),
+                                      awfs, maps))
         if mode == "first":
             break
     return found
@@ -756,34 +759,33 @@ def solve_lifting(structure: LiftingStructure, i: str, alpha: Square):
 def compose_structures(outer: LiftingStructure,
                        inner_structure: LiftingStructure) -> LiftingStructure:
     """The structure on the composite arrow, solving against the outer map
-    first and feeding its filler to the inner one, all on problem keys."""
+    first and feeding its filler to the inner one, all on tables: at each
+    generator, the problems' tops are composed with the inner map as one
+    column, and each filler is looked up by its problem's key."""
     awfs = outer.awfs
     if awfs is not inner_structure.awfs:
         raise BoundaryMismatch("structures come from different sessions")
     if inner_structure.f.cod != outer.f.dom:
         raise BoundaryMismatch("the two structured arrows do not compose")
-    amb = awfs.ambient
-    tables = amb.tables
-    u = awfs.generators
+    amb, u = awfs.ambient, awfs.generators
     comp = ArrowObj(amb, amb.compose(outer.f.mor, inner_structure.f.mor))
-    first = tables(inner_structure.f.mor)
-    by_key = {}
+    first, out = amb.tables(inner_structure.f.mor), {}
     for i in u.index.objects:
-        for top, bottom in problem_boundaries(u, i, comp, cap=awfs.cap):
-            through = outer.filler((i, compose_tables(first, top), bottom))
-            by_key[(i, top, bottom)] = inner_structure.filler(
-                (i, top, tables(through)))
-    return LiftingStructure(comp, by_key, awfs)
+        keys = problem_boundaries(u, i, comp, cap=awfs.cap)
+        for (top, bottom), top1 in zip(keys, postcompose_tables(
+                first, [top for top, _ in keys])):
+            out[(i, top, bottom)] = inner_structure.filler_tables(
+                (i, top, outer.filler_tables((i, top1, bottom))))
+    return LiftingStructure(comp, out, awfs)
 
 
 def structure_to_algebra(awfs: GeneratedAWFS,
                          psi: LiftingStructure) -> Square:
     """Glue a structure's fillers into a retraction of the one-step unit."""
-    inner = awfs.ambient
-    f = psi.f
+    inner, f = awfs.ambient, psi.f
     data = awfs.one_step(f)
     target = ArrowObj(inner, inner.identity(f.dom))
-    glued = data.den.mediate([(key[1], inner.tables(psi.filler(key)))
+    glued = data.den.mediate([(key[1], psi.filler_tables(key))
                               for key in data.den.comma.by_boundary], target)
     d_top = data.po.mediate(inner.identity(f.dom), glued.bottom)
     return Square(data.obj, f, d_top, inner.identity(f.cod))
@@ -800,12 +802,10 @@ def algebra_to_structure(awfs: GeneratedAWFS, f: ArrowObj,
     if compose_squares(d, data.unit) != identity_square(f):
         raise NotAnAlgebra("the structure square does not retract the unit")
     den = data.den
-    # den.cod -> f.dom, which each leg's bottom is composed with
+    # den.cod -> f.dom, which the legs' bottoms are composed with
     back = inner.tables(inner.compose(d.top, data.po.right))
-    by_key = {key: inner.from_tables(den.cells[name].cod, f.dom,
-                                     compose_tables(back, den.legs[name][1]))
-              for name, key in den.comma.problems.items()}
-    return LiftingStructure(f, by_key, awfs)
+    fillers = postcompose_tables(back, [leg[1] for leg in den.legs.values()])
+    return LiftingStructure(f, dict(zip(den.comma.by_boundary, fillers)), awfs)
 
 
 def has_rlp(f: ArrowObj, u: ArrowDiagram, cap: int | None = None) -> bool:
@@ -1165,7 +1165,8 @@ def factorization_to_json(fact: Factorization) -> dict:
 
 
 def structure_to_json(psi: LiftingStructure) -> dict:
-    """The structure's JSON, each problem written from its key's tables."""
+    """The structure's JSON, each problem written from its key's tables and
+    each filler from its own, with no map built."""
     inner = psi.f.ambient
     gen = psi.awfs.generators.arrow
     memo: dict = {}
@@ -1173,5 +1174,6 @@ def structure_to_json(psi: LiftingStructure) -> dict:
             "fillers": [{"index": j,
                          "problem": _boundary_to_json(inner, gen(j), psi.f,
                                                       top, bottom, memo),
-                         "filler": inner.mor_to_json(s, memo)}
-                        for (j, top, bottom), s in psi.by_key.items()]}
+                         "filler": inner.tables_to_json(
+                             gen(j).cod, psi.f.dom, value, memo)}
+                        for (j, top, bottom), value in psi.tables.items()]}

@@ -172,7 +172,7 @@ def _cmd_lift(args):
         report = {"mode": "first", "found": True,
                   "structure": structure_to_json(out[0])}
         return EXIT_OK, report, ["found a lifting structure with "
-                                 f"{len(out[0].by_key)} filler(s)"]
+                                 f"{len(out[0].tables)} filler(s)"]
     report = {"mode": "all", "count": len(out),
               "structures": [structure_to_json(s) for s in out]}
     return EXIT_OK, report, [f"{len(out)} coherent lifting structure(s)"]

@@ -9,10 +9,10 @@ the rest of the build quotients by; their composites are never needed.
 
 A lifting problem against the generator at j is a square into f whose
 source and target are fixed, so it is determined by j and the tables of its
-top and bottom.  Problems are keyed by that boundary: the problem a
-generator morphism or a square of maps carries a problem to is found by
-composing the two sides' tables, each distinct table once, and looking
-them up, without building a map or a square.  The colimit is built on
+top and bottom.  Problems are keyed by that boundary: the problems a
+generator morphism or a square of maps carries problems to are found by
+composing the two sides' tables, a column of problems at a time, and
+looking them up, without building a map or a square.  The colimit is built on
 tables too, as one arrow colimit of the cells glued along the relations,
 whose legs are kept as tables.
 
@@ -26,25 +26,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache
+from itertools import repeat
 
 from . import presheaf as psh
-from .arrows import (
-    ArrowAmbient,
-    ArrowObj,
-    FinSetAmbient,
-    PresheafAmbient,
-    Square,
-    compose_squares,
-    compose_tables,
-    identity_square,
-    square_from_tables,
-)
+from .arrows import (ArrowAmbient, ArrowObj, FinSetAmbient, PresheafAmbient,
+                     Square, compose_squares, identity_square,
+                     square_from_tables)
 from .errors import EnumerationCap, GarnetError, MalformedInput, NoIsoFound
 from .fincat import FinCategory, category_from_json, category_to_json, \
     discrete_category, identity_name
 from .finset import EMPTY, ColimitResult, FinFunction, FinSet, json_fields, \
-    json_object
+    json_object, postcompose_tables, precompose_tables
 
 
 class ArrowDiagram:
@@ -173,28 +165,25 @@ def comma_category(u: ArrowDiagram, f: ArrowObj,
                    cap: int | None = None) -> CommaResult:
     """The comma category of lifting problems into f: the one place where
     problems are enumerated, keyed and linked.  The density colimit and the
-    lifting search both read it."""
+    lifting search both read it.  Along a generator morphism t, the sides
+    of all the problems at t's codomain are composed with u(t)'s as one
+    column each, and the composites looked up at t's domain."""
     tables = u.ambient.tables
-    problems: dict[str, tuple[str, tuple, tuple]] = {}
-    for j in u.index.objects:
-        for k, (top, bottom) in enumerate(problem_boundaries(u, j, f, cap)):
-            problems[f"{j}#{k}"] = (j, top, bottom)
+    sides = {j: problem_boundaries(u, j, f, cap) for j in u.index.objects}
+    problems = {f"{j}#{k}": (j, *side) for j, at in sides.items()
+                for k, side in enumerate(at)}
     by_boundary = {key: name for name, key in problems.items()}
-    relations = []
-    over = {}
+    relations, over = [], {}
     for t in u.index.non_identity_morphisms():
         ut = u.square(t.name)
-        ut_top, ut_bottom = tables(ut.top), tables(ut.bottom)
-        # each distinct table is composed once
-        top_of = cache(lambda top: compose_tables(top, ut_top))
-        bottom_of = cache(lambda bottom: compose_tables(bottom, ut_bottom))
-        for (j2, top2, bottom2), name2 in by_boundary.items():
-            if j2 != t.cod:
-                continue
-            name1 = problem_at(by_boundary, t.dom, top_of(top2),
-                               bottom_of(bottom2))
+        tops, bottoms = [*zip(*sides[t.cod])] or [()] * 2
+        for k, key in enumerate(zip(
+                repeat(t.dom), precompose_tables(tops, tables(ut.top)),
+                precompose_tables(bottoms, tables(ut.bottom)))):
+            name2 = f"{t.cod}#{k}"
             mor_name = f"{t.name}@{name2}"
-            relations.append((mor_name, name1, name2))
+            relations.append((mor_name, by_boundary.get(key)
+                              or problem_at(by_boundary, *key), name2))
             over[mor_name] = t.name
     return CommaResult(tuple(problems), relations, problems, by_boundary,
                        over)
@@ -283,18 +272,17 @@ def retarget_density(core: DensityResult, f: ArrowObj) -> DensityResult:
 
 def density_action(u: ArrowDiagram, sigma: Square, den_f: DensityResult,
                    den_g: DensityResult) -> Square:
-    """The induced square between density values along sigma: f -> g.  Each
-    problem at f, composed with sigma on tables, is looked up at g."""
+    """The induced square between density values along sigma: f -> g.  The
+    problems at f, their tops and their bottoms each composed with sigma's
+    as one column of tables, are looked up at g."""
     if sigma.source != den_f.f or sigma.target != den_g.f:
         raise MalformedInput("square endpoints do not match the densities")
-    tables = u.ambient.tables
-    top, bottom = tables(sigma.top), tables(sigma.bottom)
-    # each distinct table is composed once
-    top_of = cache(lambda t: compose_tables(top, t))
-    bottom_of = cache(lambda b: compose_tables(bottom, b))
-    index = den_g.comma.by_boundary
-    cocone = [den_g.legs[problem_at(index, j, top_of(t), bottom_of(b))]
-              for j, t, b in den_f.comma.by_boundary]
+    tables, index = u.ambient.tables, den_g.comma.by_boundary
+    js, tops, bottoms = [*zip(*den_f.comma.by_boundary)] or [()] * 3
+    cocone = [den_g.legs[index.get(key) or problem_at(index, *key)]
+              for key in zip(js, postcompose_tables(tables(sigma.top), tops),
+                             postcompose_tables(tables(sigma.bottom),
+                                                bottoms))]
     return den_f.mediate(cocone, den_g.den)
 
 
@@ -409,44 +397,34 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
         raise MalformedInput("map does not live over the classifier's base")
     u = subobject_classifier_diagram(ambient)
     generic = density_comonad(u, f, cap=cap)
-    # pointwise values: all problems from the classified subobject into f,
-    # as the comma category enumerated them, generator by generator
-    values = {name: [] for name in u.index.objects}
-    for name, top, bottom in generic.comma.problems.values():
-        values[name].append((top, bottom))
+    # the problems from each classified subobject into f, as the comma
+    # category enumerated them, generator by generator
+    count = Counter(j for j, _top, _bottom in generic.comma.problems.values())
     # reassemble over the classifier: at c, the disjoint union over Omega(c);
     # the structure map to the classifier remembers which element each
     # block came from, cells[c] names the comma object of each element, and
-    # position finds an element from its generator and problem key
-    at, cells, proj_comps, position = {}, {}, {}, {}
+    # where[n] is the element of comma object n
+    at, cells, proj_comps, where = {}, {}, {}, {}
     for c in base.objects:
         lbls, names, table = [], [], []
         for a, a_lbl in enumerate(omega.at(c).labels):
             name = psh.element_object_name(c, a_lbl)
-            for k, key in enumerate(values[name]):
-                position[(name, key)] = len(lbls)
+            for k in range(count[name]):
+                where[f"{name}#{k}"] = len(lbls)
                 lbls.append(f"{a_lbl}#{k}")
                 names.append(f"{name}#{k}")
                 table.append(a)
         at[c] = FinSet(tuple(lbls))
         cells[c] = names
         proj_comps[c] = FinFunction(at[c], omega.at(c), tuple(table))
-    # restricting along h pulls each problem back along h@a, on tables
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        r_omega, arrow = omega.restrict(m.name), base.morphism(m.name)
-        table = []
-        for a2, a2_lbl in enumerate(omega.at(arrow.cod).labels):
-            name1 = psh.element_object_name(
-                arrow.dom, omega.at(arrow.dom).labels[r_omega(a2)])
-            step = u.square(f"{m.name}@{a2_lbl}")
-            step_t = ambient.tables(step.top), ambient.tables(step.bottom)
-            table.extend(position[(name1, (compose_tables(top, step_t[0]),
-                                           compose_tables(bottom, step_t[1])))]
-                         for top, bottom in values[psh.element_object_name(
-                             arrow.cod, a2_lbl)])
-        restrict[m.name] = FinFunction(at[arrow.cod], at[arrow.dom],
-                                       tuple(table))
+    # restricting along h pulls each problem at (c, a) back along h@a: the
+    # comma relation over h@a into the problem's object comes from it
+    pulled = {(generic.comma.over[r], n2): n1
+              for r, n1, n2 in generic.comma.relations}
+    restrict = {m.name: FinFunction(at[m.cod], at[m.dom], tuple(
+        where[pulled[(f"{m.name}@{omega.at(m.cod).labels[a]}", n)]]
+        for n, a in zip(cells[m.cod], proj_comps[m.cod].table)))
+        for m in base.non_identity_morphisms()}
     reassembled = psh.Presheaf(base, at, restrict)
     proj = psh.PresheafMap(reassembled, omega, proj_comps)
     closed = ArrowObj(ambient, psh.pullback_classify(t, proj))

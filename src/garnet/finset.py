@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -134,6 +135,32 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
 def compose_tables(g, f) -> tuple:
     """The tables of g . f, level by level, from those of g and of f."""
     return tuple([tuple(map(gt.__getitem__, ft)) for gt, ft in zip(g, f)])
+
+
+def precompose_tables(column: Sequence, f) -> list:
+    """The tables of g . f for every g in column, in order, from f's: per
+    level, one ``itemgetter`` of f's entries maps over the column's tables."""
+    levels = []
+    for k, ft in enumerate(f):
+        picked = map(itemgetter(*ft), map(itemgetter(k), column)) if ft \
+            else itertools.repeat((), len(column))
+        # of one position, itemgetter gives a value, which zip makes a tuple
+        levels.append(zip(picked) if len(ft) == 1 else picked)
+    return list(zip(*levels)) if levels else [()] * len(column)
+
+
+def postcompose_tables(g, column: Sequence) -> list:
+    """The tables of g . f for every f in column, in order, from g's: per
+    level, g's table is read at the column's entries in one pass, then
+    regrouped at the width of each run of tables of one size."""
+    levels = []
+    for k, gt in enumerate(g):
+        level, get = [], gt.__getitem__
+        for width, run in itertools.groupby(map(itemgetter(k), column), len):
+            run_values = map(get, itertools.chain.from_iterable(run))
+            level.extend(zip(*[run_values] * width) if width else run)
+        levels.append(level)
+    return list(zip(*levels)) if levels else [()] * len(column)
 
 
 def enumerate_functions(a: FinSet, b: FinSet, cap: int | None = None,

@@ -7,7 +7,8 @@ equal what ``density_comonad`` builds from scratch at the copy.  The
 gluing's action on squares is memoized the same way, and must equal the
 action a fresh session computes at the copy.  So is the one-step gluing:
 its pushout is built once per skeleton, and the gluing at a copy must equal
-a fresh session's.
+a fresh session's.  A count pins the finite maps the 16 -> 8 law suite
+builds.
 """
 
 import dataclasses
@@ -260,6 +261,27 @@ def test_law_suite_glues_once_per_skeleton(monkeypatch):
     steps = [key for key in keys if key[0] == "step"]
     assert len(glued) == len(skeletons)
     assert len(steps) > len(skeletons)
+
+
+def test_law_suite_builds_a_pinned_number_of_finite_maps(monkeypatch):
+    """The 16 -> 8 surjection's law suite under the walking cospan builds
+    776 FinFunctions, and 601 under ``python -O``, which strips the
+    invariant asserts that compose maps (4,312 and 4,137 when each
+    canonical structure built a checked map per problem, before structures
+    kept their fillers as tables): a count guards that, as wall time
+    cannot."""
+    built = []
+    check = FinFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+    f = arrow(FinFunction(FinSet.fresh(16, "a"), FinSet.fresh(8, "b"),
+                          tuple(i // 2 for i in range(16))))
+    aw = GeneratedAWFS(WC)
+    monkeypatch.setattr(FinFunction, "__post_init__", counted)
+    assert aw.law_suite(f)["pass"]
+    assert len(built) == (776 if __debug__ else 601)
 
 
 def test_density_memo_on_endomaps():

@@ -2,7 +2,10 @@
 
 ``equivalence_classes`` is checked against a breadth-first search for
 connected components (``conftest.connected_components``), and
-``compose_tables`` against composing one level at a time by hand.
+``compose_tables`` against composing one level at a time by hand; the
+column kernels ``precompose_tables`` and ``postcompose_tables`` against
+``compose_tables`` row by row, on 0 to 3 levels, with level tables of 0,
+1 and more entries, empty columns, and columns mixing table shapes.
 ``class_values`` refuses a table of the wrong length with DomainMismatch,
 also under ``python -O``, and a colimit relabeled at its first foot is the
 colimit built afresh with that foot.
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import connected_components
 from garnet.errors import DomainMismatch
 from garnet.finset import FinSet, class_values, colimit, compose_tables, \
-    equivalence_classes
+    equivalence_classes, postcompose_tables, precompose_tables
 
 
 @st.composite
@@ -91,6 +94,78 @@ def test_compose_tables_with_no_levels_and_empty_levels():
     assert compose_tables((), ()) == ()
     assert compose_tables(((),), ((),)) == ((),)
     assert compose_tables(((0, 0), ()), ((1,), ())) == ((0,), ())
+
+
+def _table(draw, size, values):
+    """A table of size entries, each below values."""
+    return tuple(draw(st.lists(st.integers(0, values - 1), min_size=size,
+                               max_size=size))) if size else ()
+
+
+@st.composite
+def precompose_columns(draw):
+    """The tables of f and of a column of g's, for 0 to 3 levels: at each
+    level f: a -> b with a from 0 to 4 (itemgetter's three arities), and
+    every g at that level a table of b entries into a codomain of its own,
+    so the column mixes codomains; the column may be empty."""
+    levels = draw(st.integers(0, 3))
+    sizes = [(draw(st.integers(0, 4)), draw(st.integers(1, 4)))
+             for _ in range(levels)]
+    f = tuple(_table(draw, a, b) for a, b in sizes)
+    column = [tuple(_table(draw, b, draw(st.integers(1, 5)))
+                    for _a, b in sizes)
+              for _ in range(draw(st.integers(0, 6)))]
+    return column, f
+
+
+@st.composite
+def postcompose_columns(draw):
+    """The tables of g and of a column of f's, for 0 to 3 levels: at each
+    level g: b -> c, and each f drawn from a few generator shapes, whose
+    domains have 0 to 4 elements level by level, in any order, so runs of
+    one shape alternate; the column may be empty."""
+    levels = draw(st.integers(0, 3))
+    cods = [draw(st.integers(1, 4)) for _ in range(levels)]
+    g = tuple(_table(draw, b, draw(st.integers(1, 5))) for b in cods)
+    shapes = draw(st.lists(st.tuples(*[st.integers(0, 4)] * levels),
+                           min_size=1, max_size=3))
+    column = [tuple(_table(draw, a, b) for a, b in zip(
+        draw(st.sampled_from(shapes)), cods))
+        for _ in range(draw(st.integers(0, 8)))]
+    return g, column
+
+
+@settings(max_examples=300, deadline=None)
+@given(precompose_columns())
+def test_precompose_tables_is_compose_tables_row_by_row(case):
+    column, f = case
+    assert precompose_tables(column, f) \
+        == [compose_tables(g, f) for g in column]
+
+
+@settings(max_examples=300, deadline=None)
+@given(postcompose_columns())
+def test_postcompose_tables_is_compose_tables_row_by_row(case):
+    g, column = case
+    assert postcompose_tables(g, column) \
+        == [compose_tables(g, f) for f in column]
+
+
+def test_column_kernels_at_each_arity():
+    g = ((7, 8, 9),)
+    # f with no, one and two entries: itemgetter's three arities
+    assert precompose_tables([g, g], ((),)) == [((),), ((),)]
+    assert precompose_tables([g, ((4, 5, 6),)], ((2,),)) \
+        == [((9,),), ((6,),)]
+    assert precompose_tables([g], ((2, 0),)) == [((9, 7),)]
+    assert precompose_tables([], ((1,),)) == []
+    assert precompose_tables([(), ()], ()) == [(), ()]
+    # one column mixing shapes, widths 2, 0, 1 and 2 again
+    column = [((0, 1),), ((),), ((2,),), ((2, 2),)]
+    assert postcompose_tables(g, column) \
+        == [((7, 8),), ((),), ((9,),), ((9, 9),)]
+    assert postcompose_tables(g, []) == []
+    assert postcompose_tables((), [(), ()]) == [(), ()]
 
 
 @pytest.mark.parametrize("values", [[5], [5, 5, 5], []])
