@@ -225,9 +225,7 @@ class PresheafAmbient:
         objects = self.base.objects
         return (tuple((m.source.at(c).size, m.target.at(c).size, t)
                       for c, t in zip(objects, m.tables)),
-                tuple((m.source.restrict(r.name).table,
-                       m.target.restrict(r.name).table)
-                      for r in self.base.non_identity_morphisms()))
+                tuple(zip(m.source.tables, m.target.tables)))
 
     def obj_to_json(self, x, memo=None):
         return psh.presheaf_to_json(x, memo)

@@ -345,7 +345,7 @@ def subobject_classifier_diagram(ambient) -> ArrowDiagram:
                              "presheaf ambient")
     base = ambient.base
     omega, truth = psh.subobject_classifier(base)
-    elcat, labels = psh.element_category(omega)
+    elcat, labels, over = psh.element_category(omega)
     on_objects = {}
     for name in elcat.objects:
         c, lbl = labels[name]
@@ -354,17 +354,13 @@ def subobject_classifier_diagram(ambient) -> ArrowDiagram:
         on_objects[name] = ArrowObj(ambient, mono)
     on_morphisms = {}
     for m in elcat.non_identity_morphisms():
-        base_name = m.name.split("@", 1)[0]
+        base_name = over[m.name]
         src, tgt = on_objects[m.dom], on_objects[m.cod]
         bottom = psh.yoneda_map(base, base_name)
-        comps = {}
-        for x in base.objects:
-            sub_src, sub_tgt = src.dom.at(x), tgt.dom.at(x)
-            table = tuple(
-                sub_tgt.index_of(base.compose(base_name, h))
-                for h in sub_src.labels)
-            comps[x] = FinFunction(sub_src, sub_tgt, table)
-        top = psh.PresheafMap(src.dom, tgt.dom, comps)
+        top = psh.PresheafMap(src.dom, tgt.dom, psh._components(
+            src.dom, tgt.dom, [tuple(
+                tgt.dom.at(x).index_of(base.compose(base_name, h))
+                for h in src.dom.at(x).labels) for x in base.objects]))
         on_morphisms[m.name] = Square(src, tgt, top, bottom)
     return ArrowDiagram(ambient, elcat, on_objects, on_morphisms)
 
@@ -421,11 +417,10 @@ def density_closed_form_subobject(t: psh.PresheafMap, f: ArrowObj,
     # comma relation over h@a into the problem's object comes from it
     pulled = {(generic.comma.over[r], n2): n1
               for r, n1, n2 in generic.comma.relations}
-    restrict = {m.name: FinFunction(at[m.cod], at[m.dom], tuple(
+    reassembled = psh._from_tables(base, at, {m.name: tuple(
         where[pulled[(f"{m.name}@{omega.at(m.cod).labels[a]}", n)]]
-        for n, a in zip(cells[m.cod], proj_comps[m.cod].table)))
-        for m in base.non_identity_morphisms()}
-    reassembled = psh.Presheaf(base, at, restrict)
+        for n, a in zip(cells[m.cod], proj_comps[m.cod].table))
+        for m in base.non_identity_morphisms()})
     proj = psh.PresheafMap(reassembled, omega, proj_comps)
     closed = ArrowObj(ambient, psh.pullback_classify(t, proj))
     mismatch = "closed form does not match the generic density; this is a bug"

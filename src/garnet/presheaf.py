@@ -1,13 +1,17 @@
 """Finite-set-valued presheaves on a finite base category.
 
+A presheaf is its levels and tables: a finite set per base object and an
+integer restriction table per non-identity morphism.  A map is its
+component tables.  Maps of finite sets are built only when read.
+
 Everything is levelwise over the substrate in finset: colimits are computed
 object by object and reassembled.  Their restrictions are induced through
 the level colimits, which makes the legs natural, so the legs are not
 checked again.  The constructors check the rest: a presheaf that is not
 functorial and a map that is not natural are refused where they are built,
 on the restriction and component tables, without building composite maps.
-A map is its tables: composites, identities, inverses and colimit mediators
-are natural by construction, so ``_natural_map`` builds them unchecked.
+Composites, identities, inverses and colimit mediators of maps are natural
+by construction, so ``_natural_map`` builds them unchecked.
 The subobject classifier is the full sieve classifier; on these finite,
 fully decidable bases it coincides with the levelwise complemented one.
 """
@@ -29,43 +33,66 @@ from .errors import (
 from .fincat import (FinCategory, category_from_json, category_to_json,
                      identity_name)
 # compose is unused here; the benchmark's tests read this binding
-from .finset import FinFunction, FinSet, cached_hash, compose, identity
+from .finset import FinFunction, FinSet, cached_hash, compose
 
 
 class Presheaf:
-    """Contravariant finite-set diagram: restrict(m: x->y) maps at(y) to at(x)."""
+    """Contravariant finite-set diagram: restrict(m: x->y) maps at(y) to at(x).
+
+    A presheaf is its levels and tables: the set at each base object, and
+    ``tables``, one restriction table per non-identity morphism in
+    ``base.non_identity_morphisms()`` order; identities restrict by
+    identities.  Equality and hashing read the base, levels and tables, and
+    ``restrict`` builds a map when read.
+
+    The constructor is the checked door for restriction maps: each map's
+    ends must be the levels, then its table goes to ``_check``, the one
+    checked body, which ``_from_tables`` opens to tables."""
 
     def __init__(self, base: FinCategory, at, restrict):
+        at, given = dict(at), dict(restrict)
+        for name, r in given.items():
+            # a missing level or an unknown name is left to _check
+            m = base.morphism(name) if base.has_morphism(name) else None
+            if m and (r.dom, r.cod) != (at.get(m.cod, r.dom),
+                                        at.get(m.dom, r.cod)):
+                raise ShapeMismatch(f"restriction along {name!r} " + (
+                    "must be the identity" if base.is_identity(name)
+                    else "has wrong shape"))
+        self._check(base, at, {name: r.table for name, r in given.items()})
+
+    def _check(self, base: FinCategory, at: dict, given: dict):
+        """Store these levels and tables (by morphism name) if they make a
+        presheaf: every level and restriction present and known, each table
+        total and landing in its level, identities restricting by
+        identities, and ``validate_presheaf`` empty."""
         self.base = base
-        self._at: dict[str, FinSet] = dict(at)
         for x in base.objects:
-            if x not in self._at:
+            if x not in at:
                 raise ShapeMismatch(f"no value at object {x!r}")
-        for x in self._at:
+        for x in at:
             if x not in base.objects:
                 raise UnknownObject(f"value at unknown object {x!r}")
-        self._restrict: dict[str, FinFunction] = {}
-        given = dict(restrict)
+        self._at: dict[str, FinSet] = {x: at[x] for x in base.objects}
+        tables = []
         for m in base.morphisms:
+            t, n, k = given.get(m.name), len(at[m.cod]), len(at[m.dom])
             if base.is_identity(m.name):
-                expected = identity(self._at[m.dom])
-                if m.name in given and given[m.name] != expected:
-                    raise ShapeMismatch(f"restriction along {m.name!r} must be "
-                                        f"the identity")
-                self._restrict[m.name] = expected
+                if t is not None and tuple(t) != tuple(range(n)):
+                    raise ShapeMismatch(f"restriction along {m.name!r} must "
+                                        f"be the identity")
                 continue
-            if m.name not in given:
+            if t is None:
                 raise ShapeMismatch(f"no restriction along {m.name!r}")
-            r = given[m.name]
-            if r.dom != self._at[m.cod] or r.cod != self._at[m.dom]:
+            if len(t) != n or t and (min(t) < 0 or max(t) >= k):
                 raise ShapeMismatch(f"restriction along {m.name!r} has wrong "
                                     f"shape")
-            self._restrict[m.name] = r
+            tables.append(tuple(t))
         for name in given:
             if not base.has_morphism(name):
                 raise UnknownObject(f"restriction along unknown {name!r}")
-        self._key = (base, tuple((x, self._at[x]) for x in base.objects),
-                     tuple(sorted(self._restrict.items())))
+        self.tables = tuple(tables)
+        self._key = (base, tuple(self._at.values()), self.tables)
         problems = validate_presheaf(self)
         if problems:
             raise MalformedInput("; ".join(problems))
@@ -75,10 +102,20 @@ class Presheaf:
             raise UnknownObject(f"unknown object {x!r}")
         return self._at[x]
 
+    def _tables_by_name(self) -> dict:
+        """Each restriction's table by morphism name, identities included."""
+        out = {identity_name(x): tuple(range(s.size))
+               for x, s in self._at.items()}
+        out.update(zip((m.name for m in self.base.non_identity_morphisms()),
+                       self.tables))
+        return out
+
     def restrict(self, name: str) -> FinFunction:
-        if name not in self._restrict:
+        if not self.base.has_morphism(name):
             raise UnknownObject(f"unknown morphism {name!r}")
-        return self._restrict[name]
+        m = self.base.morphism(name)
+        return FinFunction(self._at[m.cod], self._at[m.dom],
+                           self._tables_by_name()[name])
 
     def __eq__(self, other):
         return isinstance(other, Presheaf) and self._key == other._key
@@ -86,8 +123,16 @@ class Presheaf:
     __hash__ = cached_hash
 
     def __repr__(self):
-        sizes = ", ".join(f"{x}:{self._at[x].size}" for x in self.base.objects)
+        sizes = ", ".join(f"{x}:{s.size}" for x, s in self._at.items())
         return f"Presheaf({sizes})"
+
+
+def _from_tables(base: FinCategory, at, tables) -> Presheaf:
+    """The presheaf with these levels and restriction tables, by morphism
+    name, checked as ``Presheaf(...)`` checks the maps' tables."""
+    p = object.__new__(Presheaf)
+    p._check(base, dict(at), dict(tables))
+    return p
 
 
 def validate_presheaf(p: Presheaf) -> list[str]:
@@ -95,15 +140,12 @@ def validate_presheaf(p: Presheaf) -> list[str]:
     pair with an identity holds, as identities restrict by identities."""
     report = []
     cat = p.base
-    for g in cat.non_identity_morphisms():
-        for f in cat.non_identity_morphisms():
-            if f.cod != g.dom:
-                continue
-            r_gf = p.restrict(cat.compose(g.name, f.name))
-            r_f, r_g = p.restrict(f.name), p.restrict(g.name)
-            if r_gf.dom != r_g.dom or r_gf.cod != r_f.cod \
-                    or r_gf.table != tuple(map(r_f.table.__getitem__,
-                                               r_g.table)):
+    table = p._tables_by_name()
+    pairs = list(zip(cat.non_identity_morphisms(), p.tables))
+    for g, r_g in pairs:
+        for f, r_f in pairs:
+            if f.cod == g.dom and table[cat.compose(g.name, f.name)] \
+                    != tuple(map(r_f.__getitem__, r_g)):
                 report.append(f"restriction fails functoriality at "
                               f"({g.name!r}, {f.name!r})")
     return report
@@ -114,11 +156,10 @@ def _unnatural_along(source: Presheaf, target: Presheaf, components):
     already typed level by level, fail naturality, or None: the tables of
     ``component(dom m) . source(m)`` and ``target(m) . component(cod m)``
     are compared, not the composite maps."""
-    for m in source.base.non_identity_morphisms():
-        if tuple(map(components[m.dom].table.__getitem__,
-                     source.restrict(m.name).table)) \
-                != tuple(map(target.restrict(m.name).table.__getitem__,
-                             components[m.cod].table)):
+    for m, s, t in zip(source.base.non_identity_morphisms(), source.tables,
+                       target.tables):
+        if tuple(map(components[m.dom].table.__getitem__, s)) \
+                != tuple(map(t.__getitem__, components[m.cod].table)):
             return m.name
     return None
 
@@ -212,9 +253,9 @@ def presheaf_inverse(f: PresheafMap) -> PresheafMap:
 
 
 def constant_presheaf(base: FinCategory, value: FinSet) -> Presheaf:
-    return Presheaf(base, {x: value for x in base.objects},
-                    {m.name: identity(value)
-                     for m in base.non_identity_morphisms()})
+    same = tuple(range(value.size))
+    return _from_tables(base, {x: value for x in base.objects},
+                        {m.name: same for m in base.non_identity_morphisms()})
 
 
 def terminal_presheaf(base: FinCategory) -> Presheaf:
@@ -230,35 +271,26 @@ def yoneda(base: FinCategory, c: str) -> Presheaf:
     if c not in base.objects:
         raise UnknownObject(f"unknown object {c!r}")
     at = {x: FinSet(tuple(base.hom(x, c))) for x in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        dom_set, cod_set = at[m.cod], at[m.dom]
-        table = tuple(cod_set.index_of(base.compose(h, m.name))
-                      for h in dom_set.labels)
-        restrict[m.name] = FinFunction(dom_set, cod_set, table)
-    return Presheaf(base, at, restrict)
+    return _from_tables(base, at, {m.name: tuple(
+        at[m.dom].index_of(base.compose(h, m.name)) for h in at[m.cod].labels)
+        for m in base.non_identity_morphisms()})
 
 
 def yoneda_map(base: FinCategory, m: str) -> PresheafMap:
     """The representable map y(dom m) -> y(cod m), postcomposition by m."""
     arrow = base.morphism(m)
     src, tgt = yoneda(base, arrow.dom), yoneda(base, arrow.cod)
-    comps = {}
-    for x in base.objects:
-        table = tuple(tgt.at(x).index_of(base.compose(m, h))
-                      for h in src.at(x).labels)
-        comps[x] = FinFunction(src.at(x), tgt.at(x), table)
-    return PresheafMap(src, tgt, comps)
+    return PresheafMap(src, tgt, _components(src, tgt, [tuple(
+        tgt.at(x).index_of(base.compose(m, h)) for h in src.at(x).labels)
+        for x in base.objects]))
 
 
 def element_map(p: Presheaf, c: str, i: int) -> PresheafMap:
     """The map y(c) -> p picking out element i of p at c (Yoneda lemma)."""
     src = yoneda(p.base, c)
-    comps = {}
-    for x in p.base.objects:
-        table = tuple(p.restrict(h)(i) for h in src.at(x).labels)
-        comps[x] = FinFunction(src.at(x), p.at(x), table)
-    return PresheafMap(src, p, comps)
+    table = p._tables_by_name()
+    return PresheafMap(src, p, _components(src, p, [
+        tuple(table[h][i] for h in src.at(x).labels) for x in p.base.objects]))
 
 
 # -- subobject classifier ----------------------------------------------------
@@ -274,17 +306,8 @@ def sieves_on(base: FinCategory, c: str) -> list[tuple[str, ...]]:
     for mask in range(1 << len(arrows)):
         chosen = [a for i, a in enumerate(arrows) if mask >> i & 1]
         member = set(chosen)
-        closed = True
-        for h in chosen:
-            for g in base.morphisms:
-                if g.cod != base.morphism(h).dom:
-                    continue
-                if base.compose(h, g.name) not in member:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
+        if all(base.compose(h, g.name) in member for h in chosen
+               for g in base.morphisms if g.cod == base.morphism(h).dom):
             out.append(tuple(chosen))
     return out
 
@@ -296,24 +319,16 @@ def subobject_classifier(base: FinCategory) -> tuple[Presheaf, PresheafMap]:
              for c in base.objects}
     at = {c: FinSet(tuple(sieve_label(s) for s in sieves[c]))
           for c in base.objects}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        table = []
-        for s in sieves[m.cod]:
-            member = set(s)
-            pulled = frozenset(h.name for h in base.morphisms
-                               if h.cod == m.dom
-                               and base.compose(m.name, h.name) in member)
-            table.append(index[m.dom][pulled])
-        restrict[m.name] = FinFunction(at[m.cod], at[m.dom], tuple(table))
-    omega = Presheaf(base, at, restrict)
+    # a sieve pulls back along m to the h whose composite m . h is in it
+    omega = _from_tables(base, at, {m.name: tuple(index[m.dom][frozenset(
+        h.name for h in base.morphisms
+        if h.cod == m.dom and base.compose(m.name, h.name) in member)]
+        for member in map(set, sieves[m.cod]))
+        for m in base.non_identity_morphisms()})
     one = terminal_presheaf(base)
-    maximal = {c: index[c][frozenset(m.name for m in base.morphisms
-                                     if m.cod == c)]
-               for c in base.objects}
-    truth = PresheafMap(one, omega,
-                        {c: FinFunction(one.at(c), omega.at(c), (maximal[c],))
-                         for c in base.objects})
+    truth = PresheafMap(one, omega, _components(one, omega, [
+        (index[c][frozenset(m.name for m in base.morphisms if m.cod == c)],)
+        for c in base.objects]))
     return omega, truth
 
 
@@ -321,23 +336,17 @@ def pullback_classify(t: PresheafMap, a: PresheafMap) -> PresheafMap:
     """Base change of the truth point t along a: the mono classified by a."""
     if a.target != t.target:
         raise ShapeMismatch("classifying map must land in the classifier")
-    base = a.source.base
-    x = a.source
-    truth_at = {c: t.at(c)(0) for c in base.objects}
-    kept = {c: [i for i in range(x.at(c).size) if a.at(c)(i) == truth_at[c]]
-            for c in base.objects}
+    base, x = a.source.base, a.source
+    kept = {c: tuple(i for i, v in enumerate(at_c) if v == truth[0])
+            for c, at_c, truth in zip(base.objects, a.tables, t.tables)}
     at = {c: FinSet(tuple(x.at(c).labels[i] for i in kept[c]))
           for c in base.objects}
     restrict = {}
-    for m in base.non_identity_morphisms():
-        r = x.restrict(m.name)
+    for m, r in zip(base.non_identity_morphisms(), x.tables):
         pos = {i: p for p, i in enumerate(kept[m.dom])}
-        restrict[m.name] = FinFunction(
-            at[m.cod], at[m.dom], tuple(pos[r(i)] for i in kept[m.cod]))
-    dom = Presheaf(base, at, restrict)
-    return PresheafMap(dom, x,
-                       {c: FinFunction(at[c], x.at(c), tuple(kept[c]))
-                        for c in base.objects})
+        restrict[m.name] = tuple(pos[r[i]] for i in kept[m.cod])
+    dom = _from_tables(base, at, restrict)
+    return PresheafMap(dom, x, _components(dom, x, kept.values()))
 
 
 def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
@@ -353,17 +362,13 @@ def classify_mono(t: PresheafMap, m: PresheafMap) -> PresheafMap:
         raise ShapeMismatch("truth point is not the sieve classifier's")
     index = {c: {frozenset(s): i for i, s in enumerate(sieves_on(base, c))}
              for c in base.objects}
-    comps = {}
-    for c in base.objects:
-        image = {c2: set(m.at(c2).table) for c2 in base.objects}
-        table = []
-        for xi in range(m.target.at(c).size):
-            sieve = frozenset(
-                h.name for h in base.morphisms
-                if h.cod == c and m.target.restrict(h.name)(xi) in image[h.dom])
-            table.append(index[c][sieve])
-        comps[c] = FinFunction(m.target.at(c), omega.at(c), tuple(table))
-    return PresheafMap(m.target, omega, comps)
+    restrict = m.target._tables_by_name()
+    image = {c: set(t) for c, t in zip(base.objects, m.tables)}
+    # x lies in the sieve's h exactly when its restriction along h is in m
+    return PresheafMap(m.target, omega, _components(m.target, omega, [tuple(
+        index[c][frozenset(h.name for h in base.morphisms if h.cod == c
+                           and restrict[h.name][xi] in image[h.dom])]
+        for xi in range(m.target.at(c).size)) for c in base.objects]))
 
 
 # -- category of elements ----------------------------------------------------
@@ -372,8 +377,10 @@ def element_object_name(c: str, label: str) -> str:
     return f"({c},{label})"
 
 
-def element_category(p: Presheaf) -> tuple[FinCategory, dict]:
-    """Category of elements; objects are (base object, element) pairs."""
+def element_category(p: Presheaf) -> tuple[FinCategory, dict, dict]:
+    """Category of elements; objects are (base object, element) pairs.
+    Returned with each object's pair and each non-identity morphism's base
+    morphism, by name: ``m@x``, m's element morphism at x, lies over m."""
     base = p.base
     objects = []
     labels = {}
@@ -382,32 +389,31 @@ def element_category(p: Presheaf) -> tuple[FinCategory, dict]:
             name = element_object_name(c, lbl)
             objects.append(name)
             labels[name] = (c, lbl)
-    morphisms = []
-    for m in base.non_identity_morphisms():
-        r = p.restrict(m.name)
-        for x2 in range(p.at(m.cod).size):
-            x1 = r(x2)
+    morphisms, over = [], {}
+    restrictions = list(zip(base.non_identity_morphisms(), p.tables))
+    for m, r in restrictions:
+        for x2, x1 in enumerate(r):
+            name = f"{m.name}@{p.at(m.cod).labels[x2]}"
+            over[name] = m.name
             morphisms.append((
-                f"{m.name}@{p.at(m.cod).labels[x2]}",
+                name,
                 element_object_name(m.dom, p.at(m.dom).labels[x1]),
                 element_object_name(m.cod, p.at(m.cod).labels[x2])))
     compose_table = {}
-    for m2 in base.non_identity_morphisms():
-        for m1 in base.non_identity_morphisms():
+    for m2, r2 in restrictions:
+        for m1, _ in restrictions:
             if m1.cod != m2.dom:
                 continue
             mm = base.compose(m2.name, m1.name)
-            r2 = p.restrict(m2.name)
-            for x3 in range(p.at(m2.cod).size):
+            for x3, x2 in enumerate(r2):
                 lbl3 = p.at(m2.cod).labels[x3]
-                x2 = r2(x3)
                 lbl2 = p.at(m2.dom).labels[x2]
                 if base.is_identity(mm):
                     value = identity_name(element_object_name(m2.cod, lbl3))
                 else:
                     value = f"{mm}@{lbl3}"
                 compose_table[(f"{m2.name}@{lbl3}", f"{m1.name}@{lbl2}")] = value
-    return FinCategory(objects, morphisms, compose_table), labels
+    return FinCategory(objects, morphisms, compose_table), labels, over
 
 
 # -- natural transformation enumeration --------------------------------------
@@ -452,8 +458,8 @@ def enumerate_maps(source: Presheaf, target: Presheaf, cap: int | None = None,
     later_cod = [[] for _ in objects]     # y later: (x, s, fibres, fibre sets)
     later_dom = [[] for _ in objects]     # x later: (y, s, t)
     endo = [[] for _ in objects]          # x == y: (s, t)
-    for m in base.non_identity_morphisms():
-        s, t = source.restrict(m.name).table, target.restrict(m.name).table
+    for m, s, t in zip(base.non_identity_morphisms(), source.tables,
+                       target.tables):
         x, y = depth[m.dom], depth[m.cod]
         if x < y:
             over = [[] for _ in target.at(m.dom).labels]
@@ -522,12 +528,9 @@ def presheaf_colimit(base: FinCategory, feet: Sequence[Presheaf], pairs,
     feet = tuple(feet)
     level = {c: finset.colimit([p.at(c) for p in feet], glued, tags)
              for c, glued in zip(base.objects, pairs, strict=True)}
-    restrict = {}
-    for m in base.non_identity_morphisms():
-        src, dst = level[m.cod], level[m.dom]
-        restrict[m.name] = FinFunction(src.obj, dst.obj, src.induce(
-            dst, [p.restrict(m.name).table for p in feet]))
-    obj = Presheaf(base, {c: col.obj for c, col in level.items()}, restrict)
+    obj = _from_tables(base, {c: col.obj for c, col in level.items()}, {
+        m.name: level[m.cod].induce(level[m.dom], [p.tables[k] for p in feet])
+        for k, m in enumerate(base.non_identity_morphisms())})
     return finset.ColimitResult(PresheafAmbient(base), obj, feet,
                                 level.values())
 
@@ -538,10 +541,9 @@ def relabeled_colimit(col, foot: Presheaf, tags=None) -> finset.ColimitResult:
     base = foot.base
     levels = [level.relabeled(foot.at(c), tags)
               for c, level in zip(base.objects, col.levels)]
-    at = {c: level.obj for c, level in zip(base.objects, levels)}
-    obj = Presheaf(base, at, {m.name: FinFunction(
-        at[m.cod], at[m.dom], col.obj.restrict(m.name).table)
-        for m in base.non_identity_morphisms()})
+    obj = _from_tables(base, {
+        c: level.obj for c, level in zip(base.objects, levels)}, zip(
+        (m.name for m in base.non_identity_morphisms()), col.obj.tables))
     return finset.ColimitResult(col.ambient, obj, (foot, *col.feet[1:]),
                                 levels)
 
@@ -590,8 +592,8 @@ def presheaf_to_json(p: Presheaf, memo: dict | None = None) -> dict:
     return finset.memoized(memo, p, lambda: {
         "base": category_to_json(p.base),
         "at": {c: finset.finset_to_json(p.at(c)) for c in p.base.objects},
-        "restrict": {m.name: list(p.restrict(m.name).table)
-                     for m in p.base.non_identity_morphisms()},
+        "restrict": {m.name: list(t) for m, t in
+                     zip(p.base.non_identity_morphisms(), p.tables)},
     })
 
 
@@ -619,9 +621,9 @@ def presheaf_from_json(data, base: FinCategory | None = None,
         m = base.morphism(name)
         if m.cod not in at or m.dom not in at:
             raise MalformedInput(f"restriction {name!r} lacks endpoints")
-        restrict[name] = FinFunction(at[m.cod], at[m.dom], finset.json_table(
-            table, at[m.cod], at[m.dom], f"restriction {name!r}"))
-    return Presheaf(base, at, restrict)
+        restrict[name] = finset.json_table(table, at[m.cod], at[m.dom],
+                                           f"restriction {name!r}")
+    return _from_tables(base, at, restrict)
 
 
 def presheaf_map_from_json(data, base: FinCategory | None = None,

@@ -206,6 +206,17 @@ def test_validate_generators_and_presheaf(tmp_path):
     assert run(["validate", "--generators", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("name", ["m", "a@b"])
+def test_validate_classifier_generators_on_a_base_morphism_named(
+        tmp_path, name, capsys):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"objects": ["x", "y"], "morphisms": [
+        {"name": name, "dom": "x", "cod": "y"}]}))
+    assert run(["validate", "--ambient", "presheaf", "--base", str(base),
+                "--generators", "subobject_classifier"]) == 0
+    assert "valid" in capsys.readouterr().out
+
+
 def test_validate_needs_a_subject():
     assert run(["validate"]) == 1
 

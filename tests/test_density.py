@@ -266,6 +266,26 @@ def test_classifier_diagram_presheaf_walking_arrow():
         assert ambient.is_mono(u.arrow(j).mor)
 
 
+def generator_shapes(u):
+    """Each generator's level sizes, domain then codomain, in index order."""
+    base = u.ambient.base
+    return [tuple((u.arrow(j).dom.at(x).size, u.arrow(j).cod.at(x).size)
+                  for x in base.objects) for j in u.index.objects]
+
+
+@pytest.mark.parametrize("name", ["m", "a@b"])
+def test_classifier_diagram_reads_base_morphisms_not_names(name):
+    # an element morphism is named m@label; a base morphism whose own name
+    # holds an @ must not be cut at it
+    base = FinCategory(("x", "y"), ((name, "x", "y"),), {})
+    u = subobject_classifier_diagram(PresheafAmbient(base))
+    plain = subobject_classifier_diagram(PresheafAmbient(
+        FinCategory(("x", "y"), (("m", "x", "y"),), {})))
+    assert len(u.index.objects) == 5
+    assert generator_shapes(u) == generator_shapes(plain)
+    assert validate_diagram(u) == []
+
+
 def test_representable_problem_is_distinguished():
     base = FinCategory(("x",), (), {})
     ambient = PresheafAmbient(base)

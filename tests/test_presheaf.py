@@ -173,7 +173,7 @@ def test_mono_equals_pullback_of_its_classifier_up_to_iso():
 # -- category of elements -----------------------------------------------------
 
 def test_elements_of_constant_singleton_is_terminal():
-    el, labels = element_category(terminal_presheaf(terminal_base()))
+    el, labels, _ = element_category(terminal_presheaf(terminal_base()))
     assert len(el.objects) == 1
     assert el.non_identity_morphisms() == ()
     assert labels[el.objects[0]] == ("*", "*")
@@ -181,14 +181,14 @@ def test_elements_of_constant_singleton_is_terminal():
 
 def test_elements_of_classifier_on_terminal_base_is_discrete_two():
     omega, _ = subobject_classifier(terminal_base())
-    el, _ = element_category(omega)
+    el, _, _ = element_category(omega)
     assert len(el.objects) == 2
     assert el.non_identity_morphisms() == ()
 
 
 def test_elements_of_classifier_on_walking_arrow():
     omega, _ = subobject_classifier(arrow_base())
-    el, labels = element_category(omega)
+    el, labels, _ = element_category(omega)
     assert len(el.objects) == 5
     assert len(el.non_identity_morphisms()) == 3
     assert validate_category(el) == []
@@ -198,7 +198,7 @@ def test_elements_of_classifier_on_walking_arrow():
 
 def test_elements_of_representable_has_terminal_shape():
     base = arrow_base()
-    el, _ = element_category(yoneda(base, "y"))
+    el, _, _ = element_category(yoneda(base, "y"))
     assert len(el.objects) == 2
     assert len(el.non_identity_morphisms()) == 1
     assert validate_category(el) == []
@@ -367,6 +367,69 @@ def test_presheaf_shape_errors():
         Presheaf(base, {"x": fin(1)}, {})
     with pytest.raises(ShapeMismatch):
         Presheaf(base, {"x": fin(1), "y": fin(1)}, {})
+
+
+# one fault each on the walking arrow x -> y, with one-element levels (two at
+# x where a table along id_x must be the identity): the presheaf's levels
+# and restriction maps, its JSON, and the exception type and message both
+# give; None where that door cannot reach the fault alone, and the JSON
+# reader's own refusals of a table are cases of their own
+X, Y, X2 = fin(1, "x"), fin(1, "y"), fin(2, "x")
+SINGLE_FAULTS = {
+    "no value at an object": (
+        {"x": X}, {"m": FinFunction(Y, X, (0,))}, None,
+        ShapeMismatch, "no value at object 'y'"),
+    "a restriction table without its level": (
+        None, None, {"at": {"x": ["x0"]}, "restrict": {"m": [0]}},
+        MalformedInput, "restriction 'm' lacks endpoints"),
+    "a value at an unknown object": (
+        {"x": X, "y": Y, "z": Y}, {"m": FinFunction(Y, X, (0,))},
+        {"at": {"x": ["x0"], "y": ["y0"], "z": ["y0"]},
+         "restrict": {"m": [0]}},
+        UnknownObject, "value at unknown object 'z'"),
+    "a missing restriction": (
+        {"x": X, "y": Y}, {}, {"at": {"x": ["x0"], "y": ["y0"]}},
+        ShapeMismatch, "no restriction along 'm'"),
+    "a restriction of the wrong size": (
+        {"x": X, "y": Y}, {"m": FinFunction(fin(2, "y"), X, (0, 0))},
+        None, ShapeMismatch, "restriction along 'm' has wrong shape"),
+    "a restriction table of the wrong size": (
+        None, None, {"at": {"x": ["x0"], "y": ["y0"]},
+                     "restrict": {"m": [0, 0]}},
+        MalformedInput,
+        "restriction 'm' must list one entry per domain element"),
+    "a restriction between other labels": (
+        {"x": X, "y": Y}, {"m": FinFunction(fin(1, "w"), X, (0,))},
+        None, ShapeMismatch, "restriction along 'm' has wrong shape"),
+    "a non-identity table along an identity": (
+        {"x": X2, "y": Y}, {"m": FinFunction(Y, X2, (0,)),
+                            "id_x": FinFunction(X2, X2, (1, 0))},
+        {"at": {"x": ["x0", "x1"], "y": ["y0"]},
+         "restrict": {"m": [0], "id_x": [1, 0]}},
+        ShapeMismatch, "restriction along 'id_x' must be the identity"),
+    "an unknown morphism name": (
+        {"x": X, "y": Y}, {"m": FinFunction(Y, X, (0,)),
+                           "k": FinFunction(Y, X, (0,))},
+        {"at": {"x": ["x0"], "y": ["y0"]}, "restrict": {"m": [0], "k": [0]}},
+        UnknownObject, "restriction along unknown 'k'"),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULTS)
+def test_presheaf_constructor_refuses_each_single_fault(fault):
+    at, restrict, data, kind, message = SINGLE_FAULTS[fault]
+    calls = []
+    if at is not None:
+        calls.append(lambda: Presheaf(arrow_base(), at, restrict))
+    if data is not None:
+        data = {"at": {c: {"labels": labels}
+                       for c, labels in data["at"].items()},
+                "restrict": data.get("restrict", {})}
+        calls.append(lambda: presheaf_from_json(data, arrow_base()))
+    for call in calls:
+        with pytest.raises(kind, match=re.escape(message)) as caught:
+            call()
+        assert type(caught.value) is kind and str(caught.value) == message
 
 
 def test_presheaf_json_round_trip():

@@ -14,23 +14,30 @@ factorization builds the same way (each one-step unit, and the conjugation
 between the free algebra's carrier and the right factor, both ways) must
 equal the checked squares with their sides, over the walking cospan and
 over graphs.
+A presheaf is its levels and restriction tables: one built from tables
+(``_from_tables``) must equal and hash like the one ``Presheaf(...)`` builds
+from the same maps, give back each map from ``restrict``, and be equal to
+another exactly when the old definition says so, equal levels and equal
+restriction maps, on the graph, chain and one-idempotent bases.
 """
 
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from garnet import awfs, finset
 from garnet.arrows import ArrowAmbient, ArrowObj, FinSetAmbient, \
     PresheafAmbient, Square, compose_squares, identity_square
 from garnet.awfs import GeneratedAWFS
 from garnet.errors import EnumerationCap
-from garnet.presheaf import PresheafMap, enumerate_maps, presheaf_compose, \
-    presheaf_coproduct, presheaf_identity, presheaf_inverse, \
-    presheaf_pushout
+from garnet.finset import FinFunction, FinSet
+from garnet.presheaf import Presheaf, PresheafMap, _from_tables, \
+    enumerate_maps, presheaf_compose, presheaf_coproduct, presheaf_identity, \
+    presheaf_inverse, presheaf_pushout
 from test_density_memo import BOUNDARY, WC, finset_maps, graph_maps
-from test_table_checks import finset_arrows, nonempty_arrows
-from test_table_search import PAIRS
+from test_table_checks import GRAPH, IDEMPOTENT, finset_arrows, graphs, \
+    idempotent_sets, nonempty_arrows
+from test_table_search import CHAIN, PAIRS, chains
 
 AMB = FinSetAmbient()
 CAP = 4096
@@ -51,6 +58,76 @@ def maps(a, b):
         return enumerate_maps(a, b, cap=CAP)
     except EnumerationCap:
         return []
+
+
+# -- presheaves ------------------------------------------------------------------
+
+# two presheaves on one base, labelled alike, so their levels are often equal
+SAME_BASE = st.one_of(st.tuples(graphs(), graphs()),
+                      st.tuples(chains(), chains()),
+                      st.tuples(idempotent_sets(), idempotent_sets()))
+
+
+def from_tables(base, sizes, tables):
+    """The presheaf with levels of these sizes and these tables."""
+    return _from_tables(base, {c: FinSet.fresh(n, c) for c, n in zip(
+        base.objects, sizes)}, zip(
+        (m.name for m in base.non_identity_morphisms()), tables))
+
+
+# equal levels, other tables, on each base
+EQUAL_LEVELS = [
+    (from_tables(GRAPH, (2, 1), ((0,), (1,))),
+     from_tables(GRAPH, (2, 1), ((1,), (0,)))),
+    (from_tables(CHAIN, (2, 1, 1), ((0,), (0,), (0,))),
+     from_tables(CHAIN, (2, 1, 1), ((1,), (0,), (1,)))),
+    (from_tables(IDEMPOTENT, (2,), ((0, 0),)),
+     from_tables(IDEMPOTENT, (2,), ((1, 1),)))]
+
+
+def levels_and_maps(p):
+    """p's levels, and its restriction maps built from its tables."""
+    at = {c: p.at(c) for c in p.base.objects}
+    return at, {m.name: FinFunction(at[m.cod], at[m.dom], t)
+                for m, t in zip(p.base.non_identity_morphisms(), p.tables)}
+
+
+def old_equal(p, q):
+    """Equality as it was defined on the maps: same base, equal levels and
+    equal restriction maps along every morphism."""
+    return p.base == q.base \
+        and all(p.at(c) == q.at(c) for c in p.base.objects) \
+        and all(p.restrict(m.name) == q.restrict(m.name)
+                for m in p.base.morphisms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SAME_BASE)
+@example(EQUAL_LEVELS[0])
+@example(EQUAL_LEVELS[1])
+@example(EQUAL_LEVELS[2])
+def test_presheaves_from_tables_match_the_checked_ones(pair):
+    for p in pair:
+        at, maps = levels_and_maps(p)
+        checked = Presheaf(p.base, at, maps)
+        trusted = _from_tables(p.base, at,
+                               {n: f.table for n, f in maps.items()})
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.tables == checked.tables == p.tables
+        for m in p.base.morphisms:
+            given_map = maps.get(m.name, finset.identity(at[m.dom]))
+            assert checked.restrict(m.name) == given_map
+            assert trusted.restrict(m.name) == given_map
+    g, h = pair
+    assert (g == h) == old_equal(g, h)
+    # the same tables between relabeled levels
+    at, maps = levels_and_maps(g)
+    relabeled = _from_tables(g.base, {
+        c: FinSet.fresh(x.size, "r") for c, x in at.items()},
+        {n: f.table for n, f in maps.items()})
+    assert relabeled.tables == g.tables
+    assert (relabeled == g) == old_equal(relabeled, g) \
+        == (not any(x.size for x in at.values()))
 
 
 # -- presheaf maps ---------------------------------------------------------------
